@@ -16,7 +16,9 @@ import numpy as np
 from .errors import DomainError
 
 # Radial index guard: keeps every (p + l)! used by the default mode sets inside
-# the exact-integer range of a double and the polynomial sum well conditioned.
+# the exact-integer range of a double. The explicit alternating sum for
+# L_p^l is badly conditioned at this range (terms near 1e7 at p = 12, x = 12
+# cancel to a value near 1), so laguerre uses the three-term recurrence.
 MAX_RADIAL_INDEX = 12
 
 # Factorials as floats, 0! .. 20!. 20! = 2^18 * odd, still exact in a double.
@@ -124,12 +126,14 @@ class TransformedBeam:
 
 
 def laguerre(p: int, l: int, x):
-    """Generalized Laguerre polynomial L_p^l(x) by its explicit finite sum.
+    """Generalized Laguerre polynomial L_p^l(x) by the three-term recurrence.
 
-    L_p^l(x) = sum_{m=0}^{p} (-1)^m (p+l)! / ((p-m)! (l+m)! m!) x^m
+    L_0^l = 1, L_1^l = 1 + l - x,
+    (k+1) L_{k+1}^l = (2k + 1 + l - x) L_k^l - (k + l) L_{k-1}^l
 
-    x may be a scalar or ndarray. p is guarded at MAX_RADIAL_INDEX so the
-    factorial ratios stay exact in double precision.
+    Unlike the explicit alternating sum, the recurrence does not cancel large
+    terms, so the relative error stays near rounding level. x may be a scalar
+    or ndarray; p is guarded at MAX_RADIAL_INDEX.
     """
     if p < 0 or l < 0:
         raise DomainError(f"polynomial indices must be non-negative, got ({p}, {l})")
@@ -137,14 +141,13 @@ def laguerre(p: int, l: int, x):
         raise DomainError(
             f"radial index {p} exceeds the supported maximum {MAX_RADIAL_INDEX}"
         )
-    coeffs = [
-        (-1.0) ** m * _factorial(p + l) / (_factorial(p - m) * _factorial(l + m) * _factorial(m))
-        for m in range(p + 1)
-    ]
-    # Horner evaluation from the highest power down.
-    acc = np.multiply(coeffs[p], np.ones_like(np.asarray(x, dtype=float)))
-    for m in range(p - 1, -1, -1):
-        acc = acc * x + coeffs[m]
+    x_arr = np.asarray(x, dtype=float)
+    if p == 0:
+        acc = np.ones_like(x_arr)
+    else:
+        prev, acc = 1.0, (1.0 + l) - x_arr
+        for k in range(1, p):
+            prev, acc = acc, ((2 * k + 1 + l - x_arr) * acc - (k + l) * prev) / (k + 1)
     if np.ndim(x) == 0:
         return float(acc)
     return acc

@@ -23,6 +23,9 @@ from .scene import Scene
 _QUAD_RTOL = 1e-8
 _QUAD_START_ORDER = 16
 _QUAD_MAX_ORDER = 1024
+# Quadrature nodes evaluated in one array: a single link at the maximum order,
+# so a batch of links never needs more memory than one worst-case link.
+_CHUNK_NODES = _QUAD_MAX_ORDER**2
 
 
 @dataclass
@@ -47,25 +50,90 @@ def _gauss_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _disc_capture_fixed(
-    beam: BeamSpec, z: float, rho: float, aperture_radius: float, order: int
-) -> float:
-    """Fixed-order tensor Gauss-Legendre integral of the intensity over the disc.
+    beam: BeamSpec, z: float, rho: np.ndarray, aperture_radius: float, order: int
+) -> np.ndarray:
+    """Fixed-order tensor Gauss-Legendre integrals of the intensity over the disc.
 
-    Detector-centered polar coordinates (s, phi); the distance from the beam
-    axis to an integration node is r = sqrt(rho^2 + s^2 + 2 rho s cos phi).
+    One integral per offset in rho. Detector-centered polar coordinates
+    (s, phi); the distance from the beam axis to an integration node is
+    r = sqrt(rho^2 + s^2 + 2 rho s cos phi). Each link is reduced on its own
+    (order x order) plane, so its value does not depend on the batch.
     """
     x, w = _gauss_nodes(order)
     s = 0.5 * aperture_radius * (x + 1.0)
     w_s = 0.5 * aperture_radius * w * s
     phi = math.pi * (x + 1.0)
     w_phi = math.pi * w
-    r = np.sqrt(
-        rho**2
-        + s[:, None] ** 2
-        + 2.0 * rho * s[:, None] * np.cos(phi)[None, :]
-    )
+    # rho^2 as a Python float power: numpy's square may round differently.
+    rho_sq = np.array([r**2 for r in rho.tolist()])[:, None, None]
+    rho = rho[:, None, None]
+    r = np.sqrt(rho_sq + s[:, None] ** 2 + 2.0 * rho * s[:, None] * np.cos(phi)[None, :])
     intensity = beam_intensity(r, z, beam)
-    return float(w_s @ intensity @ w_phi)
+    return np.array([w_s @ plane @ w_phi for plane in intensity])
+
+
+def _disc_capture(
+    beam: BeamSpec, z: float, rho: np.ndarray, aperture_radius: float
+) -> np.ndarray:
+    """Adaptive disc capture for every offset in rho, clipped to [0, 1].
+
+    The order doubles from 16 until a link's value changes by less than 1e-8
+    relative; converged links drop out. Links still open after order 1024
+    come back as NaN. Nodes are evaluated in chunks of at most _CHUNK_NODES
+    (but at least one link).
+    """
+    result = np.full(rho.shape, np.nan)
+    active = np.arange(rho.size)
+    prev = None
+    order = _QUAD_START_ORDER
+    while True:
+        step = max(1, _CHUNK_NODES // order**2)
+        cur = np.concatenate(
+            [
+                _disc_capture_fixed(beam, z, rho[active[i : i + step]], aperture_radius, order)
+                for i in range(0, active.size, step)
+            ]
+        )
+        if prev is not None:
+            done = np.abs(cur - prev) <= _QUAD_RTOL * np.abs(cur) + 1e-16
+            result[active[done]] = np.clip(cur[done], 0.0, 1.0)
+            active, cur = active[~done], cur[~done]
+        if not active.size or order >= _QUAD_MAX_ORDER:
+            return result
+        prev = cur
+        order *= 2
+
+
+def _link_source(
+    beam: BeamSpec, lens: LensSpec | None, z: float, rho: float, aperture_radius: float
+) -> tuple[BeamSpec, float]:
+    """Check a link's domain; return the beam and distance the quadrature sees.
+
+    With a lens, intensities come from the transformed beam whose waist sits
+    d2 past the lens, so the effective propagation distance is z - d2.
+    """
+    if not z > 0:
+        raise DomainError(f"link distance must be positive, got {z!r}")
+    if rho < 0:
+        raise DomainError(f"lateral offset must be >= 0, got {rho!r}")
+    if not aperture_radius > 0:
+        raise DomainError(f"aperture radius must be positive, got {aperture_radius!r}")
+
+    eff_beam, waist_offset = transformed_source(beam, lens)
+    z_eff = z - waist_offset
+    if lens is not None and z_eff <= 0:
+        raise DomainError(
+            f"link distance {z!r} m does not reach past the transformed waist at "
+            f"{waist_offset!r} m behind the lens"
+        )
+    return eff_beam, z_eff
+
+
+def _not_converged(z: float, rho: float, aperture_radius: float) -> DomainError:
+    return DomainError(
+        f"disc quadrature did not converge by order {_QUAD_MAX_ORDER} "
+        f"(z={z!r}, rho={rho!r}, aperture={aperture_radius!r})"
+    )
 
 
 def captured_fraction(
@@ -84,33 +152,11 @@ def captured_fraction(
     The quadrature order doubles until the result changes by less than
     1e-8 relative; the result is clipped to [0, 1].
     """
-    if not z > 0:
-        raise DomainError(f"link distance must be positive, got {z!r}")
-    if rho < 0:
-        raise DomainError(f"lateral offset must be >= 0, got {rho!r}")
-    if not aperture_radius > 0:
-        raise DomainError(f"aperture radius must be positive, got {aperture_radius!r}")
-
-    eff_beam, waist_offset = transformed_source(beam, lens)
-    z_eff = z - waist_offset
-    if lens is not None and z_eff <= 0:
-        raise DomainError(
-            f"link distance {z!r} m does not reach past the transformed waist at "
-            f"{waist_offset!r} m behind the lens"
-        )
-
-    prev = _disc_capture_fixed(eff_beam, z_eff, rho, aperture_radius, _QUAD_START_ORDER)
-    order = _QUAD_START_ORDER
-    while order < _QUAD_MAX_ORDER:
-        order *= 2
-        cur = _disc_capture_fixed(eff_beam, z_eff, rho, aperture_radius, order)
-        if abs(cur - prev) <= _QUAD_RTOL * abs(cur) + 1e-16:
-            return min(max(cur, 0.0), 1.0)
-        prev = cur
-    raise DomainError(
-        f"disc quadrature did not converge by order {_QUAD_MAX_ORDER} "
-        f"(z={z!r}, rho={rho!r}, aperture={aperture_radius!r})"
-    )
+    eff_beam, z_eff = _link_source(beam, lens, z, rho, aperture_radius)
+    h = float(_disc_capture(eff_beam, z_eff, np.array([float(rho)]), aperture_radius)[0])
+    if math.isnan(h):
+        raise _not_converged(z, rho, aperture_radius)
+    return h
 
 
 def build_channel_matrix(scene: Scene, include_incidence_cosine: bool = False) -> ChannelMatrix:
@@ -122,28 +168,53 @@ def build_channel_matrix(scene: Scene, include_incidence_cosine: bool = False) -
     exceeds the user's field-of-view half angle are zeroed. The incidence
     cosine factor is omitted by default (beams are near-vertical); pass
     include_incidence_cosine=True to apply it.
+
+    Links sharing (beam, lens, z, aperture) form one batch, and each distinct
+    offset in a batch is integrated once; every gain equals captured_fraction
+    of its link bit for bit.
     """
-    n_users = len(scene.users)
-    n_aps = len(scene.aps)
-    gains = np.zeros((n_users, n_aps))
-    distances = np.zeros((n_users, n_aps))
-    offsets = np.zeros((n_users, n_aps))
-    for u, user in enumerate(scene.users):
-        aperture = math.sqrt(user.detector_area / math.pi)
-        for a, ap in enumerate(scene.aps):
-            z = ap.position[2] - scene.room.rx_plane_height
-            rho = math.hypot(
-                user.position[0] - ap.position[0], user.position[1] - ap.position[1]
-            )
-            distances[u, a] = z
-            offsets[u, a] = rho
-            incidence = math.atan2(rho, z)
-            if incidence > user.fov_half_angle:
-                continue
-            h = captured_fraction(ap.beam, ap.lens, z, rho, aperture)
-            if include_incidence_cosine:
-                h *= z / math.hypot(z, rho)
-            gains[u, a] = h
+    aps, users = scene.aps, scene.users
+    zs = [ap.position[2] - scene.room.rx_plane_height for ap in aps]
+    apertures = [math.sqrt(user.detector_area / math.pi) for user in users]
+    # math.hypot and math.atan2 per link: numpy's forms can differ by an ulp.
+    offsets = np.array(
+        [
+            [math.hypot(user.position[0] - ap.position[0], user.position[1] - ap.position[1])
+             for ap in aps]
+            for user in users
+        ]
+    )
+    visible = np.array(
+        [
+            [not math.atan2(rho, z) > user.fov_half_angle for rho, z in zip(row, zs)]
+            for row, user in zip(offsets.tolist(), users)
+        ],
+        dtype=bool,
+    )
+    # Batch keys, computed once per AP and once per user rather than per link.
+    sources: dict = {}
+    ap_key = np.array([sources.setdefault((ap.beam, ap.lens, z), len(sources))
+                       for ap, z in zip(aps, zs)])
+    discs: dict = {}
+    user_key = np.array([discs.setdefault(a, len(discs)) for a in apertures])
+    batch = ap_key[None, :] * len(discs) + user_key[:, None]
+
+    gains = np.zeros(offsets.shape)
+    keys, first = np.unique(batch[visible], return_index=True)
+    for key in keys[np.argsort(first)]:  # in the order of each batch's first link
+        links = visible & (batch == key)
+        u, a = np.argwhere(links)[0]
+        ap, z, aperture = aps[a], zs[a], apertures[u]
+        rho, inverse = np.unique(offsets[links], return_inverse=True)
+        eff_beam, z_eff = _link_source(ap.beam, ap.lens, z, float(rho[0]), aperture)
+        h = _disc_capture(eff_beam, z_eff, rho, aperture)[inverse]
+        if np.isnan(h).any():
+            raise _not_converged(z, float(offsets[links][np.isnan(h)][0]), aperture)
+        gains[links] = h
+    if include_incidence_cosine:
+        for u, a in zip(*np.nonzero(visible)):
+            gains[u, a] *= zs[a] / math.hypot(zs[a], offsets[u, a])
+    distances = np.array([zs] * len(users), dtype=float)
     return ChannelMatrix(gains=gains, distances=distances, offsets=offsets)
 
 

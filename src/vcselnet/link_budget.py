@@ -11,15 +11,15 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import constants, special
 
 from .channel import ChannelMatrix
 from .errors import DomainError
 from .precoding import Precoder
 from .scene import ElectricalSpec, Scene
 
-ELECTRON_CHARGE = constants.e  # C
-BOLTZMANN = constants.k  # J/K
+# Exact SI defining constants (2019 redefinition).
+ELECTRON_CHARGE = 1.602176634e-19  # C
+BOLTZMANN = 1.380649e-23  # J/K
 
 
 @dataclass(frozen=True)
@@ -79,7 +79,7 @@ def user_sinr(u: int, scene: Scene, h: ChannelMatrix, precoder: Precoder) -> flo
 
 def q_function(x: float) -> float:
     """Gaussian tail probability Q(x) = 0.5 erfc(x / sqrt(2))."""
-    return 0.5 * special.erfc(x / math.sqrt(2.0))
+    return 0.5 * math.erfc(x / math.sqrt(2.0))
 
 
 def user_rate(sinr: float, elec: ElectricalSpec, model: str = "shannon") -> float:

@@ -116,14 +116,8 @@ def _configure(scene: Scene, waist: float, lens_mode: str) -> Scene:
 
 
 def _evaluate(
-    scene: Scene, rate_model: str
+    scene: Scene, caps: np.ndarray, rate_model: str
 ) -> tuple[ChannelMatrix, Precoder, LinkReport]:
-    caps = np.array(
-        [
-            ap.array_n**2 * max_safe_power(ap.beam, scene.safety, ap.lens).p_max
-            for ap in scene.aps
-        ]
-    )
     h = build_channel_matrix(scene)
     precoder = zf_precoder(h, caps)
     return h, precoder, link_report(scene, h, precoder, rate_model)
@@ -167,13 +161,16 @@ def run_sweep(
             seed = None
             try:
                 scn = _configure(scene, waist, mode)
-                p_max = min(
+                # Placement moves only users, so one cap per AP serves every seed.
+                vcsel_caps = [
                     max_safe_power(ap.beam, scn.safety, ap.lens).p_max for ap in scn.aps
-                )
+                ]
+                p_max = min(vcsel_caps)
+                caps = np.array([ap.array_n**2 * p for ap, p in zip(scn.aps, vcsel_caps)])
                 sum_rates, ees, min_snrs = [], [], []
                 if placement == "on-axis":
                     scn_placed = place_users_on_axis(scn, count)
-                    h, precoder, report = _evaluate(scn_placed, rate_model)
+                    h, precoder, report = _evaluate(scn_placed, caps, rate_model)
                     sum_rates = [report.sum_rate] * len(sweep.seeds)
                     ees = [report.energy_efficiency] * len(sweep.seeds)
                     min_snrs = [_min_snr_db(report)] * len(sweep.seeds)
@@ -182,7 +179,7 @@ def run_sweep(
                 else:
                     for seed in sweep.seeds:
                         scn_placed = place_users(scn, count, seed)
-                        h, precoder, report = _evaluate(scn_placed, rate_model)
+                        h, precoder, report = _evaluate(scn_placed, caps, rate_model)
                         sum_rates.append(report.sum_rate)
                         ees.append(report.energy_efficiency)
                         min_snrs.append(_min_snr_db(report))

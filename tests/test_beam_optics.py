@@ -1,8 +1,9 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 from scipy.special import eval_genlaguerre
@@ -74,12 +75,35 @@ class TestLaguerre:
                     math.comb(p + l, p), rel=1e-12
                 )
 
+    def test_matches_exact_rationals(self):
+        # Exact L_p^l(x) from the explicit sum in rational arithmetic, on the
+        # dyadic grid x = k/8, which doubles represent exactly. Rounding the
+        # exact value to a double costs at most 1.1e-16 of the 1e-10 budget.
+        xs = [Fraction(k, 8) for k in range(321)]
+        for p in range(MAX_RADIAL_INDEX + 1):
+            for l in range(8):
+                coeffs = [
+                    Fraction((-1) ** m * math.comb(p + l, p - m), math.factorial(m))
+                    for m in range(p + 1)
+                ]
+                exact = []
+                for x in xs:
+                    acc = Fraction(0)
+                    for c in reversed(coeffs):
+                        acc = acc * x + c
+                    exact.append(float(acc))
+                exact = np.array(exact)
+                ours = laguerre(p, l, np.array([float(x) for x in xs]))
+                bad = np.abs(ours - exact) > 1e-10 * np.abs(exact)
+                assert not bad.any(), (p, l, float(xs[bad.argmax()]))
+
     @settings(max_examples=60, deadline=None)
     @given(
         p=st.integers(min_value=1, max_value=MAX_RADIAL_INDEX - 1),
         l=st.integers(min_value=0, max_value=5),
         x=st.floats(min_value=0.0, max_value=40.0, allow_nan=False),
     )
+    @example(p=11, l=2, x=11.796875)
     def test_three_term_recurrence(self, p, l, x):
         # (p+1) L_{p+1}^l = (2p + l + 1 - x) L_p^l - (p + l) L_{p-1}^l
         lhs = (p + 1) * laguerre(p + 1, l, x)

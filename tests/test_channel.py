@@ -1,24 +1,95 @@
 import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 from scipy.special import eval_genlaguerre
 
 from vcselnet import (
+    DEFAULT_MODES,
+    FUNDAMENTAL_MODE,
+    AccessPoint,
     BeamSpec,
+    LensSpec,
+    UserTerminal,
+    beam_intensity,
     build_channel_matrix,
     captured_fraction,
     default_scene,
     lens_transform,
     reflected_power_fraction,
+    transformed_source,
 )
+from vcselnet import channel
 from vcselnet.channel import _disc_capture_fixed
 from vcselnet.errors import DomainError
 
 # 2 cm^2 detector disc radius.
 APERTURE = math.sqrt(2e-4 / math.pi)
+
+
+# Per-link scalar reference: one adaptive quadrature per link and per order,
+# on one (order x order) grid at a time. The batched kernel must reproduce it
+# bit for bit.
+def oracle_disc_capture_fixed(beam, z, rho, aperture_radius, order):
+    x, w = np.polynomial.legendre.leggauss(order)
+    s = 0.5 * aperture_radius * (x + 1.0)
+    w_s = 0.5 * aperture_radius * w * s
+    phi = math.pi * (x + 1.0)
+    w_phi = math.pi * w
+    r = np.sqrt(
+        rho**2
+        + s[:, None] ** 2
+        + 2.0 * rho * s[:, None] * np.cos(phi)[None, :]
+    )
+    intensity = beam_intensity(r, z, beam)
+    return float(w_s @ intensity @ w_phi)
+
+
+def oracle_captured_fraction(beam, lens, z, rho, aperture_radius):
+    eff_beam, waist_offset = transformed_source(beam, lens)
+    z_eff = z - waist_offset
+    prev = oracle_disc_capture_fixed(eff_beam, z_eff, rho, aperture_radius, 16)
+    order = 16
+    while order < 1024:
+        order *= 2
+        cur = oracle_disc_capture_fixed(eff_beam, z_eff, rho, aperture_radius, order)
+        if abs(cur - prev) <= 1e-8 * abs(cur) + 1e-16:
+            return min(max(cur, 0.0), 1.0)
+        prev = cur
+    raise AssertionError(f"oracle quadrature did not converge (z={z!r}, rho={rho!r})")
+
+
+def oracle_channel(scene, include_incidence_cosine=False):
+    gains = np.zeros((len(scene.users), len(scene.aps)))
+    distances = np.zeros_like(gains)
+    offsets = np.zeros_like(gains)
+    for u, user in enumerate(scene.users):
+        aperture = math.sqrt(user.detector_area / math.pi)
+        for a, ap in enumerate(scene.aps):
+            z = ap.position[2] - scene.room.rx_plane_height
+            rho = math.hypot(
+                user.position[0] - ap.position[0], user.position[1] - ap.position[1]
+            )
+            distances[u, a] = z
+            offsets[u, a] = rho
+            if math.atan2(rho, z) > user.fov_half_angle:
+                continue
+            h = oracle_captured_fraction(ap.beam, ap.lens, z, rho, aperture)
+            if include_incidence_cosine:
+                h *= z / math.hypot(z, rho)
+            gains[u, a] = h
+    return gains, distances, offsets
+
+
+def assert_bit_identical(h, oracle):
+    for got, want in zip((h.gains, h.distances, h.offsets), oracle):
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 def independent_intensity(beam, r, z):
@@ -139,9 +210,35 @@ class TestCapturedFraction:
             )
 
     def test_fixed_order_quadrature_has_converged(self, multimode_beam):
-        a = _disc_capture_fixed(multimode_beam, 2.0, 1.0, APERTURE, 256)
-        b = _disc_capture_fixed(multimode_beam, 2.0, 1.0, APERTURE, 512)
-        assert a == pytest.approx(b, rel=1e-10)
+        rho = np.array([1.0])
+        a = _disc_capture_fixed(multimode_beam, 2.0, rho, APERTURE, 256)
+        b = _disc_capture_fixed(multimode_beam, 2.0, rho, APERTURE, 512)
+        assert a[0] == pytest.approx(b[0], rel=1e-10)
+
+    @pytest.mark.parametrize("rho", [0.0, 0.05, 0.3, 1.0])
+    def test_matches_scalar_oracle_bit_for_bit(self, multimode_beam, table_lens, rho):
+        for lens in (None, table_lens):
+            got = captured_fraction(multimode_beam, lens, 2.0, rho, APERTURE)
+            assert got == oracle_captured_fraction(multimode_beam, lens, 2.0, rho, APERTURE)
+
+    def test_non_convergence_names_the_link(self, multimode_beam, monkeypatch):
+        # Beyond r = 2.5 m the integral moves by 1/order at every order, so
+        # the 1e-8 test never passes and the order runs past 1024.
+        def erratic(r, z, beam):
+            return np.where(r > 2.5, 1.0 + 1.0 / r.shape[-1], 1.0)
+
+        monkeypatch.setattr(channel, "beam_intensity", erratic)
+        # A unit intensity integrates to the disc area, 2 cm^2.
+        assert captured_fraction(multimode_beam, None, 2.0, 1.0, APERTURE) == pytest.approx(2e-4)
+        expected = f"z=2.0, rho=3.0, aperture={APERTURE!r}"
+        with pytest.raises(DomainError, match="did not converge by order 1024") as info:
+            captured_fraction(multimode_beam, None, 2.0, 3.0, APERTURE)
+        assert expected in str(info.value)
+
+        # In a channel only the diagonal 2*sqrt(2) m links reach past 2.5 m.
+        with pytest.raises(DomainError, match="did not converge by order 1024") as info:
+            build_channel_matrix(default_scene())
+        assert f"z=2.0, rho={2.0 * math.sqrt(2.0)!r}, aperture={APERTURE!r}" in str(info.value)
 
 
 class TestChannelMatrix:
@@ -200,7 +297,79 @@ class TestChannelMatrix:
         expected = plain.gains * (z / np.hypot(z, plain.offsets))
         assert np.allclose(cosine.gains, expected, rtol=1e-12, atol=0.0)
 
+    def test_batch_spanning_several_chunks(self, multimode_beam, monkeypatch):
+        # Two order-16 links per chunk; from order 32 on every chunk holds one link.
+        monkeypatch.setattr(channel, "_CHUNK_NODES", 2 * 16 * 16)
+        sizes = []
+
+        def recording(r, z, beam):
+            sizes.append(r.shape)
+            return beam_intensity(r, z, beam)
+
+        monkeypatch.setattr(channel, "beam_intensity", recording)
+        rho = [0.0, 0.02, 0.05, 0.1, 0.2, 0.3, 0.5]
+        aps = tuple(
+            AccessPoint(position=(x, 0.0, 3.0), beam=multimode_beam) for x in rho
+        )
+        scene = SimpleNamespace(
+            room=SimpleNamespace(rx_plane_height=1.0),
+            aps=aps,
+            users=(UserTerminal(position=(0.0, 0.0)),),
+        )
+        h = build_channel_matrix(scene)
+        assert max(n for n, _, _ in sizes) > 1
+        assert sum(order == 16 for _, order, _ in sizes) > 1
+        for n, order, _ in sizes:
+            assert n * order * order <= max(2 * 16 * 16, order * order)
+        monkeypatch.undo()
+        for a, offset in enumerate(rho):
+            alone = captured_fraction(multimode_beam, None, 2.0, offset, APERTURE)
+            assert h.gains[0, a] == alone
+        assert_bit_identical(h, oracle_channel(scene))
+
     def test_reflections_are_out_of_scope(self):
         scene = default_scene()
         assert reflected_power_fraction(scene, 0, 0) == 0.0
         assert reflected_power_fraction(scene, 1, 2, order=3) == 0.0
+
+
+GRID = st.sampled_from([0.0, 0.25, 0.3, 0.5, 1.0])
+
+
+@st.composite
+def scenes(draw):
+    """Random stand-in scenes: the fields build_channel_matrix reads.
+
+    Scene pins every AP to the ceiling, so a namespace carries the mixed
+    AP heights. Positions come from a small grid so users coincide with APs
+    and with each other, and links repeat their geometry.
+    """
+    lens = LensSpec(f=127e-6, d1=133e-6)
+    aps = tuple(
+        AccessPoint(
+            position=(draw(GRID), draw(GRID), draw(st.sampled_from([2.5, 3.0]))),
+            beam=BeamSpec(
+                w0=draw(st.sampled_from([1e-6, 5e-6])),
+                wavelength=850e-9,
+                modes=draw(st.sampled_from([FUNDAMENTAL_MODE, DEFAULT_MODES])),
+            ),
+            lens=draw(st.sampled_from([None, lens])),
+        )
+        for _ in range(draw(st.integers(1, 5)))
+    )
+    users = tuple(
+        UserTerminal(
+            position=(draw(GRID), draw(GRID)),
+            detector_area=draw(st.sampled_from([1e-4, 2e-4])),
+            fov_half_angle=draw(st.sampled_from([math.pi / 2, 0.2])),
+        )
+        for _ in range(draw(st.integers(1, 5)))
+    )
+    return SimpleNamespace(room=SimpleNamespace(rx_plane_height=1.0), aps=aps, users=users)
+
+
+@settings(max_examples=40, deadline=None)
+@given(scene=scenes(), cosine=st.booleans())
+def test_batched_channel_matches_scalar_oracle(scene, cosine):
+    h = build_channel_matrix(scene, include_incidence_cosine=cosine)
+    assert_bit_identical(h, oracle_channel(scene, include_incidence_cosine=cosine))

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import vcselnet.sweep
 from vcselnet import (
     SweepResult,
     SweepSpec,
@@ -132,6 +133,20 @@ class TestRunSweep:
             lens = scene_with_mpe.lens_design if row.lens_mode == "on" else None
             expected = max_safe_power(beam, scene_with_mpe.safety, lens).p_max
             assert row.p_max == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("placement", ["on-axis", "random"])
+    def test_one_safety_cap_per_ap_per_point(self, compact_scene, monkeypatch, placement):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return max_safe_power(*args, **kwargs)
+
+        monkeypatch.setattr(vcselnet.sweep, "max_safe_power", counting)
+        sweep = SweepSpec(waist_start=1e-6, waist_end=1.5e-6, steps=2,
+                          lens_modes=("off",), seeds=(0, 1))
+        run_sweep(compact_scene, sweep, placement=placement, user_count=3)
+        assert len(calls) == 2 * len(compact_scene.aps)
 
     def test_random_placement_statistics(self, compact_scene):
         # The compact room keeps every random draw zero-forceable (lens off);
