@@ -208,32 +208,50 @@ def mode_intensity(p: int, l: int, r, z: float, beam: BeamSpec):
                         [L_p^l(2 r^2 / w_z^2)]^2 exp(-2 r^2 / w_z^2)
 
     Integrating over the transverse plane gives 1 for any z. r may be a
-    scalar or ndarray of non-negative radii.
+    scalar or ndarray of non-negative radii. A one-mode beam_intensity.
     """
-    r_arr = np.asarray(r, dtype=float)
-    if np.any(r_arr < 0):
-        raise DomainError("radial coordinate must be >= 0")
-    w_z = beam_radius(z, beam)
-    a = mode_norm_const(p, l, beam.w0)
-    x = 2.0 * r_arr**2 / w_z**2
-    val = (a**2 * beam.w0**2 / w_z**2) * x**l * laguerre(p, l, x) ** 2 * np.exp(-x)
-    if np.ndim(r) == 0:
-        return float(val)
-    return val
+    return beam_intensity(r, z, replace(beam, modes=((p, l, 1.0),)))
 
 
 def beam_intensity(r, z: float, beam: BeamSpec):
-    """Total intensity: mode intensities weighted by their power fractions."""
-    total = None
+    """Total intensity: mode intensities weighted by their power fractions.
+
+    w(z), x = 2 r^2 / w_z^2 and exp(-x) are shared by all modes; each mode adds
+    frac * (((c * x**l) * L_p^l(x)**2) * exp(-x)), c = (A_p^l)^2 w0^2 / w_z^2,
+    built in one work buffer and summed in mode order. Where exp(-x) underflows
+    to 0 the intensity is 0, even where x**l * L**2 overflows. r may be a
+    scalar or ndarray of non-negative radii; r itself is never written.
+    """
+    r_arr = np.atleast_1d(np.asarray(r, dtype=float))
+    if np.any(r_arr < 0):
+        raise DomainError("radial coordinate must be >= 0")
+    w_z = beam_radius(z, beam)
+    x = 2.0 * r_arr**2 / w_z**2
+    decay = np.exp(-x)
+    total, term = None, np.empty_like(x)
     for p, l, frac in beam.modes:
         if frac == 0.0:
             continue
-        term = frac * np.asarray(mode_intensity(p, l, r, z, beam))
-        total = term if total is None else total + term
-    if total is None:
-        total = np.zeros_like(np.asarray(r, dtype=float))
+        c = mode_norm_const(p, l, beam.w0) ** 2 * beam.w0**2 / w_z**2
+        # c * x**l; x**0 = 1 and x**1 = x exactly, so those skip the power.
+        if l == 0:
+            term.fill(c)
+        elif l == 1:
+            np.multiply(x, c, out=term)
+        else:
+            np.multiply(np.power(x, l, out=term), c, out=term)
+        if p:  # L_0^l = 1: skipping its square is exact
+            lag = laguerre(p, l, x)
+            np.multiply(term, np.square(lag, out=lag), out=term)
+        np.multiply(term, decay, out=term)
+        np.multiply(term, frac, out=term)
+        if total is None:  # the first term becomes the sum
+            total, term = term, np.empty_like(x)
+        else:
+            total += term
+    total[decay == 0.0] = 0.0
     if np.ndim(r) == 0:
-        return float(total)
+        return float(total[0])
     return total
 
 

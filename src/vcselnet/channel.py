@@ -159,6 +159,15 @@ def captured_fraction(
     return h
 
 
+def _distinct(a: np.ndarray, b: np.ndarray) -> tuple[list[complex], np.ndarray]:
+    """Distinct (a, b) pairs, each packed exactly into one complex, and the
+    index of every element's pair, shaped like a."""
+    packed = np.empty(a.shape, dtype=complex)
+    packed.real, packed.imag = a, b
+    pairs, inverse = np.unique(packed.ravel(), return_inverse=True)
+    return pairs.tolist(), inverse.reshape(a.shape)
+
+
 def build_channel_matrix(scene: Scene, include_incidence_cosine: bool = False) -> ChannelMatrix:
     """Evaluate every (user, AP) link in the scene.
 
@@ -176,21 +185,19 @@ def build_channel_matrix(scene: Scene, include_incidence_cosine: bool = False) -
     aps, users = scene.aps, scene.users
     zs = [ap.position[2] - scene.room.rx_plane_height for ap in aps]
     apertures = [math.sqrt(user.detector_area / math.pi) for user in users]
-    # math.hypot and math.atan2 per link: numpy's forms can differ by an ulp.
-    offsets = np.array(
-        [
-            [math.hypot(user.position[0] - ap.position[0], user.position[1] - ap.position[1])
-             for ap in aps]
-            for user in users
-        ]
-    )
-    visible = np.array(
-        [
-            [not math.atan2(rho, z) > user.fov_half_angle for rho, z in zip(row, zs)]
-            for row, user in zip(offsets.tolist(), users)
-        ],
-        dtype=bool,
-    )
+    ap_xy = np.array([ap.position[:2] for ap in aps], dtype=float)
+    user_xy = np.array([user.position for user in users], dtype=float)
+    dx = user_xy[:, None, 0] - ap_xy[None, :, 0]
+    dy = user_xy[:, None, 1] - ap_xy[None, :, 1]
+    # math.hypot once per distinct (dx, dy) and math.atan2 once per distinct
+    # (rho, z): numpy's forms can differ by an ulp.
+    steps, step_of = _distinct(dx, dy)
+    offsets = np.array([math.hypot(d.real, d.imag) for d in steps])[step_of]
+    z_grid = np.broadcast_to(np.array(zs, dtype=float), dx.shape)
+    geometry, geometry_of = _distinct(offsets, z_grid)
+    angles = np.array([math.atan2(g.real, g.imag) for g in geometry])[geometry_of]
+    fov = np.array([user.fov_half_angle for user in users], dtype=float)
+    visible = ~(angles > fov[:, None])
     # Batch keys, computed once per AP and once per user rather than per link.
     sources: dict = {}
     ap_key = np.array([sources.setdefault((ap.beam, ap.lens, z), len(sources))
@@ -212,9 +219,9 @@ def build_channel_matrix(scene: Scene, include_incidence_cosine: bool = False) -
             raise _not_converged(z, float(offsets[links][np.isnan(h)][0]), aperture)
         gains[links] = h
     if include_incidence_cosine:
-        for u, a in zip(*np.nonzero(visible)):
-            gains[u, a] *= zs[a] / math.hypot(zs[a], offsets[u, a])
-    distances = np.array([zs] * len(users), dtype=float)
+        cosine = np.array([g.imag / math.hypot(g.imag, g.real) for g in geometry])[geometry_of]
+        np.multiply(gains, cosine, out=gains, where=visible)
+    distances = z_grid.copy()
     return ChannelMatrix(gains=gains, distances=distances, offsets=offsets)
 
 

@@ -102,11 +102,16 @@ class SweepResult:
 
 
 def _configure(scene: Scene, waist: float, lens_mode: str) -> Scene:
-    """Scene copy with every AP at the given waist and lens state, cap-powered."""
+    """Scene copy with every AP at the given waist and lens state, cap-powered.
+
+    Each distinct source beam is rebuilt once, and APs that shared it share
+    the rebuilt beam.
+    """
+    beams = {beam: replace(beam, w0=waist) for beam in {ap.beam for ap in scene.aps}}
     aps = tuple(
         replace(
             ap,
-            beam=replace(ap.beam, w0=waist),
+            beam=beams[ap.beam],
             lens=scene.lens_design if lens_mode == "on" else None,
             per_vcsel_power=None,
         )
@@ -161,10 +166,14 @@ def run_sweep(
             seed = None
             try:
                 scn = _configure(scene, waist, mode)
-                # Placement moves only users, so one cap per AP serves every seed.
-                vcsel_caps = [
-                    max_safe_power(ap.beam, scn.safety, ap.lens).p_max for ap in scn.aps
-                ]
+                # Placement moves only users, so one cap per distinct source
+                # (beam, lens) serves every AP with that source and every seed.
+                sources = dict.fromkeys((ap.beam, ap.lens) for ap in scn.aps)
+                source_caps = {
+                    (beam, lens): max_safe_power(beam, scn.safety, lens).p_max
+                    for beam, lens in sources
+                }
+                vcsel_caps = [source_caps[ap.beam, ap.lens] for ap in scn.aps]
                 p_max = min(vcsel_caps)
                 caps = np.array([ap.array_n**2 * p for ap, p in zip(scn.aps, vcsel_caps)])
                 sum_rates, ees, min_snrs = [], [], []

@@ -1,5 +1,6 @@
 import dataclasses
 
+import numpy as np
 import pytest
 
 from vcselnet import (
@@ -7,8 +8,11 @@ from vcselnet import (
     FUNDAMENTAL_MODE,
     LensSpec,
     SafetySpec,
+    beam_radius,
     default_scene,
+    laguerre,
     load_scene,
+    mode_norm_const,
 )
 
 # Exposure limit used throughout the tests. The library deliberately ships no
@@ -32,6 +36,34 @@ positions_m = (0.25, 0.25, 3.0); (0.25, 0.75, 3.0); (0.75, 0.25, 3.0); (0.75, 0.
 [safety]
 mpe_w_per_m2 = {DEFAULT_MPE}
 """
+
+
+def oracle_mode_intensity(p, l, r, z, beam):
+    """Reference LG mode intensity: one mode, its own w(z), x and exp(-x)."""
+    r_arr = np.asarray(r, dtype=float)
+    w_z = beam_radius(z, beam)
+    a = mode_norm_const(p, l, beam.w0)
+    x = 2.0 * r_arr**2 / w_z**2
+    val = (a**2 * beam.w0**2 / w_z**2) * x**l * laguerre(p, l, x) ** 2 * np.exp(-x)
+    if np.ndim(r) == 0:
+        return float(val)
+    return val
+
+
+def oracle_beam_intensity(r, z, beam):
+    """Reference total intensity: one oracle_mode_intensity per mode, summed in
+    mode order. The package's fused pass must reproduce it bit for bit
+    wherever it is finite (it is NaN where x**l * L**2 overflows and exp(-x)
+    underflows)."""
+    total = None
+    for p, l, frac in beam.modes:
+        if frac == 0.0:
+            continue
+        term = frac * np.asarray(oracle_mode_intensity(p, l, r, z, beam))
+        total = term if total is None else total + term
+    if np.ndim(r) == 0:
+        return float(total)
+    return total
 
 
 @pytest.fixture

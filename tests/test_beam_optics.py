@@ -27,6 +27,8 @@ from vcselnet import (
 )
 from vcselnet.errors import DomainError
 
+from conftest import oracle_beam_intensity
+
 # Frozen oracle values for the 5 um / 850 nm fundamental beam. Derived from
 # closed forms evaluated independently of the package (see the matching
 # expressions in each test).
@@ -295,6 +297,81 @@ class TestIntensity:
         pure = BeamSpec(w0=5e-6, wavelength=850e-9, modes=((0, 0, 1.0),))
         for r in (0.0, 1e-3):
             assert beam_intensity(r, 1.0, padded) == beam_intensity(r, 1.0, pure)
+
+    def test_underflowed_decay_gives_zero_not_nan(self):
+        # At x = 8e10, x**7 * L_12^7(x)**2 overflows to inf while exp(-x)
+        # underflows to 0; the intensity is 0, not inf * 0 = NaN.
+        beam = BeamSpec(w0=1e-6, wavelength=850e-9, modes=((12, 7, 1.0),))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert math.isnan(oracle_beam_intensity(0.2, 0.0, beam))
+            assert beam_intensity(0.2, 0.0, beam) == 0.0
+            got = beam_intensity(np.array([0.0, 1e-6, 0.2]), 0.0, beam)
+        assert got[2] == 0.0
+        assert np.all(np.isfinite(got))
+
+
+@st.composite
+def mode_mixes(draw):
+    """Mode sets with p <= 12, l <= 7 and power fractions that may be zero."""
+    indices = draw(st.lists(st.tuples(st.integers(0, MAX_RADIAL_INDEX), st.integers(0, 7)),
+                            min_size=1, max_size=5, unique=True))
+    weights = draw(st.lists(st.integers(0, 3), min_size=len(indices), max_size=len(indices))
+                   .filter(any))
+    return tuple((p, l, w / sum(weights)) for (p, l), w in zip(indices, weights))
+
+
+# Radii in units of w(z): on axis, inside the beam, and far enough out that
+# exp(-x) underflows to 0 (x > 745 from 19.3 w(z) on).
+RADII = st.lists(st.one_of(st.just(0.0), st.floats(0.0, 6.0), st.floats(19.0, 1e5)),
+                 min_size=1, max_size=40)
+
+
+class TestFusedIntensity:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        modes=mode_mixes(),
+        w0=st.floats(1e-6, 8e-6),
+        z=st.one_of(st.just(0.0), st.floats(0.0, 5.0)),
+        radii=RADII,
+    )
+    @example(modes=((12, 7, 1.0),), w0=1e-6, z=0.0, radii=[0.0, 1.0, 2e5])
+    def test_matches_per_mode_oracle_bit_for_bit(self, modes, w0, z, radii):
+        beam = BeamSpec(w0=w0, wavelength=850e-9, modes=modes)
+        r = np.array(radii) * beam_radius(z, beam)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = beam_intensity(r, z, beam)
+            want = oracle_beam_intensity(r, z, beam)
+        # The oracle is NaN only where x**l * L**2 overflows and exp(-x) is 0.
+        finite = np.isfinite(want)
+        assert got[finite].tobytes() == want[finite].tobytes()
+        assert np.all(got[~finite] == 0.0)
+
+    def test_inputs_are_never_written(self, multimode_beam):
+        read_only = np.linspace(0.0, 0.3, 24)
+        read_only.flags.writeable = False
+        strided = np.linspace(0.0, 0.3, 48).reshape(6, 8)[:, ::2]
+        integers = np.arange(4)
+        for r in (read_only, strided, integers):
+            before = r.copy()
+            got = beam_intensity(r, 2.0, multimode_beam)
+            assert r.dtype == before.dtype
+            assert r.tobytes() == before.tobytes()
+            assert not np.shares_memory(got, r)
+            assert got.shape == r.shape
+            assert got.tobytes() == oracle_beam_intensity(r, 2.0, multimode_beam).tobytes()
+            assert beam_intensity(r, 2.0, multimode_beam).tobytes() == got.tobytes()
+
+    def test_scalar_radius_is_a_one_element_array(self):
+        # A scalar r takes the array path, so it matches the channel's array
+        # evaluation bit for bit. numpy's scalar power can round x**l and
+        # L**2 differently from its array power, so the per-mode scalar oracle
+        # may differ by a few ulp.
+        beam = BeamSpec(w0=5e-6, wavelength=850e-9, modes=((12, 7, 0.5), (1, 3, 0.5)))
+        for r in (0.0, 1e-3, 0.01, 0.1, 0.3):
+            got = beam_intensity(r, 2.0, beam)
+            assert type(got) is float
+            assert got == beam_intensity(np.array([r]), 2.0, beam)[0]
+            assert got == pytest.approx(oracle_beam_intensity(r, 2.0, beam), rel=1e-15, abs=0.0)
 
 
 class TestBeamSpecValidation:

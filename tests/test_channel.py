@@ -28,6 +28,8 @@ from vcselnet import channel
 from vcselnet.channel import _disc_capture_fixed
 from vcselnet.errors import DomainError
 
+from conftest import oracle_beam_intensity
+
 # 2 cm^2 detector disc radius.
 APERTURE = math.sqrt(2e-4 / math.pi)
 
@@ -46,7 +48,7 @@ def oracle_disc_capture_fixed(beam, z, rho, aperture_radius, order):
         + s[:, None] ** 2
         + 2.0 * rho * s[:, None] * np.cos(phi)[None, :]
     )
-    intensity = beam_intensity(r, z, beam)
+    intensity = oracle_beam_intensity(r, z, beam)
     return float(w_s @ intensity @ w_phi)
 
 
@@ -163,6 +165,13 @@ class TestCapturedFraction:
         w = 5e-6 * math.sqrt(1.0 + (z / zr) ** 2)
         got = captured_fraction(fundamental_beam, None, z, 50.0 * w, APERTURE)
         assert got <= 1e-12
+
+    def test_far_link_of_a_high_order_mode_captures_nothing(self):
+        # The intensity over this disc underflows to 0; with inf * 0 = NaN
+        # the quadrature never converged.
+        beam = BeamSpec(w0=1e-6, wavelength=850e-9, modes=((12, 7, 1.0),))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert captured_fraction(beam, None, 1e-5, 0.5, 0.00798) == 0.0
 
     def test_monotone_in_aperture(self, multimode_beam):
         vals = [

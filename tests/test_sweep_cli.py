@@ -135,18 +135,49 @@ class TestRunSweep:
             assert row.p_max == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("placement", ["on-axis", "random"])
-    def test_one_safety_cap_per_ap_per_point(self, compact_scene, monkeypatch, placement):
-        calls = []
+    @pytest.mark.parametrize("sources", [1, 2], ids=["one-source", "two-sources"])
+    def test_one_safety_cap_per_source_per_point(
+        self, compact_scene, monkeypatch, placement, sources
+    ):
+        scene = compact_scene
+        if sources == 2:
+            # A second source, with its own cap: the first two APs emit at 940 nm.
+            aps = tuple(
+                dataclasses.replace(ap, beam=dataclasses.replace(ap.beam, wavelength=940e-9))
+                if i < 2 else ap
+                for i, ap in enumerate(scene.aps)
+            )
+            scene = dataclasses.replace(scene, aps=aps)
+        calls, precoder_caps = [], []
 
         def counting(*args, **kwargs):
             calls.append(args)
             return max_safe_power(*args, **kwargs)
 
+        def recording(h, caps):
+            precoder_caps.append(caps)
+            return zf_precoder(h, caps)
+
         monkeypatch.setattr(vcselnet.sweep, "max_safe_power", counting)
+        monkeypatch.setattr(vcselnet.sweep, "zf_precoder", recording)
         sweep = SweepSpec(waist_start=1e-6, waist_end=1.5e-6, steps=2,
                           lens_modes=("off",), seeds=(0, 1))
-        run_sweep(compact_scene, sweep, placement=placement, user_count=3)
-        assert len(calls) == 2 * len(compact_scene.aps)
+        result = run_sweep(scene, sweep, placement=placement, user_count=3)
+        assert len(calls) == sources * sweep.steps
+        # Every AP still gets the cap of its own source.
+        calls_per_point = len(precoder_caps) // sweep.steps
+        for point, row in enumerate(result.rows):
+            beams = {args[0] for args in calls[point * sources:(point + 1) * sources]}
+            assert len(beams) == sources
+            vcsel_caps = [
+                max_safe_power(dataclasses.replace(ap.beam, w0=row.waist), scene.safety).p_max
+                for ap in scene.aps
+            ]
+            assert row.p_max == min(vcsel_caps)
+            expected = [ap.array_n**2 * cap for ap, cap in zip(scene.aps, vcsel_caps)]
+            for caps in precoder_caps[point * calls_per_point:(point + 1) * calls_per_point]:
+                assert caps.tolist() == expected
+            assert len(set(vcsel_caps)) == sources
 
     def test_random_placement_statistics(self, compact_scene):
         # The compact room keeps every random draw zero-forceable (lens off);
