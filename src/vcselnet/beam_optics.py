@@ -21,6 +21,12 @@ from .errors import DomainError
 # cancel to a value near 1), so laguerre uses the three-term recurrence.
 MAX_RADIAL_INDEX = 12
 
+# Azimuthal index guard: beam_intensity forms x**l before it multiplies by the
+# normalization and exp(-x), and exp(-x) > 0 for every x below ~745.13. x**l
+# stays finite up to x = 746 for l <= floor(ln(DBL_MAX) / ln(746)) = 107; at
+# l = 108 it overflows to inf where the true intensity is finite and tiny.
+MAX_AZIMUTHAL_INDEX = 107
+
 # Factorials as floats, 0! .. 20!. 20! = 2^18 * odd, still exact in a double.
 _FACTORIAL = tuple(float(math.factorial(n)) for n in range(21))
 
@@ -67,6 +73,10 @@ class BeamSpec:
             if p > MAX_RADIAL_INDEX:
                 raise DomainError(
                     f"radial index {p} exceeds the supported maximum {MAX_RADIAL_INDEX}"
+                )
+            if l > MAX_AZIMUTHAL_INDEX:
+                raise DomainError(
+                    f"azimuthal index {l} exceeds the supported maximum {MAX_AZIMUTHAL_INDEX}"
                 )
             if (p, l) in seen:
                 raise DomainError(f"duplicate mode ({p}, {l})")

@@ -4,7 +4,7 @@ Each entry of the channel matrix is the fraction of an AP's emitted power
 landing on a user's detector disc: the beam intensity integrated over the
 disc by 2-D polar quadrature, summed over the source's transverse modes.
 Links arriving outside a receiver's field of view contribute zero. Wall
-reflections are out of scope; the stub below keeps the interface visible.
+reflections are out of scope.
 """
 
 from __future__ import annotations
@@ -223,10 +223,3 @@ def build_channel_matrix(scene: Scene, include_incidence_cosine: bool = False) -
         np.multiply(gains, cosine, out=gains, where=visible)
     distances = z_grid.copy()
     return ChannelMatrix(gains=gains, distances=distances, offsets=offsets)
-
-
-def reflected_power_fraction(
-    scene: Scene, user_index: int, ap_index: int, order: int = 1
-) -> float:
-    """Wall-reflection contribution of the given order. LOS-only model: 0."""
-    return 0.0

@@ -89,7 +89,6 @@ def main(argv: list[str] | None = None) -> int:
             steps=args.steps,
             lens_modes=modes,
             seeds=_parse_seeds(args.seeds),
-            outputs=args.out,
         )
         dump = args.dump_channel or args.dump_precoder
         result = run_sweep(

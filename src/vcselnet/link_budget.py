@@ -60,23 +60,6 @@ def snr_amplitude_ratio(photocurrent: float, elec: ElectricalSpec) -> float:
     return photocurrent / math.sqrt(noise_variance(photocurrent, elec).total)
 
 
-def user_sinr(u: int, scene: Scene, h: ChannelMatrix, precoder: Precoder) -> float:
-    """Post-precoding SINR for user u.
-
-    SINR_u = I_u^2 / (sigma_total^2(I_u) + sum_{n != u} (R (H G)[u,n])^2)
-    with I_u = R (H G)[u,u].
-    """
-    received = np.asarray(h.gains) @ precoder.g
-    responsivity = scene.users[u].responsivity
-    i_sig = responsivity * received[u, u]
-    if i_sig <= 0.0:
-        return 0.0
-    interference = responsivity * received[u, :]
-    interference = np.delete(interference, u)
-    noise = noise_variance(i_sig, scene.electrical).total
-    return i_sig**2 / (noise + float(np.sum(interference**2)))
-
-
 def q_function(x: float) -> float:
     """Gaussian tail probability Q(x) = 0.5 erfc(x / sqrt(2))."""
     return 0.5 * math.erfc(x / math.sqrt(2.0))
@@ -114,11 +97,6 @@ def consumed_power(scene: Scene) -> float:
     if not total > 0:
         raise DomainError(f"consumed power must be positive, got {total!r}")
     return total
-
-
-def energy_efficiency(rates, scene: Scene) -> float:
-    """Network energy efficiency: sum of user rates over consumed power, bit/J."""
-    return float(sum(rates)) / consumed_power(scene)
 
 
 @dataclass(frozen=True)

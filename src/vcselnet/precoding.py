@@ -4,8 +4,7 @@ The right Moore-Penrose pseudo-inverse G0 of the channel matrix H satisfies
 H G0 = I, so each user sees only its own stream. Intensity signals are
 non-negative, so an AP's emitted power for unit-power streams is the L1 norm
 of its row of the precoder; the whole precoder is scaled by the largest beta
-keeping every AP within its cap. After scaling, diag(H G) = beta, reported
-as sqrt(q_u) = beta per user.
+keeping every AP within its cap. After scaling, diag(H G) = beta.
 """
 
 from __future__ import annotations
@@ -25,14 +24,12 @@ class Precoder:
     """Scaled zero-forcing precoder.
 
     g     (aps x users) weights, W per unit-power stream
-    q     per-user effective channel gains; diag(H g) = sqrt(q) = beta
-    beta  common scale chosen by the binding AP power cap
+    beta  common scale chosen by the binding AP power cap; diag(H g) = beta
     g0    unscaled right inverse (g = beta * g0), kept so callers need not
           divide the scale back out (which would cost a few ulp per entry)
     """
 
     g: np.ndarray
-    q: np.ndarray
     beta: float
     g0: np.ndarray
 
@@ -96,7 +93,7 @@ def zf_precoder(h, per_ap_power_cap) -> Precoder:
     row_power = np.abs(g0).sum(axis=1)
     active = row_power > 0.0
     beta = float(np.min(caps[active] / row_power[active]))
-    return Precoder(g=beta * g0, q=np.full(n_users, beta**2), beta=beta, g0=g0)
+    return Precoder(g=beta * g0, beta=beta, g0=g0)
 
 
 def residual_interference(h, precoder: Precoder) -> np.ndarray:

@@ -12,15 +12,20 @@ from __future__ import annotations
 
 import configparser
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field, replace
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
-from .beam_optics import DEFAULT_MODES, BeamSpec, LensSpec
+from .beam_optics import BeamSpec, LensSpec
 from .errors import ConfigError, InfeasibleError
 from .eye_safety import SafetySpec, max_safe_power
 
 _DEFAULT_AP_POSITIONS = ((3.0, 3.0, 3.0), (1.0, 3.0, 3.0), (3.0, 1.0, 3.0), (1.0, 1.0, 3.0))
+# Config defaults for the fields BeamSpec and LensSpec leave required.
+_DEFAULT_BEAM = BeamSpec(5e-6, 850e-9)
+_DEFAULT_LENS = LensSpec(127e-6, 133e-6)
 
 
 @dataclass(frozen=True)
@@ -197,29 +202,64 @@ class Scene:
 
 
 # ---------------------------------------------------------------------------
-# config parsing
+# config keys
 # ---------------------------------------------------------------------------
 
-def _parse_tuples(text: str, arity: tuple[int, ...], key: str) -> list[tuple[float, ...]]:
-    """Parse "(a, b); (c, d)" style position lists."""
-    out = []
-    for chunk in text.replace("\n", ";").split(";"):
-        chunk = chunk.strip().strip("()")
-        if not chunk:
-            continue
-        parts = [s for s in (p.strip() for p in chunk.split(",")) if s]
-        if len(parts) not in arity:
-            raise ConfigError(
-                f"{key}: expected tuples of {'/'.join(map(str, arity))} numbers, got {chunk!r}"
-            )
+def _converter(convert, kind: str):
+    """Parser that reports a failed conversion as "expected <kind>"."""
+
+    def parse(raw: str):
         try:
+            return convert(raw)
+        except (KeyError, ValueError):
+            raise ValueError(f"expected {kind}, got {raw!r}") from None
+
+    return parse
+
+
+_BOOLEANS = {"1": True, "yes": True, "true": True, "on": True,
+             "0": False, "no": False, "false": False, "off": False}
+_number = _converter(float, "a number")
+_integer = _converter(int, "an integer")
+_boolean = _converter(lambda raw: _BOOLEANS[raw.lower()], "a boolean")
+
+
+def _array_side(raw: str) -> int:
+    """N from a VCSEL count that must fill an N x N array."""
+    count = _integer(raw)
+    side = math.isqrt(max(count, 0))
+    if side * side != count:
+        raise ValueError(f"must be a square number (N x N array), got {count}")
+    return side
+
+
+def _placement(raw: str) -> str:
+    if raw not in ("on-axis", "random"):
+        raise ValueError(f"expected 'on-axis' or 'random', got {raw!r}")
+    return raw
+
+
+def _positions(*arity: int):
+    """Parser of "(a, b); (c, d)" position lists with the given tuple sizes."""
+
+    def parse(text: str) -> tuple[tuple[float, ...], ...]:
+        out = []
+        for chunk in text.replace("\n", ";").split(";"):
+            chunk = chunk.strip().strip("()")
+            if not chunk:
+                continue
+            parts = [s for s in (p.strip() for p in chunk.split(",")) if s]
+            if len(parts) not in arity:
+                raise ValueError(
+                    f"expected tuples of {'/'.join(map(str, arity))} numbers, got {chunk!r}"
+                )
             out.append(tuple(float(s) for s in parts))
-        except ValueError as exc:
-            raise ConfigError(f"{key}: {exc}") from exc
-    return out
+        return tuple(out)
+
+    return parse
 
 
-def _parse_modes(text: str) -> tuple[tuple[int, int, float], ...]:
+def _modes(text: str) -> tuple[tuple[int, int, float], ...]:
     """Parse "p,l:fraction; p,l:fraction" mode lists."""
     modes = []
     for chunk in text.replace("\n", ";").split(";"):
@@ -230,177 +270,151 @@ def _parse_modes(text: str) -> tuple[tuple[int, int, float], ...]:
             indices, frac = chunk.split(":")
             p_s, l_s = indices.split(",")
             modes.append((int(p_s), int(l_s), float(frac)))
-        except ValueError as exc:
-            raise ConfigError(
-                f"vcsel.mode_powers: expected 'p,l:fraction' entries, got {chunk!r}"
-            ) from exc
+        except ValueError:
+            raise ValueError(f"expected 'p,l:fraction' entries, got {chunk!r}") from None
     return tuple(modes)
 
 
-class _Section:
-    """Typed access to one config section with key-level error messages."""
+def _repr(value) -> str | None:
+    """repr round-trips every float bit for bit; an unset optional is omitted."""
+    return None if value is None else repr(value)
 
-    def __init__(self, parser: configparser.ConfigParser, name: str):
-        self._name = name
-        self._section = parser[name] if parser.has_section(name) else {}
 
-    def get(self, key: str, default=None) -> str | None:
-        raw = self._section.get(key)
-        if raw is None or raw.strip() == "":
-            return default
-        return raw.strip()
+def _format_modes(modes) -> str:
+    return "; ".join(f"{p},{l}:{frac!r}" for p, l, frac in modes)
 
-    def _convert(self, key: str, conv, default, kind: str):
-        raw = self.get(key)
-        if raw is None:
-            return default
-        try:
-            return conv(raw)
-        except ValueError as exc:
-            raise ConfigError(f"{self._name}.{key}: expected {kind}, got {raw!r}") from exc
 
-    def getfloat(self, key: str, default=None) -> float | None:
-        return self._convert(key, float, default, "a number")
+def _format_positions(positions) -> str:
+    return "; ".join("(" + ", ".join(map(repr, pos)) + ")" for pos in positions)
 
-    def getint(self, key: str, default=None) -> int | None:
-        return self._convert(key, int, default, "an integer")
 
-    def getbool(self, key: str, default=None) -> bool | None:
-        truthy = {"1": True, "yes": True, "true": True, "on": True,
-                  "0": False, "no": False, "false": False, "off": False}
-        raw = self.get(key)
-        if raw is None:
-            return default
-        try:
-            return truthy[raw.lower()]
-        except KeyError:
-            raise ConfigError(f"{self._name}.{key}: expected a boolean, got {raw!r}") from None
+class _Key(NamedTuple):
+    """One config key: where it lives in the file and in the Scene.
+
+    owner names the objects that hold the field (see dump_scene). parse turns
+    the raw text into the field value; format turns the field value back into
+    text, or None to omit the key. A key whose format is None is read only.
+    """
+
+    section: str
+    key: str
+    owner: str
+    field: str
+    parse: Callable[[str], Any]
+    format: Callable[[Any], str | None] | None
+
+
+# Every config key, in file order. Unset keys leave their field at the
+# dataclass default (or _DEFAULT_BEAM / _DEFAULT_LENS). Where two keys set one
+# field, the earlier one wins, so the exact unit dump_scene writes (_rad,
+# _a2_per_hz) overrides the human-friendly alternative.
+_KEYS = (
+    _Key("room", "width_m", "room", "width", _number, _repr),
+    _Key("room", "length_m", "room", "length", _number, _repr),
+    _Key("room", "height_m", "room", "height", _number, _repr),
+    _Key("room", "rx_plane_height_m", "room", "rx_plane_height", _number, _repr),
+    _Key("vcsel", "beam_waist_m", "beam", "w0", _number, _repr),
+    _Key("vcsel", "wavelength_m", "beam", "wavelength", _number, _repr),
+    _Key("vcsel", "pitch_m", "ap", "pitch", _number, _repr),
+    _Key("vcsel", "vcsels_per_transmitter", "ap", "array_n", _array_side, lambda n: str(n * n)),
+    _Key("vcsel", "mode_powers", "beam", "modes", _modes, _format_modes),
+    _Key("vcsel", "per_vcsel_power_w", "ap", "per_vcsel_power", _number, _repr),
+    # Read as a flag; the access points then hold scene.lens_design or None.
+    _Key("lens", "enabled", "ap", "lens", _boolean, lambda lens: "no" if lens is None else "yes"),
+    _Key("lens", "focal_length_m", "lens", "f", _number, _repr),
+    _Key("lens", "vcsel_to_lens_m", "lens", "d1", _number, _repr),
+    _Key("lens", "refractive_index", "lens", "n_refr", _number, _repr),
+    _Key("transmitters", "positions_m", "ap", "position", _positions(3), _format_positions),
+    _Key("receiver", "detector_area_m2", "user", "detector_area", _number, _repr),
+    _Key("receiver", "responsivity_a_per_w", "user", "responsivity", _number, _repr),
+    _Key("receiver", "fov_half_angle_rad", "user", "fov_half_angle", _number, _repr),
+    _Key("receiver", "fov_half_angle_deg", "user", "fov_half_angle",
+         lambda raw: math.radians(_number(raw)), None),
+    _Key("electrical", "rx_bandwidth_hz", "electrical", "rx_bandwidth", _number, _repr),
+    _Key("electrical", "vcsel_bandwidth_hz", "electrical", "optical_bandwidth", _number, _repr),
+    _Key("electrical", "load_resistance_ohm", "electrical", "load_resistance", _number, _repr),
+    _Key("electrical", "tia_noise_figure_db", "electrical", "noise_figure_db", _number, _repr),
+    _Key("electrical", "rin_db_per_hz", "electrical", "rin_db_per_hz", _number, _repr),
+    _Key("electrical", "preamp_noise_a2_per_hz", "electrical", "preamp_noise_density",
+         _number, _repr),
+    _Key("electrical", "preamp_noise_a_per_sqrt_hz", "electrical", "preamp_noise_density",
+         lambda raw: _number(raw) ** 2, None),
+    _Key("electrical", "temperature_k", "electrical", "temperature", _number, _repr),
+    _Key("electrical", "bias_current_a", "electrical", "bias_current", _number, _repr),
+    _Key("electrical", "drive_voltage_v", "electrical", "drive_voltage", _number, _repr),
+    _Key("electrical", "per_vcsel_consumption_w", "electrical", "per_vcsel_consumption",
+         _number, _repr),
+    _Key("electrical", "fec_limit", "electrical", "fec_limit", _number, _repr),
+    _Key("safety", "mpe_w_per_m2", "safety", "mpe", _number, _repr),
+    _Key("safety", "pupil_radius_m", "safety", "pupil_radius", _number, _repr),
+    _Key("safety", "mhp_floor_m", "safety", "mhp_floor", _number, _repr),
+    # Read as the number of users to place; written as the number placed.
+    _Key("users", "count", "scene", "users", _integer, lambda users: str(len(users))),
+    _Key("users", "seed", "scene", "seed", _integer, _repr),
+    _Key("users", "positions_m", "user", "position", _positions(2, 3), _format_positions),
+    _Key("users", "placement", "scene", "placement", _placement, None),
+)
+_KNOWN_KEYS = frozenset((k.section, k.key) for k in _KEYS)
 
 
 def load_scene(text: str) -> Scene:
     """Build a Scene from config text; unset keys take the documented defaults.
 
-    Raises ConfigError for unparseable input (with the offending line) or for
-    any field violating its invariant. When the exposure limit is configured,
-    explicit per-VCSEL powers above the eye-safe cap are clamped to it and a
-    warning record is attached to the scene.
+    Raises ConfigError for unparseable input (with the offending line), for a
+    key or section that is not in the key table, or for any field violating
+    its invariant. When the exposure limit is configured, explicit per-VCSEL
+    powers above the eye-safe cap are clamped to it and a warning record is
+    attached to the scene.
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"config parse error: {exc}") from exc
+    for section in parser.sections():
+        for key in parser[section]:
+            if (section, key) not in _KNOWN_KEYS:
+                raise ConfigError(f"unknown config key {section}.{key}")
 
-    room_s = _Section(parser, "room")
-    room = Room(
-        width=room_s.getfloat("width_m", 5.0),
-        length=room_s.getfloat("length_m", 5.0),
-        height=room_s.getfloat("height_m", 3.0),
-        rx_plane_height=room_s.getfloat("rx_plane_height_m", 1.0),
-    )
+    fields: dict[str, dict[str, Any]] = defaultdict(dict)
+    for k in _KEYS:
+        raw = parser.get(k.section, k.key, fallback="").strip()
+        if raw and k.field not in fields[k.owner]:
+            try:
+                fields[k.owner][k.field] = k.parse(raw)
+            except ValueError as exc:
+                raise ConfigError(f"{k.section}.{k.key}: {exc}") from exc
 
-    vcsel_s = _Section(parser, "vcsel")
-    modes_raw = vcsel_s.get("mode_powers")
-    beam = BeamSpec(
-        w0=vcsel_s.getfloat("beam_waist_m", 5e-6),
-        wavelength=vcsel_s.getfloat("wavelength_m", 850e-9),
-        modes=_parse_modes(modes_raw) if modes_raw else DEFAULT_MODES,
-    )
-    n_units = vcsel_s.getint("vcsels_per_transmitter", 25)
-    array_n = math.isqrt(n_units)
-    if array_n * array_n != n_units:
-        raise ConfigError(
-            f"vcsel.vcsels_per_transmitter must be a square number (N x N array), got {n_units}"
-        )
-    pitch = vcsel_s.getfloat("pitch_m", 10e-6)
-    per_vcsel_power = vcsel_s.getfloat("per_vcsel_power_w")
-
-    lens_s = _Section(parser, "lens")
-    lens_design = LensSpec(
-        f=lens_s.getfloat("focal_length_m", 0.127e-3),
-        d1=lens_s.getfloat("vcsel_to_lens_m", 0.133e-3),
-        n_refr=lens_s.getfloat("refractive_index", 1.5),
-    )
-    lens_enabled = lens_s.getbool("enabled", True)
-
-    tx_s = _Section(parser, "transmitters")
-    pos_raw = tx_s.get("positions_m")
-    if pos_raw:
-        ap_positions = [
-            (p[0], p[1], p[2]) for p in _parse_tuples(pos_raw, (3,), "transmitters.positions_m")
-        ]
-    else:
-        ap_positions = list(_DEFAULT_AP_POSITIONS)
+    room = Room(**fields["room"])
+    beam = replace(_DEFAULT_BEAM, **fields["beam"])
+    lens_design = replace(_DEFAULT_LENS, **fields["lens"])
+    ap_fields = fields["ap"]
+    lens = lens_design if ap_fields.pop("lens", True) else None
+    ap_positions = ap_fields.pop("position", _DEFAULT_AP_POSITIONS)
     aps = tuple(
-        AccessPoint(
-            position=pos,
-            beam=beam,
-            lens=lens_design if lens_enabled else None,
-            array_n=array_n,
-            pitch=pitch,
-            per_vcsel_power=per_vcsel_power,
-        )
-        for pos in ap_positions
+        AccessPoint(position=pos, beam=beam, lens=lens, **ap_fields) for pos in ap_positions
     )
+    electrical = ElectricalSpec(**fields["electrical"])
+    safety = SafetySpec(**fields["safety"])
 
-    rx_s = _Section(parser, "receiver")
-    detector_area = rx_s.getfloat("detector_area_m2", 2e-4)
-    responsivity = rx_s.getfloat("responsivity_a_per_w", 0.4)
-    # _rad key (written by dump_scene) wins over the human-friendly degrees key
-    # so serialization round-trips bit-identically.
-    fov = rx_s.getfloat("fov_half_angle_rad")
-    if fov is None:
-        fov = math.radians(rx_s.getfloat("fov_half_angle_deg", 90.0))
-
-    elec_s = _Section(parser, "electrical")
-    preamp_density = elec_s.getfloat("preamp_noise_a2_per_hz")
-    if preamp_density is None:
-        preamp_density = elec_s.getfloat("preamp_noise_a_per_sqrt_hz", 4.47e-12) ** 2
-    electrical = ElectricalSpec(
-        rx_bandwidth=elec_s.getfloat("rx_bandwidth_hz", 1.75e9),
-        optical_bandwidth=elec_s.getfloat("vcsel_bandwidth_hz", 5e9),
-        load_resistance=elec_s.getfloat("load_resistance_ohm", 50.0),
-        noise_figure_db=elec_s.getfloat("tia_noise_figure_db", 5.0),
-        rin_db_per_hz=elec_s.getfloat("rin_db_per_hz", -155.0),
-        preamp_noise_density=preamp_density,
-        temperature=elec_s.getfloat("temperature_k", 300.0),
-        bias_current=elec_s.getfloat("bias_current_a", 9e-3),
-        drive_voltage=elec_s.getfloat("drive_voltage_v", 0.9),
-        per_vcsel_consumption=elec_s.getfloat("per_vcsel_consumption_w"),
-        fec_limit=elec_s.getfloat("fec_limit", 1e-3),
-    )
-
-    safety_s = _Section(parser, "safety")
-    safety = SafetySpec(
-        mpe=safety_s.getfloat("mpe_w_per_m2"),
-        pupil_radius=safety_s.getfloat("pupil_radius_m", 3.5e-3),
-        mhp_floor=safety_s.getfloat("mhp_floor_m", 0.1),
-    )
-
-    users_s = _Section(parser, "users")
-    seed = users_s.getint("seed", 0)
-    count = users_s.getint("count", len(aps))
-    placement = users_s.get("placement", "on-axis")
-    if placement not in ("on-axis", "random"):
-        raise ConfigError(f"users.placement must be 'on-axis' or 'random', got {placement!r}")
-    receiver_kwargs = dict(
-        detector_area=detector_area, responsivity=responsivity, fov_half_angle=fov
-    )
-    user_pos_raw = users_s.get("positions_m")
-    if user_pos_raw:
-        users = []
-        for tup in _parse_tuples(user_pos_raw, (2, 3), "users.positions_m"):
-            if len(tup) == 3 and tup[2] != room.rx_plane_height:
+    user_positions = fields["user"].pop("position", None)
+    # The receiver all users share; placement gives each its position.
+    template = UserTerminal(position=(0.0, 0.0), **fields["user"])
+    placing = fields["scene"]
+    seed = placing.get("seed", Scene.seed)
+    count = placing.get("users", len(aps))
+    if user_positions is not None:
+        for pos in user_positions:
+            if len(pos) == 3 and pos[2] != room.rx_plane_height:
                 raise ConfigError(
-                    f"users.positions_m: user height {tup[2]!r} differs from the receive "
+                    f"users.positions_m: user height {pos[2]!r} differs from the receive "
                     f"plane at {room.rx_plane_height!r}"
                 )
-            users.append(UserTerminal(position=(tup[0], tup[1]), **receiver_kwargs))
-        users = tuple(users)
-    elif placement == "random":
-        users = _random_positions(room, count, seed, receiver_kwargs)
+        users = tuple(replace(template, position=pos[:2]) for pos in user_positions)
+    elif placing.get("placement") == "random":
+        users = _random_users(room, count, seed, template)
     else:
-        users = _on_axis_positions(aps, count, receiver_kwargs)
+        users = _on_axis_users(aps, count, template)
 
     warnings: list[str] = []
     if safety.mpe is not None:
@@ -433,7 +447,7 @@ def default_scene() -> Scene:
     return load_scene("")
 
 
-def _on_axis_positions(aps, count: int, receiver_kwargs) -> tuple[UserTerminal, ...]:
+def _on_axis_users(aps, count: int, template: UserTerminal) -> tuple[UserTerminal, ...]:
     if count < 1:
         raise ConfigError(f"user count must be >= 1, got {count}")
     if count > len(aps):
@@ -441,21 +455,18 @@ def _on_axis_positions(aps, count: int, receiver_kwargs) -> tuple[UserTerminal, 
             f"cannot place {count} users under {len(aps)} access points"
         )
     return tuple(
-        UserTerminal(position=(ap.position[0], ap.position[1]), **receiver_kwargs)
-        for ap in aps[:count]
+        replace(template, position=(ap.position[0], ap.position[1])) for ap in aps[:count]
     )
 
 
-def _random_positions(room: Room, count: int, seed: int, receiver_kwargs) -> tuple[UserTerminal, ...]:
+def _random_users(room: Room, count: int, seed: int, template: UserTerminal
+                  ) -> tuple[UserTerminal, ...]:
     if count < 1:
         raise ConfigError(f"user count must be >= 1, got {count}")
     rng = np.random.default_rng(seed)
     xs = rng.uniform(0.0, room.width, count)
     ys = rng.uniform(0.0, room.length, count)
-    return tuple(
-        UserTerminal(position=(float(x), float(y)), **receiver_kwargs)
-        for x, y in zip(xs, ys)
-    )
+    return tuple(replace(template, position=(float(x), float(y))) for x, y in zip(xs, ys))
 
 
 def place_users(scene: Scene, count: int, seed: int) -> Scene:
@@ -468,103 +479,51 @@ def place_users(scene: Scene, count: int, seed: int) -> Scene:
         raise InfeasibleError(
             f"cannot place {count} users with only {len(scene.aps)} access points"
         )
-    template = scene.users[0]
-    kwargs = dict(
-        detector_area=template.detector_area,
-        responsivity=template.responsivity,
-        fov_half_angle=template.fov_half_angle,
-    )
-    users = _random_positions(scene.room, count, seed, kwargs)
+    users = _random_users(scene.room, count, seed, scene.users[0])
     return replace(scene, users=users, seed=seed)
 
 
 def place_users_on_axis(scene: Scene, count: int) -> Scene:
     """Scene copy with `count` users directly under the first `count` APs."""
-    template = scene.users[0]
-    kwargs = dict(
-        detector_area=template.detector_area,
-        responsivity=template.responsivity,
-        fov_half_angle=template.fov_half_angle,
-    )
-    return replace(scene, users=_on_axis_positions(scene.aps, count, kwargs))
+    return replace(scene, users=_on_axis_users(scene.aps, count, scene.users[0]))
 
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
 
 def dump_scene(scene: Scene) -> str:
     """Serialize a Scene to config text; load_scene(dump_scene(s)) == s.
 
     Floats are written with repr so every numeric field round-trips
-    bit-identically. User positions are always written explicitly, making the
-    dump independent of how the users were originally placed.
+    bit-identically. Positions are written per AP and per user, which makes
+    the dump independent of how the users were placed. Every other key holds
+    one value for all the objects that own its field: the APs must share one
+    beam, array and lens state, their lenses must equal scene.lens_design,
+    and the users must share one receiver. Where they differ, ConfigError
+    names the key.
     """
-    ap0 = scene.aps[0]
-    beam = ap0.beam
-    elec = scene.electrical
-    lens_enabled = ap0.lens is not None
-    lines = [
-        "[room]",
-        f"width_m = {scene.room.width!r}",
-        f"length_m = {scene.room.length!r}",
-        f"height_m = {scene.room.height!r}",
-        f"rx_plane_height_m = {scene.room.rx_plane_height!r}",
-        "",
-        "[vcsel]",
-        f"beam_waist_m = {beam.w0!r}",
-        f"wavelength_m = {beam.wavelength!r}",
-        f"pitch_m = {ap0.pitch!r}",
-        f"vcsels_per_transmitter = {ap0.array_n ** 2}",
-        "mode_powers = " + "; ".join(f"{p},{l}:{frac!r}" for p, l, frac in beam.modes),
-    ]
-    if ap0.per_vcsel_power is not None:
-        lines.append(f"per_vcsel_power_w = {ap0.per_vcsel_power!r}")
-    lines += [
-        "",
-        "[lens]",
-        f"enabled = {'yes' if lens_enabled else 'no'}",
-        f"focal_length_m = {scene.lens_design.f!r}",
-        f"vcsel_to_lens_m = {scene.lens_design.d1!r}",
-        f"refractive_index = {scene.lens_design.n_refr!r}",
-        "",
-        "[transmitters]",
-        "positions_m = " + "; ".join(
-            f"({ap.position[0]!r}, {ap.position[1]!r}, {ap.position[2]!r})" for ap in scene.aps
-        ),
-        "",
-        "[receiver]",
-        f"detector_area_m2 = {scene.users[0].detector_area!r}",
-        f"responsivity_a_per_w = {scene.users[0].responsivity!r}",
-        f"fov_half_angle_rad = {scene.users[0].fov_half_angle!r}",
-        "",
-        "[electrical]",
-        f"rx_bandwidth_hz = {elec.rx_bandwidth!r}",
-        f"vcsel_bandwidth_hz = {elec.optical_bandwidth!r}",
-        f"load_resistance_ohm = {elec.load_resistance!r}",
-        f"tia_noise_figure_db = {elec.noise_figure_db!r}",
-        f"rin_db_per_hz = {elec.rin_db_per_hz!r}",
-        f"preamp_noise_a2_per_hz = {elec.preamp_noise_density!r}",
-        f"temperature_k = {elec.temperature!r}",
-        f"bias_current_a = {elec.bias_current!r}",
-        f"drive_voltage_v = {elec.drive_voltage!r}",
-    ]
-    if elec.per_vcsel_consumption is not None:
-        lines.append(f"per_vcsel_consumption_w = {elec.per_vcsel_consumption!r}")
-    lines.append(f"fec_limit = {elec.fec_limit!r}")
-    lines += ["", "[safety]"]
-    if scene.safety.mpe is not None:
-        lines.append(f"mpe_w_per_m2 = {scene.safety.mpe!r}")
-    lines += [
-        f"pupil_radius_m = {scene.safety.pupil_radius!r}",
-        f"mhp_floor_m = {scene.safety.mhp_floor!r}",
-        "",
-        "[users]",
-        f"count = {len(scene.users)}",
-        f"seed = {scene.seed}",
-        "positions_m = " + "; ".join(
-            f"({u.position[0]!r}, {u.position[1]!r})" for u in scene.users
-        ),
-        "",
-    ]
-    return "\n".join(lines)
+    owners = {
+        "room": (scene.room,),
+        "beam": tuple(ap.beam for ap in scene.aps),
+        "ap": scene.aps,
+        "lens": (scene.lens_design,) + tuple(ap.lens for ap in scene.aps if ap.lens is not None),
+        "user": scene.users,
+        "electrical": (scene.electrical,),
+        "safety": (scene.safety,),
+        "scene": (scene,),
+    }
+    sections: dict[str, list[str]] = {}
+    for k in _KEYS:
+        if k.format is None:
+            continue
+        values = [getattr(owner, k.field) for owner in owners[k.owner]]
+        if k.field == "position":  # one entry per AP or user
+            text = k.format(values)
+        else:
+            texts = list(dict.fromkeys(k.format(value) for value in values))
+            if len(texts) > 1:
+                raise ConfigError(
+                    f"{k.section}.{k.key}: one key cannot hold the differing values of "
+                    f"its {k.owner} objects ({texts[0]} vs {texts[1]})"
+                )
+            text = texts[0]
+        if text is not None:
+            sections.setdefault(k.section, [f"[{k.section}]"]).append(f"{k.key} = {text}")
+    return "\n\n".join("\n".join(lines) for lines in sections.values()) + "\n"

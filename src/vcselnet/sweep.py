@@ -45,7 +45,6 @@ class SweepSpec:
     steps                     number of grid points (linear spacing)
     lens_modes                subset of ("off", "on")
     seeds                     user-placement replicate seeds
-    outputs                   directory for emit_outputs
     """
 
     waist_start: float = 1e-6
@@ -53,7 +52,6 @@ class SweepSpec:
     steps: int = 8
     lens_modes: tuple[str, ...] = ("off", "on")
     seeds: tuple[int, ...] = (0,)
-    outputs: Path = Path("sweep_out")
 
     def __post_init__(self):
         if not 0 < self.waist_start < self.waist_end:
@@ -176,30 +174,25 @@ def run_sweep(
                 vcsel_caps = [source_caps[ap.beam, ap.lens] for ap in scn.aps]
                 p_max = min(vcsel_caps)
                 caps = np.array([ap.array_n**2 * p for ap, p in zip(scn.aps, vcsel_caps)])
-                sum_rates, ees, min_snrs = [], [], []
-                if placement == "on-axis":
-                    scn_placed = place_users_on_axis(scn, count)
-                    h, precoder, report = _evaluate(scn_placed, caps, rate_model)
-                    sum_rates = [report.sum_rate] * len(sweep.seeds)
-                    ees = [report.energy_efficiency] * len(sweep.seeds)
-                    min_snrs = [_min_snr_db(report)] * len(sweep.seeds)
-                    if collect_artifacts:
-                        artifacts[(w_idx, mode)] = (h, precoder)
-                else:
-                    for seed in sweep.seeds:
+                # On-axis placement ignores the seed, so one evaluation stands
+                # for every seed; random placement evaluates each seed.
+                reports = []
+                for seed in sweep.seeds if placement == "random" else (None,):
+                    if seed is None:
+                        scn_placed = place_users_on_axis(scn, count)
+                    else:
                         scn_placed = place_users(scn, count, seed)
-                        h, precoder, report = _evaluate(scn_placed, caps, rate_model)
-                        sum_rates.append(report.sum_rate)
-                        ees.append(report.energy_efficiency)
-                        min_snrs.append(_min_snr_db(report))
-                        if collect_artifacts and seed == sweep.seeds[0]:
-                            artifacts[(w_idx, mode)] = (h, precoder)
-                    seed = None
+                    h, precoder, report = _evaluate(scn_placed, caps, rate_model)
+                    if collect_artifacts and not reports:
+                        artifacts[(w_idx, mode)] = (h, precoder)
+                    reports.append(report)
             except VcselNetError as exc:
                 where = f"waist={waist!r} m, lens={mode}" + (
                     f", seed={seed}" if seed is not None else ""
                 )
                 raise SweepPointError(f"sweep point failed ({where}): {exc}", exc) from exc
+            sum_rates = [report.sum_rate for report in reports]
+            ees = [report.energy_efficiency for report in reports]
             rows.append(
                 SweepRow(
                     waist=waist,
@@ -209,7 +202,7 @@ def run_sweep(
                     sum_rate_std=float(np.std(sum_rates)),
                     ee=float(np.mean(ees)),
                     ee_std=float(np.std(ees)),
-                    min_user_snr_db=float(np.mean(min_snrs)),
+                    min_user_snr_db=float(np.mean([_min_snr_db(r) for r in reports])),
                     p_max=p_max,
                 )
             )

@@ -25,6 +25,7 @@ from vcselnet import (
     rayleigh_range,
     transformed_source,
 )
+from vcselnet.beam_optics import MAX_AZIMUTHAL_INDEX
 from vcselnet.errors import DomainError
 
 from conftest import oracle_beam_intensity
@@ -398,6 +399,31 @@ class TestBeamSpecValidation:
     def test_rejects_invalid(self, kwargs):
         with pytest.raises(DomainError):
             BeamSpec(**kwargs)
+
+    def test_rejects_azimuthal_index_beyond_finite_range(self):
+        assert MAX_AZIMUTHAL_INDEX == 107
+        BeamSpec(w0=5e-6, wavelength=850e-9, modes=((0, 107, 1.0),))
+        with pytest.raises(DomainError, match="azimuthal index 108"):
+            BeamSpec(w0=5e-6, wavelength=850e-9, modes=((0, 108, 1.0),))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        p=st.integers(0, MAX_RADIAL_INDEX),
+        l=st.integers(0, MAX_AZIMUTHAL_INDEX),
+        x=st.floats(0.0, 746.0),
+        w0=st.floats(1e-6, 8e-6),
+        z=st.one_of(st.just(0.0), st.floats(0.0, 5.0)),
+    )
+    @example(p=0, l=107, x=745.0, w0=5e-6, z=2.0)
+    @example(p=12, l=107, x=745.0, w0=1e-6, z=0.0)
+    @example(p=0, l=107, x=746.0, w0=8e-6, z=5.0)
+    def test_intensity_is_finite_for_every_accepted_mode(self, p, l, x, w0, z):
+        # x = 2 r^2 / w(z)^2 up to 746, past where exp(-x) underflows to 0.
+        beam = BeamSpec(w0=w0, wavelength=850e-9, modes=((p, l, 1.0),))
+        r = math.sqrt(x / 2.0) * beam_radius(z, beam)
+        value = beam_intensity(r, z, beam)
+        assert math.isfinite(value)
+        assert value >= 0.0
 
 
 class TestLensTransform:

@@ -21,7 +21,6 @@ from vcselnet import (
     captured_fraction,
     default_scene,
     lens_transform,
-    reflected_power_fraction,
     transformed_source,
 )
 from vcselnet import channel
@@ -335,11 +334,6 @@ class TestChannelMatrix:
             alone = captured_fraction(multimode_beam, None, 2.0, offset, APERTURE)
             assert h.gains[0, a] == alone
         assert_bit_identical(h, oracle_channel(scene))
-
-    def test_reflections_are_out_of_scope(self):
-        scene = default_scene()
-        assert reflected_power_fraction(scene, 0, 0) == 0.0
-        assert reflected_power_fraction(scene, 1, 2, order=3) == 0.0
 
 
 GRID = st.sampled_from([0.0, 0.25, 0.3, 0.5, 1.0])

@@ -13,15 +13,12 @@ from vcselnet import (
     build_channel_matrix,
     consumed_power,
     default_scene,
-    energy_efficiency,
     link_report,
     max_safe_power,
     noise_variance,
     q_function,
-    residual_interference,
     snr_amplitude_ratio,
     user_rate,
-    user_sinr,
     zf_precoder,
 )
 from vcselnet.channel import ChannelMatrix
@@ -36,6 +33,39 @@ from conftest import DEFAULT_MPE
 THERMAL_A2 = 1.8337181054782016e-12
 SHOT_1MA_A2 = 5.607618219e-13
 PREAMP_A2 = 3.4966575000000006e-14
+
+
+def oracle_sinr(gains, g, u, responsivity, elec):
+    """Post-precoding SINR of user u, from scratch: the received currents
+    R (H G)[u, n] by exact sums, the noise from its closed forms with
+    scipy.constants, and the other streams as interference power."""
+    n_aps, n_users = len(g), len(g[0])
+    current = [
+        responsivity * math.fsum(gains[u][a] * g[a][n] for a in range(n_aps))
+        for n in range(n_users)
+    ]
+    i_sig = current[u]
+    if i_sig <= 0.0:
+        return 0.0
+    be = elec.rx_bandwidth
+    noise = (
+        2.0 * ELEMENTARY_CHARGE * i_sig * be
+        + 4.0 * BOLTZMANN_CONSTANT * elec.temperature * 10.0 ** (elec.noise_figure_db / 10.0)
+        * be / elec.load_resistance
+        + 10.0 ** (elec.rin_db_per_hz / 10.0) * be * i_sig**2
+        + elec.preamp_noise_density * be
+    )
+    interference = math.fsum(c**2 for n, c in enumerate(current) if n != u)
+    return i_sig**2 / (noise + interference)
+
+
+def identity_link(sign=1.0):
+    """Four interference-free links: channel I, precoder sign * I (beta 1)."""
+    h = ChannelMatrix(
+        gains=np.eye(4), distances=np.full((4, 4), 2.0), offsets=np.zeros((4, 4))
+    )
+    g = sign * np.eye(4)
+    return h, Precoder(g=g, beta=1.0, g0=g)
 
 
 class TestNoise:
@@ -137,14 +167,21 @@ class TestConsumptionAndEfficiency:
         assert consumed_power(scene) == pytest.approx(0.2, rel=1e-12)
 
     def test_energy_efficiency_frozen(self):
-        assert energy_efficiency([1e10], default_scene()) == pytest.approx(
-            1.2345679012345679e10, rel=1e-12
-        )
+        # OOK over four 0.4 A interference-free links: every user gets the
+        # full B_e, so EE = 4 x 1.75e9 bit/s / 0.81 W.
+        report = link_report(default_scene(), *identity_link(), rate_model="ook")
+        assert [link.rate for link in report.per_user] == [1.75e9] * 4
+        assert report.energy_efficiency == pytest.approx(8.641975308641975e9, rel=1e-12)
 
     def test_energy_efficiency_sums_rates(self):
         scene = default_scene()
-        assert energy_efficiency([1e9, 2e9, 3e9], scene) == pytest.approx(
-            6e9 / 0.81, rel=1e-12
+        scene = dataclasses.replace(
+            scene,
+            electrical=dataclasses.replace(scene.electrical, per_vcsel_consumption=2e-3),
+        )
+        report = link_report(scene, *identity_link())
+        assert report.energy_efficiency == pytest.approx(
+            math.fsum(link.rate for link in report.per_user) / 0.2, rel=1e-12
         )
 
 
@@ -164,15 +201,10 @@ class TestUserSinr:
 
     def test_matches_manual_computation(self, evaluated):
         scene, h, pre = evaluated
-        received = h.gains @ pre.g
-        res = residual_interference(h, pre)
-        for u in range(len(scene.users)):
-            resp = scene.users[u].responsivity
-            i_sig = resp * received[u, u]
-            noise = noise_variance(i_sig, scene.electrical).total
-            interference = float(np.sum((resp * res[u, :]) ** 2))
-            expected = i_sig**2 / (noise + interference)
-            assert user_sinr(u, scene, h, pre) == pytest.approx(expected, rel=1e-12)
+        report = link_report(scene, h, pre)
+        for u, (user, link) in enumerate(zip(scene.users, report.per_user)):
+            expected = oracle_sinr(h.gains, pre.g, u, user.responsivity, scene.electrical)
+            assert link.snr == pytest.approx(expected, rel=1e-12)
 
     def test_desired_photocurrent_tracks_beta(self, evaluated):
         scene, h, pre = evaluated
@@ -181,13 +213,10 @@ class TestUserSinr:
             assert link.photocurrent == pytest.approx(0.4 * pre.beta, rel=1e-9)
 
     def test_zero_signal_gives_zero_sinr(self, scene_with_mpe):
-        h = ChannelMatrix(
-            gains=np.eye(4), distances=np.full((4, 4), 2.0), offsets=np.zeros((4, 4))
-        )
-        pre = Precoder(
-            g=-np.eye(4), q=np.ones(4), beta=1.0, g0=-np.eye(4)
-        )  # sign-flipped: desired current is negative
-        assert user_sinr(0, scene_with_mpe, h, pre) == 0.0
+        # Sign-flipped precoder: every desired current is negative.
+        report = link_report(scene_with_mpe, *identity_link(sign=-1.0))
+        for link in report.per_user:
+            assert (link.snr, link.rate, link.photocurrent) == (0.0, 0.0, 0.0)
 
 
 class TestLinkReport:
@@ -211,7 +240,9 @@ class TestLinkReport:
             report.sum_rate / 0.81, rel=1e-12
         )
         for u, link in enumerate(report.per_user):
-            assert link.snr == pytest.approx(user_sinr(u, scene, h, pre), rel=1e-12)
+            expected = oracle_sinr(h.gains, pre.g, u, scene.users[u].responsivity,
+                                   scene.electrical)
+            assert link.snr == pytest.approx(expected, rel=1e-12)
             assert link.rate == pytest.approx(
                 user_rate(link.snr, scene.electrical), rel=1e-12
             )

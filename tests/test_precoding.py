@@ -25,7 +25,6 @@ class TestExactCases:
         assert pre.beta == 2.0
         assert np.array_equal(pre.g, 2.0 * np.eye(3))
         assert np.array_equal(pre.g0, np.eye(3))
-        assert np.array_equal(pre.q, np.full(3, 4.0))
 
     def test_diagonal_channel_frozen(self):
         # H = diag(2, 4): G0 = diag(0.5, 0.25), row L1 norms (0.5, 0.25),
@@ -87,13 +86,12 @@ class TestZeroForcing:
         from_array = zf_precoder(h.gains, 1e-2)
         assert np.array_equal(from_object.g, from_array.g)
 
-    def test_q_reports_squared_scale(self):
+    def test_diagonal_equals_scale(self):
         rng = np.random.default_rng(8)
         h = random_channel(rng, 3, 4, 1.0)
         pre = zf_precoder(h, 2.5)
-        assert np.array_equal(pre.q, np.full(3, pre.beta**2))
         hg = h @ pre.g
-        assert np.allclose(np.diag(hg), np.sqrt(pre.q), rtol=1e-12, atol=0.0)
+        assert np.allclose(np.diag(hg), pre.beta, rtol=1e-12, atol=0.0)
 
 
 class TestFailureModes:

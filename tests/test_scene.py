@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import re
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +22,7 @@ from vcselnet import (
     place_users_on_axis,
 )
 from vcselnet.errors import ConfigError, InfeasibleError
+from vcselnet.scene import _KEYS
 
 from conftest import DEFAULT_MPE
 
@@ -227,6 +230,14 @@ class TestLoading:
         scene = load_scene("[electrical]\npreamp_noise_a_per_sqrt_hz = 2e-12")
         assert scene.electrical.preamp_noise_density == pytest.approx(4e-24, rel=1e-15)
 
+    def test_misspelt_key_rejected(self):
+        with pytest.raises(ConfigError, match=r"unknown config key room\.widht_m"):
+            load_scene("[room]\nwidht_m = 2.0")
+
+    def test_misspelt_section_rejected(self):
+        with pytest.raises(ConfigError, match=r"unknown config key reciever\.detector_area_m2"):
+            load_scene("[room]\nwidth_m = 2.0\n[reciever]\ndetector_area_m2 = 1e-3")
+
     def test_preamp_squared_density_key_wins(self):
         scene = load_scene(
             """
@@ -362,6 +373,33 @@ class TestRoundTrip:
         once = dump_scene(scene)
         assert dump_scene(load_scene(once)) == once
 
+    @pytest.mark.parametrize(
+        "change, key",
+        [
+            (lambda ap: dataclasses.replace(
+                ap, beam=dataclasses.replace(ap.beam, wavelength=940e-9)), "vcsel.wavelength_m"),
+            (lambda ap: dataclasses.replace(ap, array_n=3), "vcsel.vcsels_per_transmitter"),
+            (lambda ap: dataclasses.replace(ap, per_vcsel_power=1e-6), "vcsel.per_vcsel_power_w"),
+            (lambda ap: dataclasses.replace(ap, lens=None), "lens.enabled"),
+            (lambda ap: dataclasses.replace(
+                ap, lens=dataclasses.replace(ap.lens, f=2e-4)), "lens.focal_length_m"),
+        ],
+        ids=["wavelength", "array", "power", "lens-state", "lens-focal-length"],
+    )
+    def test_differing_access_points_are_not_dumped(self, change, key):
+        # One key holds one value: a dump that wrote AP 0's value for every AP
+        # would load back a different scene.
+        scene = default_scene()
+        aps = (change(scene.aps[0]),) + scene.aps[1:]
+        with pytest.raises(ConfigError, match=re.escape(key)):
+            dump_scene(dataclasses.replace(scene, aps=aps))
+
+    def test_differing_receivers_are_not_dumped(self):
+        scene = default_scene()
+        users = scene.users[:2] + (dataclasses.replace(scene.users[2], responsivity=0.6),)
+        with pytest.raises(ConfigError, match=r"receiver\.responsivity_a_per_w"):
+            dump_scene(dataclasses.replace(scene, users=users))
+
     def test_dump_omits_unset_optionals(self):
         text = dump_scene(default_scene())
         assert "mpe_w_per_m2" not in text
@@ -411,3 +449,24 @@ class TestDirectConstruction:
         scene = default_scene()
         tagged = dataclasses.replace(scene, warnings=("note",))
         assert tagged == scene
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+class TestReadme:
+    def test_configuration_table_lists_every_key(self):
+        # Backticked section.key names in the configuration reference table.
+        text = README.read_text(encoding="utf-8")
+        table = text.split("## Configuration reference", 1)[1].split("\n## ", 1)[0]
+        rows = [line for line in table.splitlines() if line.startswith("| `")]
+        documented = {
+            name for line in rows for name in re.findall(r"`([a-z]+\.[a-z0-9_]+)`", line)
+        }
+        assert documented == {f"{k.section}.{k.key}" for k in _KEYS}
+
+    def test_ini_examples_load(self):
+        blocks = re.findall(r"```ini\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+        assert blocks
+        for block in blocks:
+            load_scene(block)
