@@ -168,15 +168,15 @@ def _distinct(a: np.ndarray, b: np.ndarray) -> tuple[list[complex], np.ndarray]:
     return pairs.tolist(), inverse.reshape(a.shape)
 
 
-def build_channel_matrix(scene: Scene, include_incidence_cosine: bool = False) -> ChannelMatrix:
+def build_channel_matrix(scene: Scene) -> ChannelMatrix:
     """Evaluate every (user, AP) link in the scene.
 
     Beams point straight down, so the propagation distance is the vertical
     drop from the ceiling to the receive plane and the lateral offset is the
     horizontal AP-user distance. Links whose arrival angle at the detector
-    exceeds the user's field-of-view half angle are zeroed. The incidence
-    cosine factor is omitted by default (beams are near-vertical); pass
-    include_incidence_cosine=True to apply it.
+    exceeds the user's field-of-view half angle are zeroed. The detector
+    disc lies in the receive plane, perpendicular to the beam axis, so the
+    integral over it is already the captured power: no incidence cosine.
 
     Links sharing (beam, lens, z, aperture) form one batch, and each distinct
     offset in a batch is integrated once; every gain equals captured_fraction
@@ -218,8 +218,5 @@ def build_channel_matrix(scene: Scene, include_incidence_cosine: bool = False) -
         if np.isnan(h).any():
             raise _not_converged(z, float(offsets[links][np.isnan(h)][0]), aperture)
         gains[links] = h
-    if include_incidence_cosine:
-        cosine = np.array([g.imag / math.hypot(g.imag, g.real) for g in geometry])[geometry_of]
-        np.multiply(gains, cosine, out=gains, where=visible)
     distances = z_grid.copy()
     return ChannelMatrix(gains=gains, distances=distances, offsets=offsets)

@@ -49,12 +49,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="number of waist grid points (default 8)")
     parser.add_argument("--lens", choices=("on", "off", "both"), default="both",
                         help="lens modes to evaluate (default both)")
-    parser.add_argument("--seeds", type=str, default="0", metavar="N[,N...]",
-                        help="comma-separated placement seeds (default 0)")
-    parser.add_argument("--users", type=int, default=None, metavar="N",
-                        help="number of user terminals (default: one per access point)")
-    parser.add_argument("--placement", choices=("on-axis", "random"), default="on-axis",
-                        help="user placement policy (default on-axis)")
+    parser.add_argument("--seeds", type=str, default=None, metavar="N[,N...]",
+                        help="comma-separated replicate seeds for users.placement = random "
+                             "(default: users.seed)")
     parser.add_argument("--rate-model", choices=("shannon", "ook"), default="shannon",
                         help="per-user rate model (default shannon)")
     parser.add_argument("--out", type=Path, default=Path("sweep_out"), metavar="DIR",
@@ -88,17 +85,10 @@ def main(argv: list[str] | None = None) -> int:
             waist_end=args.waist_end,
             steps=args.steps,
             lens_modes=modes,
-            seeds=_parse_seeds(args.seeds),
+            seeds=None if args.seeds is None else _parse_seeds(args.seeds),
         )
         dump = args.dump_channel or args.dump_precoder
-        result = run_sweep(
-            scene,
-            sweep,
-            placement=args.placement,
-            user_count=args.users,
-            rate_model=args.rate_model,
-            collect_artifacts=dump,
-        )
+        result = run_sweep(scene, sweep, rate_model=args.rate_model, collect_artifacts=dump)
         written = emit_outputs(result, args.out)
         for (w_idx, mode), (h, precoder) in sorted(result.artifacts.items()):
             if args.dump_channel:

@@ -163,7 +163,11 @@ class ElectricalSpec:
 
 @dataclass(frozen=True)
 class Scene:
-    """Complete static description of one deployment."""
+    """Complete static description of one deployment.
+
+    placement records how the users were placed: "on-axis" (under the first
+    APs), "random" (drawn from seed) or "explicit" (given positions).
+    """
 
     room: Room
     aps: tuple[AccessPoint, ...]
@@ -172,9 +176,12 @@ class Scene:
     safety: SafetySpec
     lens_design: LensSpec
     seed: int = 0
+    placement: str = "explicit"
     warnings: tuple[str, ...] = field(default=(), compare=False)
 
     def __post_init__(self):
+        if self.placement not in ("on-axis", "random", "explicit"):
+            raise ConfigError(f"placement must be on-axis, random or explicit: {self.placement!r}")
         if not self.aps:
             raise ConfigError("scene needs at least one access point")
         if not self.users:
@@ -348,11 +355,13 @@ _KEYS = (
     _Key("safety", "mpe_w_per_m2", "safety", "mpe", _number, _repr),
     _Key("safety", "pupil_radius_m", "safety", "pupil_radius", _number, _repr),
     _Key("safety", "mhp_floor_m", "safety", "mhp_floor", _number, _repr),
-    # Read as the number of users to place; written as the number placed.
-    _Key("users", "count", "scene", "users", _integer, lambda users: str(len(users))),
+    # An explicit scene writes its positions; any other, the placement that
+    # yields them. count is read as the number of users to place and written
+    # as the number placed.
+    _Key("users", "count", "placed", "users", _integer, lambda users: str(len(users))),
     _Key("users", "seed", "scene", "seed", _integer, _repr),
-    _Key("users", "positions_m", "user", "position", _positions(2, 3), _format_positions),
-    _Key("users", "placement", "scene", "placement", _placement, None),
+    _Key("users", "positions_m", "explicit", "position", _positions(2, 3), _format_positions),
+    _Key("users", "placement", "placed", "placement", _placement, str),
 )
 _KNOWN_KEYS = frozenset((k.section, k.key) for k in _KEYS)
 
@@ -361,7 +370,8 @@ def load_scene(text: str) -> Scene:
     """Build a Scene from config text; unset keys take the documented defaults.
 
     Raises ConfigError for unparseable input (with the offending line), for a
-    key or section that is not in the key table, or for any field violating
+    key or section that is not in the key table, for users.positions_m beside
+    users.placement or a differing users.count, or for any field violating
     its invariant. When the exposure limit is configured, explicit per-VCSEL
     powers above the eye-safe cap are clamped to it and a warning record is
     attached to the scene.
@@ -397,25 +407,6 @@ def load_scene(text: str) -> Scene:
     electrical = ElectricalSpec(**fields["electrical"])
     safety = SafetySpec(**fields["safety"])
 
-    user_positions = fields["user"].pop("position", None)
-    # The receiver all users share; placement gives each its position.
-    template = UserTerminal(position=(0.0, 0.0), **fields["user"])
-    placing = fields["scene"]
-    seed = placing.get("seed", Scene.seed)
-    count = placing.get("users", len(aps))
-    if user_positions is not None:
-        for pos in user_positions:
-            if len(pos) == 3 and pos[2] != room.rx_plane_height:
-                raise ConfigError(
-                    f"users.positions_m: user height {pos[2]!r} differs from the receive "
-                    f"plane at {room.rx_plane_height!r}"
-                )
-        users = tuple(replace(template, position=pos[:2]) for pos in user_positions)
-    elif placing.get("placement") == "random":
-        users = _random_users(room, count, seed, template)
-    else:
-        users = _on_axis_users(aps, count, template)
-
     warnings: list[str] = []
     if safety.mpe is not None:
         clamped_aps = []
@@ -430,16 +421,36 @@ def load_scene(text: str) -> Scene:
             clamped_aps.append(ap)
         aps = tuple(clamped_aps)
 
-    return Scene(
+    # The one user is the receiver all users share; placement positions them.
+    scene = Scene(
         room=room,
         aps=aps,
-        users=users,
+        users=(UserTerminal(position=(0.0, 0.0), **fields["user"]),),
         electrical=electrical,
         safety=safety,
         lens_design=lens_design,
-        seed=seed,
+        seed=fields["scene"].get("seed", Scene.seed),
         warnings=tuple(warnings),
     )
+    placing, positions = fields["placed"], fields["explicit"].get("position")
+    if positions is None:
+        count = placing.get("users", len(aps))
+        return _place(scene, placing.get("placement", "on-axis"), count, scene.seed)
+    if "placement" in placing:
+        raise ConfigError("users.placement: cannot be combined with users.positions_m")
+    if placing.get("users", len(positions)) != len(positions):
+        raise ConfigError(
+            f"users.count: {placing['users']} disagrees with the "
+            f"{len(positions)} positions in users.positions_m"
+        )
+    for pos in positions:
+        if len(pos) == 3 and pos[2] != room.rx_plane_height:
+            raise ConfigError(
+                f"users.positions_m: user height {pos[2]!r} differs from the receive "
+                f"plane at {room.rx_plane_height!r}"
+            )
+    return replace(scene, users=tuple(replace(scene.users[0], position=pos[:2])
+                                      for pos in positions))
 
 
 def default_scene() -> Scene:
@@ -447,26 +458,22 @@ def default_scene() -> Scene:
     return load_scene("")
 
 
-def _on_axis_users(aps, count: int, template: UserTerminal) -> tuple[UserTerminal, ...]:
+def _place(scene: Scene, placement: str, count: int, seed: int) -> Scene:
+    """Scene copy with `count` users like its first: under the first APs
+    ("on-axis") or drawn uniformly over the room footprint from `seed`
+    ("random")."""
     if count < 1:
         raise ConfigError(f"user count must be >= 1, got {count}")
-    if count > len(aps):
-        raise InfeasibleError(
-            f"cannot place {count} users under {len(aps)} access points"
-        )
-    return tuple(
-        replace(template, position=(ap.position[0], ap.position[1])) for ap in aps[:count]
-    )
-
-
-def _random_users(room: Room, count: int, seed: int, template: UserTerminal
-                  ) -> tuple[UserTerminal, ...]:
-    if count < 1:
-        raise ConfigError(f"user count must be >= 1, got {count}")
-    rng = np.random.default_rng(seed)
-    xs = rng.uniform(0.0, room.width, count)
-    ys = rng.uniform(0.0, room.length, count)
-    return tuple(replace(template, position=(float(x), float(y))) for x, y in zip(xs, ys))
+    if count > len(scene.aps):
+        raise InfeasibleError(f"cannot place {count} users under {len(scene.aps)} access points")
+    if placement == "random":
+        rng = np.random.default_rng(seed)
+        positions = zip(rng.uniform(0.0, scene.room.width, count).tolist(),
+                        rng.uniform(0.0, scene.room.length, count).tolist())
+    else:
+        positions = ((ap.position[0], ap.position[1]) for ap in scene.aps[:count])
+    users = tuple(replace(scene.users[0], position=pos) for pos in positions)
+    return replace(scene, users=users, seed=seed, placement=placement)
 
 
 def place_users(scene: Scene, count: int, seed: int) -> Scene:
@@ -475,30 +482,27 @@ def place_users(scene: Scene, count: int, seed: int) -> Scene:
     Deterministic in `seed`; receiver parameters are taken from the scene's
     first user. Raises InfeasibleError when count exceeds the AP count.
     """
-    if count > len(scene.aps):
-        raise InfeasibleError(
-            f"cannot place {count} users with only {len(scene.aps)} access points"
-        )
-    users = _random_users(scene.room, count, seed, scene.users[0])
-    return replace(scene, users=users, seed=seed)
+    return _place(scene, "random", count, seed)
 
 
 def place_users_on_axis(scene: Scene, count: int) -> Scene:
     """Scene copy with `count` users directly under the first `count` APs."""
-    return replace(scene, users=_on_axis_users(scene.aps, count, scene.users[0]))
+    return _place(scene, "on-axis", count, scene.seed)
 
 
 def dump_scene(scene: Scene) -> str:
     """Serialize a Scene to config text; load_scene(dump_scene(s)) == s.
 
     Floats are written with repr so every numeric field round-trips
-    bit-identically. Positions are written per AP and per user, which makes
-    the dump independent of how the users were placed. Every other key holds
-    one value for all the objects that own its field: the APs must share one
-    beam, array and lens state, their lenses must equal scene.lens_design,
-    and the users must share one receiver. Where they differ, ConfigError
-    names the key.
+    bit-identically. An explicit scene's users are written position by
+    position; an on-axis or random scene's as placement, count and seed, so
+    its users must be what that placement yields. AP positions are written
+    one by one. Every other key holds one value for all the objects that own
+    its field: the APs must share one beam, array and lens state, their
+    lenses must equal scene.lens_design, and the users must share one
+    receiver. Where they differ, ConfigError names the key.
     """
+    explicit = scene.placement == "explicit"
     owners = {
         "room": (scene.room,),
         "beam": tuple(ap.beam for ap in scene.aps),
@@ -508,12 +512,14 @@ def dump_scene(scene: Scene) -> str:
         "electrical": (scene.electrical,),
         "safety": (scene.safety,),
         "scene": (scene,),
+        "explicit": scene.users if explicit else (),
+        "placed": () if explicit else (scene,),
     }
     sections: dict[str, list[str]] = {}
     for k in _KEYS:
-        if k.format is None:
-            continue
         values = [getattr(owner, k.field) for owner in owners[k.owner]]
+        if k.format is None or not values:
+            continue
         if k.field == "position":  # one entry per AP or user
             text = k.format(values)
         else:
@@ -526,4 +532,9 @@ def dump_scene(scene: Scene) -> str:
             text = texts[0]
         if text is not None:
             sections.setdefault(k.section, [f"[{k.section}]"]).append(f"{k.key} = {text}")
+    if not explicit and _place(scene, scene.placement, len(scene.users), scene.seed) != scene:
+        raise ConfigError(
+            f"users.placement: the users are not what {scene.placement} placement of "
+            f"{len(scene.users)} users yields; mark the scene explicit to write their positions"
+        )
     return "\n\n".join("\n".join(lines) for lines in sections.values()) + "\n"

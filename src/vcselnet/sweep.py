@@ -1,10 +1,11 @@
 """Beam-waist sweeps and their on-disk outputs.
 
 A sweep re-evaluates the whole pipeline (eye-safe cap, channel, precoder,
-link budget) on a waist grid, optionally for both lens modes and several
-user-placement seeds. Transmit power at every point is the per-VCSEL
-eye-safe cap, so the exposure limit must be configured. Output files are
-deterministic byte-for-byte for identical inputs.
+link budget) on a waist grid, optionally for both lens modes, on the
+scene's own users; a randomly placed scene is redrawn once per replicate
+seed. Transmit power at every point is the per-VCSEL eye-safe cap, so the
+exposure limit must be configured and no fixed power may be. Output files
+are deterministic byte-for-byte for identical inputs.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .errors import ConfigError, DomainError, SweepPointError, VcselNetError
 from .eye_safety import max_safe_power
 from .link_budget import LinkReport, link_report
 from .precoding import Precoder, zf_precoder
-from .scene import Scene, place_users, place_users_on_axis
+from .scene import Scene, place_users
 
 SCHEMA_VERSION = "v1"
 
@@ -44,14 +45,15 @@ class SweepSpec:
     waist_start / waist_end   inclusive waist range, m
     steps                     number of grid points (linear spacing)
     lens_modes                subset of ("off", "on")
-    seeds                     user-placement replicate seeds
+    seeds                     replicate seeds of a randomly placed scene;
+                              None means the scene's own seed
     """
 
     waist_start: float = 1e-6
     waist_end: float = 8e-6
     steps: int = 8
     lens_modes: tuple[str, ...] = ("off", "on")
-    seeds: tuple[int, ...] = (0,)
+    seeds: tuple[int, ...] | None = None
 
     def __post_init__(self):
         if not 0 < self.waist_start < self.waist_end:
@@ -67,9 +69,9 @@ class SweepSpec:
                 raise ConfigError(f"lens mode must be 'off' or 'on', got {mode!r}")
         if len(set(self.lens_modes)) != len(self.lens_modes):
             raise ConfigError(f"duplicate lens modes in {self.lens_modes!r}")
-        if not self.seeds:
+        if self.seeds is not None and not self.seeds:
             raise ConfigError("at least one seed is required")
-        for seed in self.seeds:
+        for seed in self.seeds or ():
             if seed < 0:
                 raise ConfigError(f"seeds must be non-negative, got {seed!r}")
 
@@ -100,7 +102,7 @@ class SweepResult:
 
 
 def _configure(scene: Scene, waist: float, lens_mode: str) -> Scene:
-    """Scene copy with every AP at the given waist and lens state, cap-powered.
+    """Scene copy with every AP at the given waist and lens state.
 
     Each distinct source beam is rebuilt once, and APs that shared it share
     the rebuilt beam.
@@ -111,7 +113,6 @@ def _configure(scene: Scene, waist: float, lens_mode: str) -> Scene:
             ap,
             beam=beams[ap.beam],
             lens=scene.lens_design if lens_mode == "on" else None,
-            per_vcsel_power=None,
         )
         for ap in scene.aps
     )
@@ -134,25 +135,28 @@ def _min_snr_db(report: LinkReport) -> float:
 def run_sweep(
     scene: Scene,
     sweep: SweepSpec,
-    placement: str = "on-axis",
-    user_count: int | None = None,
     rate_model: str = "shannon",
     collect_artifacts: bool = False,
 ) -> SweepResult:
     """Evaluate the grid; rows ordered by (waist, lens mode).
 
-    placement "on-axis" puts users directly under the first APs (seed
-    independent, evaluated once); "random" redraws user positions for every
-    seed and reports mean/std across seeds. Any module error is re-raised as
-    SweepPointError carrying the (waist, lens, seed) coordinates.
+    An on-axis or explicit scene is evaluated once per point, on its own
+    users. A random scene is redrawn with place_users for every replicate
+    seed (sweep.seeds, else the scene's seed), and the rows report mean/std
+    across seeds. Any module error is re-raised as SweepPointError carrying
+    the (waist, lens, seed) coordinates.
     """
     if scene.safety.mpe is None:
         raise ConfigError(
             "sweeps transmit at the eye-safe cap; set mpe_w_per_m2 in the [safety] section"
         )
-    if placement not in ("on-axis", "random"):
-        raise ConfigError(f"placement must be 'on-axis' or 'random', got {placement!r}")
-    count = user_count if user_count is not None else len(scene.users)
+    for i, ap in enumerate(scene.aps):
+        if ap.per_vcsel_power is not None:
+            raise ConfigError(
+                f"sweeps transmit at the eye-safe cap; access point {i} sets a fixed "
+                "power: remove per_vcsel_power_w from the [vcsel] section"
+            )
+    seeds = sweep.seeds if sweep.seeds is not None else (scene.seed,)
 
     waists = np.linspace(sweep.waist_start, sweep.waist_end, sweep.steps)
     modes = tuple(sorted(sweep.lens_modes))  # "off" before "on"
@@ -174,15 +178,12 @@ def run_sweep(
                 vcsel_caps = [source_caps[ap.beam, ap.lens] for ap in scn.aps]
                 p_max = min(vcsel_caps)
                 caps = np.array([ap.array_n**2 * p for ap, p in zip(scn.aps, vcsel_caps)])
-                # On-axis placement ignores the seed, so one evaluation stands
-                # for every seed; random placement evaluates each seed.
+                # Only random placement depends on the seed: any other scene
+                # is evaluated once, and that evaluation stands for every seed.
                 reports = []
-                for seed in sweep.seeds if placement == "random" else (None,):
-                    if seed is None:
-                        scn_placed = place_users_on_axis(scn, count)
-                    else:
-                        scn_placed = place_users(scn, count, seed)
-                    h, precoder, report = _evaluate(scn_placed, caps, rate_model)
+                for seed in seeds if scene.placement == "random" else (None,):
+                    placed = scn if seed is None else place_users(scn, len(scene.users), seed)
+                    h, precoder, report = _evaluate(placed, caps, rate_model)
                     if collect_artifacts and not reports:
                         artifacts[(w_idx, mode)] = (h, precoder)
                     reports.append(report)
@@ -197,7 +198,7 @@ def run_sweep(
                 SweepRow(
                     waist=waist,
                     lens_mode=mode,
-                    seed_count=len(sweep.seeds),
+                    seed_count=len(seeds),
                     sum_rate=float(np.mean(sum_rates)),
                     sum_rate_std=float(np.std(sum_rates)),
                     ee=float(np.mean(ees)),
@@ -208,8 +209,8 @@ def run_sweep(
             )
 
     metadata = (
-        f"schema={SCHEMA_VERSION} placement={placement} rate_model={rate_model} "
-        f"users={count} seeds={','.join(str(s) for s in sweep.seeds)} "
+        f"schema={SCHEMA_VERSION} placement={scene.placement} rate_model={rate_model} "
+        f"users={len(scene.users)} seeds={','.join(str(s) for s in seeds)} "
         f"lens_modes={','.join(modes)}"
     )
     return SweepResult(rows=tuple(rows), metadata=metadata, artifacts=artifacts)

@@ -319,7 +319,8 @@ def test_trend_reproduction():
 def test_cli_determinism(tmp_path):
     """Two identical CLI invocations produce byte-identical CSV outputs."""
     config = tmp_path / "scene.ini"
-    config.write_text(COMPACT_CONFIG, encoding="utf-8")
+    config.write_text(COMPACT_CONFIG + "\n[users]\nplacement = random\ncount = 3\n",
+                      encoding="utf-8")
     outputs = []
     for name in ("first", "second"):
         out = tmp_path / name
@@ -329,10 +330,8 @@ def test_cli_determinism(tmp_path):
                 "--waist-start", "1e-6",
                 "--waist-end", "1.5e-6",
                 "--steps", "3",
-                "--placement", "random",
                 "--lens", "off",
                 "--seeds", "0,1",
-                "--users", "3",
                 "--out", str(out),
             ]
         )

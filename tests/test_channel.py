@@ -65,7 +65,7 @@ def oracle_captured_fraction(beam, lens, z, rho, aperture_radius):
     raise AssertionError(f"oracle quadrature did not converge (z={z!r}, rho={rho!r})")
 
 
-def oracle_channel(scene, include_incidence_cosine=False):
+def oracle_channel(scene):
     gains = np.zeros((len(scene.users), len(scene.aps)))
     distances = np.zeros_like(gains)
     offsets = np.zeros_like(gains)
@@ -80,10 +80,7 @@ def oracle_channel(scene, include_incidence_cosine=False):
             offsets[u, a] = rho
             if math.atan2(rho, z) > user.fov_half_angle:
                 continue
-            h = oracle_captured_fraction(ap.beam, ap.lens, z, rho, aperture)
-            if include_incidence_cosine:
-                h *= z / math.hypot(z, rho)
-            gains[u, a] = h
+            gains[u, a] = oracle_captured_fraction(ap.beam, ap.lens, z, rho, aperture)
     return gains, distances, offsets
 
 
@@ -297,14 +294,6 @@ class TestChannelMatrix:
         off = h.gains - np.diag(np.diag(h.gains))
         assert np.all(off == 0.0)
 
-    def test_incidence_cosine_factor(self):
-        scene = default_scene()
-        plain = build_channel_matrix(scene)
-        cosine = build_channel_matrix(scene, include_incidence_cosine=True)
-        z = 2.0
-        expected = plain.gains * (z / np.hypot(z, plain.offsets))
-        assert np.allclose(cosine.gains, expected, rtol=1e-12, atol=0.0)
-
     def test_batch_spanning_several_chunks(self, multimode_beam, monkeypatch):
         # Two order-16 links per chunk; from order 32 on every chunk holds one link.
         monkeypatch.setattr(channel, "_CHUNK_NODES", 2 * 16 * 16)
@@ -372,7 +361,6 @@ def scenes(draw):
 
 
 @settings(max_examples=40, deadline=None)
-@given(scene=scenes(), cosine=st.booleans())
-def test_batched_channel_matches_scalar_oracle(scene, cosine):
-    h = build_channel_matrix(scene, include_incidence_cosine=cosine)
-    assert_bit_identical(h, oracle_channel(scene, include_incidence_cosine=cosine))
+@given(scene=scenes())
+def test_batched_channel_matches_scalar_oracle(scene):
+    assert_bit_identical(build_channel_matrix(scene), oracle_channel(scene))

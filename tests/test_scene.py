@@ -21,6 +21,7 @@ from vcselnet import (
     place_users,
     place_users_on_axis,
 )
+from vcselnet.cli import build_parser
 from vcselnet.errors import ConfigError, InfeasibleError
 from vcselnet.scene import _KEYS
 
@@ -188,6 +189,23 @@ class TestLoading:
         )
         assert [u.position for u in scene.users] == [(1.0, 1.5), (2.5, 2.0)]
 
+    def test_count_must_match_explicit_positions(self):
+        with pytest.raises(ConfigError, match=r"users\.count"):
+            load_scene("[users]\ncount = 3\npositions_m = (1,1); (2,2)")
+        assert len(load_scene("[users]\ncount = 2\npositions_m = (1,1); (2,2)").users) == 2
+
+    def test_explicit_positions_exclude_placement(self):
+        with pytest.raises(ConfigError, match=r"users\.placement"):
+            load_scene("[users]\nplacement = on-axis\npositions_m = (1,1); (2,2)")
+
+    @pytest.mark.parametrize(
+        "users, placement",
+        [("", "on-axis"), ("placement = random", "random"),
+         ("positions_m = (1,1); (2,2)", "explicit")],
+    )
+    def test_placement_is_recorded(self, users, placement):
+        assert load_scene(f"[users]\n{users}").placement == placement
+
     def test_user_height_off_plane_rejected(self):
         with pytest.raises(ConfigError, match="receive"):
             load_scene("[users]\npositions_m = (1.0, 1.5, 2.0)")
@@ -291,6 +309,7 @@ class TestPlacementHelpers:
         b = place_users(scene_with_mpe, 3, seed=5)
         assert a.users == b.users
         assert a.seed == 5
+        assert a.placement == "random"
         assert len(a.users) == 3
         assert place_users(scene_with_mpe, 3, seed=6).users != a.users
 
@@ -318,8 +337,9 @@ class TestPlacementHelpers:
             assert 0.0 <= u.position[1] <= scene_with_mpe.room.length
 
     def test_place_users_on_axis(self, scene_with_mpe):
-        placed = place_users_on_axis(scene_with_mpe, 2)
+        placed = place_users_on_axis(dataclasses.replace(scene_with_mpe, placement="random"), 2)
         assert [u.position for u in placed.users] == [(3.0, 3.0), (1.0, 3.0)]
+        assert placed.placement == "on-axis"
 
 
 class TestRoundTrip:
@@ -400,6 +420,36 @@ class TestRoundTrip:
         with pytest.raises(ConfigError, match=r"receiver\.responsivity_a_per_w"):
             dump_scene(dataclasses.replace(scene, users=users))
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda scene: place_users_on_axis(scene, 2),
+            lambda scene: place_users(scene, 3, seed=4),
+            lambda scene: dataclasses.replace(
+                place_users(scene, 3, seed=4), placement="explicit", seed=7),
+        ],
+        ids=["on-axis", "random", "explicit"],
+    )
+    def test_every_placement_round_trips(self, make):
+        scene = make(default_scene())
+        text = dump_scene(scene)
+        assert load_scene(text) == scene
+        # Positions are written for an explicit scene only; placement otherwise.
+        users = text.split("[users]\n", 1)[1].splitlines()
+        keys = {line.split(" = ")[0] for line in users}
+        if scene.placement == "explicit":
+            assert keys == {"seed", "positions_m"}
+        else:
+            assert keys == {"count", "seed", "placement"}
+
+    def test_users_their_placement_does_not_yield_are_not_dumped(self):
+        scene = default_scene()
+        moved = scene.users[:3] + (dataclasses.replace(scene.users[3], position=(2.0, 2.0)),)
+        with pytest.raises(ConfigError, match=r"users\.placement"):
+            dump_scene(dataclasses.replace(scene, users=moved))
+        explicit = dataclasses.replace(scene, users=moved, placement="explicit")
+        assert load_scene(dump_scene(explicit)) == explicit
+
     def test_dump_omits_unset_optionals(self):
         text = dump_scene(default_scene())
         assert "mpe_w_per_m2" not in text
@@ -445,6 +495,15 @@ class TestDirectConstruction:
         with pytest.raises(ConfigError):
             ElectricalSpec(rx_bandwidth=0.0)
 
+    def test_scene_placement_validation(self):
+        scene = default_scene()
+        with pytest.raises(ConfigError, match="placement"):
+            dataclasses.replace(scene, placement="grid")
+        built = Scene(room=scene.room, aps=scene.aps, users=scene.users,
+                      electrical=scene.electrical, safety=scene.safety,
+                      lens_design=scene.lens_design)
+        assert built.placement == "explicit"
+
     def test_warnings_do_not_affect_equality(self):
         scene = default_scene()
         tagged = dataclasses.replace(scene, warnings=("note",))
@@ -464,6 +523,16 @@ class TestReadme:
             name for line in rows for name in re.findall(r"`([a-z]+\.[a-z0-9_]+)`", line)
         }
         assert documented == {f"{k.section}.{k.key}" for k in _KEYS}
+
+    def test_cli_flag_block_lists_every_option(self):
+        text = README.read_text(encoding="utf-8")
+        block = text.split("### CLI flags", 1)[1].split("```", 2)[1]
+        documented = set(re.findall(r"^(--[a-z-]+)", block, re.M))
+        options = {
+            flag for action in build_parser()._actions for flag in action.option_strings
+            if flag.startswith("--")
+        }
+        assert documented == options
 
     def test_ini_examples_load(self):
         blocks = re.findall(r"```ini\n(.*?)```", README.read_text(encoding="utf-8"), re.S)

@@ -14,8 +14,10 @@ from vcselnet import (
     build_channel_matrix,
     emit_outputs,
     link_report,
+    load_scene,
     max_safe_power,
     place_users,
+    place_users_on_axis,
     run_sweep,
     zf_precoder,
 )
@@ -44,20 +46,22 @@ def compact_config_file(tmp_path):
     return path
 
 
-def manual_point(scene, waist, lens_mode, seed=None, count=None, rate_model="shannon"):
-    """Re-evaluate one sweep point with only public API calls."""
+def manual_point(scene, waist, lens_mode, seed=None, rate_model="shannon"):
+    """Re-evaluate one sweep point with only public API calls.
+
+    With a seed, the scene's users are redrawn as a random replicate.
+    """
     aps = tuple(
         dataclasses.replace(
             ap,
             beam=dataclasses.replace(ap.beam, w0=waist),
             lens=scene.lens_design if lens_mode == "on" else None,
-            per_vcsel_power=None,
         )
         for ap in scene.aps
     )
     scn = dataclasses.replace(scene, aps=aps)
     if seed is not None:
-        scn = place_users(scn, count or len(scene.users), seed)
+        scn = place_users(scn, len(scene.users), seed)
     caps = np.array(
         [
             ap.array_n**2 * max_safe_power(ap.beam, scn.safety, ap.lens).p_max
@@ -95,9 +99,40 @@ class TestRunSweep:
         with pytest.raises(ConfigError, match="mpe_w_per_m2"):
             run_sweep(default_scene(), SweepSpec(steps=2))
 
-    def test_rejects_bad_placement(self, scene_with_mpe):
-        with pytest.raises(ConfigError, match="placement"):
-            run_sweep(scene_with_mpe, SweepSpec(steps=2), placement="grid")
+    def test_rejects_a_fixed_transmit_power(self, scene_with_mpe):
+        # A sweep transmits at the eye-safe cap; a fixed power would be ignored.
+        aps = list(scene_with_mpe.aps)
+        aps[1] = dataclasses.replace(aps[1], per_vcsel_power=1e-5)
+        scene = dataclasses.replace(scene_with_mpe, aps=tuple(aps))
+        with pytest.raises(ConfigError, match=r"access point 1 .*per_vcsel_power_w"):
+            run_sweep(scene, SweepSpec(steps=2))
+
+    def test_unset_seeds_mean_the_scene_seed(self, compact_scene):
+        scene = place_users(compact_scene, 3, seed=9)
+        sweep = SweepSpec(waist_start=1e-6, waist_end=1.5e-6, steps=2, lens_modes=("off",))
+        result = run_sweep(scene, sweep)
+        assert "placement=random" in result.metadata
+        assert "users=3 seeds=9 " in result.metadata
+        explicit = run_sweep(scene, dataclasses.replace(sweep, seeds=(9,)))
+        assert result == explicit
+        for row in result.rows:
+            report = manual_point(scene, row.waist, "off")
+            assert row.sum_rate == report.sum_rate
+            assert row.ee == report.energy_efficiency
+
+    def test_explicit_users_are_evaluated(self):
+        scene = load_scene(
+            CONFIG_TEXT + "\n[users]\npositions_m = (2.8, 3.1); (1.2, 2.9)\n"
+        )
+        assert scene.placement == "explicit"
+        result = run_sweep(scene, SweepSpec(waist_start=2e-6, waist_end=6e-6, steps=2))
+        assert result.metadata.startswith("schema=v1 placement=explicit rate_model=shannon "
+                                          "users=2 seeds=0 ")
+        for row in result.rows:
+            report = manual_point(scene, row.waist, row.lens_mode)
+            assert len(report.per_user) == 2
+            assert row.sum_rate == report.sum_rate
+            assert row.ee == report.energy_efficiency
 
     def test_row_grid_and_ordering(self, scene_with_mpe):
         sweep = SweepSpec(waist_start=2e-6, waist_end=6e-6, steps=3)
@@ -165,9 +200,13 @@ class TestRunSweep:
 
         monkeypatch.setattr(vcselnet.sweep, "max_safe_power", counting)
         monkeypatch.setattr(vcselnet.sweep, "zf_precoder", recording)
+        if placement == "random":
+            scene = place_users(scene, 3, seed=0)
+        else:
+            scene = place_users_on_axis(scene, 3)
         sweep = SweepSpec(waist_start=1e-6, waist_end=1.5e-6, steps=2,
                           lens_modes=("off",), seeds=(0, 1))
-        result = run_sweep(scene, sweep, placement=placement, user_count=3)
+        result = run_sweep(scene, sweep)
         assert len(calls) == sources * sweep.steps
         # Every AP still gets the cap of its own source.
         calls_per_point = len(precoder_caps) // sweep.steps
@@ -191,12 +230,10 @@ class TestRunSweep:
         seeds = (0, 1, 2)
         sweep = SweepSpec(waist_start=1e-6, waist_end=1.5e-6, steps=2,
                           lens_modes=("off",), seeds=seeds)
-        result = run_sweep(compact_scene, sweep, placement="random", user_count=3)
+        scene = place_users(compact_scene, 3, seed=0)
+        result = run_sweep(scene, sweep)
         row = result.rows[0]
-        reports = [
-            manual_point(compact_scene, row.waist, "off", seed=s, count=3)
-            for s in seeds
-        ]
+        reports = [manual_point(scene, row.waist, "off", seed=s) for s in seeds]
         rates = [r.sum_rate for r in reports]
         ees = [r.energy_efficiency for r in reports]
         assert row.sum_rate == pytest.approx(np.mean(rates), rel=1e-12)
@@ -216,11 +253,12 @@ class TestRunSweep:
         assert pre.g.shape == (4, 4)
 
     def test_failures_carry_sweep_coordinates(self, scene_with_mpe):
+        # Seed 0 puts users 2 and 3 of the default room on near-parallel rows.
         with pytest.raises(SweepPointError) as exc_info:
-            run_sweep(scene_with_mpe, SweepSpec(steps=2), user_count=5)
+            run_sweep(place_users(scene_with_mpe, 4, seed=0), SweepSpec(steps=2))
         err = exc_info.value
-        assert "waist=" in str(err) and "lens=" in str(err)
-        assert exit_code_for(err) == 4  # unwraps to the InfeasibleError
+        assert "waist=" in str(err) and "lens=" in str(err) and "seed=0" in str(err)
+        assert exit_code_for(err) == 4  # unwraps to the SingularChannelError
 
 
 class TestEmitOutputs:
@@ -299,8 +337,7 @@ class TestEmitOutputs:
         dirs = []
         for name in ("a", "b"):
             out = tmp_path / name
-            result = run_sweep(compact_scene, sweep, placement="random",
-                               user_count=3)
+            result = run_sweep(place_users(compact_scene, 3, seed=0), sweep)
             emit_outputs(result, out)
             dirs.append(out)
         for csv in sorted(p.name for p in dirs[0].iterdir()):
@@ -353,9 +390,20 @@ class TestCli:
         code, _ = self.run_cli(tmp_path, config_file, "--seeds", "a,b")
         assert code == 3
 
-    def test_too_many_users_exits_4(self, tmp_path, config_file, capsys):
-        code, _ = self.run_cli(tmp_path, config_file, "--users", "9")
+    def test_too_many_users_exits_4(self, tmp_path, capsys):
+        config = tmp_path / "crowded.ini"
+        config.write_text(CONFIG_TEXT + "\n[users]\ncount = 9\n", encoding="utf-8")
+        code, _ = self.run_cli(tmp_path, config)
         assert code == 4
+
+    def test_fixed_transmit_power_exits_3(self, tmp_path, capsys):
+        config = tmp_path / "fixed.ini"
+        config.write_text(CONFIG_TEXT + "\n[vcsel]\nper_vcsel_power_w = 1e-5\n",
+                          encoding="utf-8")
+        code, out = self.run_cli(tmp_path, config)
+        assert code == 3
+        assert "per_vcsel_power_w" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_lens_selection(self, tmp_path, config_file, capsys):
         code, out = self.run_cli(tmp_path, config_file, "--lens", "on")
@@ -363,11 +411,14 @@ class TestCli:
         lines = (out / "results.csv").read_text().splitlines()
         assert all(line.split(",")[1] == "on" for line in lines[2:])
 
-    def test_random_placement_and_users(self, tmp_path, compact_config_file, capsys):
+    def test_random_placement_and_users(self, tmp_path, capsys):
         # Compact room + lens off: random draws stay zero-forceable.
+        config = tmp_path / "random.ini"
+        config.write_text(COMPACT_CONFIG + "\n[users]\nplacement = random\ncount = 2\n",
+                          encoding="utf-8")
         code, out = self.run_cli(
-            tmp_path, compact_config_file,
-            "--placement", "random", "--seeds", "0,1", "--users", "2",
+            tmp_path, config,
+            "--seeds", "0,1",
             "--lens", "off", "--waist-start", "1e-6", "--waist-end", "1.5e-6",
         )
         assert code == 0
@@ -375,6 +426,25 @@ class TestCli:
         assert "placement=random" in lines[0]
         assert "users=2" in lines[0]
         assert all(line.split(",")[2] == "2" for line in lines[2:])
+
+    def test_random_config_defaults_to_its_seed(self, tmp_path, capsys):
+        text = COMPACT_CONFIG + "\n[users]\nplacement = random\ncount = 3\nseed = 9\n"
+        config = tmp_path / "seed9.ini"
+        config.write_text(text, encoding="utf-8")
+        code, out = self.run_cli(
+            tmp_path, config, "--lens", "off", "--waist-start", "1e-6", "--waist-end", "1.5e-6"
+        )
+        assert code == 0
+        lines = (out / "results.csv").read_text().splitlines()
+        assert lines[0] == (
+            "# schema=v1 placement=random rate_model=shannon users=3 seeds=9 lens_modes=off"
+        )
+        scene = load_scene(text)
+        for line in lines[2:]:
+            fields = line.split(",")
+            report = manual_point(scene, float(fields[0]), "off", seed=9)
+            assert float(fields[3]) == report.sum_rate
+            assert float(fields[5]) == report.energy_efficiency
 
     def test_rate_model_flag(self, tmp_path, config_file, capsys):
         code, out = self.run_cli(tmp_path, config_file, "--rate-model", "ook")
