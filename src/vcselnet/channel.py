@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .beam_optics import BeamSpec, LensSpec, beam_intensity, transformed_source
+from .beam_optics import BeamSpec, LensSpec, beam_intensity, beam_radius, transformed_source
 from .errors import DomainError
 from .scene import Scene
 
@@ -26,6 +26,15 @@ _QUAD_MAX_ORDER = 1024
 # Quadrature nodes evaluated in one array: a single link at the maximum order,
 # so a batch of links never needs more memory than one worst-case link.
 _CHUNK_NODES = _QUAD_MAX_ORDER**2
+# exp(-x) is +0.0 in float64 for every x > ~745.13, and beam_intensity is 0
+# wherever exp(-x) is. No node of a disc of radius a whose centre sits rho > a
+# off the beam axis is closer to the axis than rho - a, so where
+# x = 2 (rho - a)^2 / w_z^2 exceeds this bound every node's intensity is 0 and
+# the capture is exactly +0.0 without evaluating it. The margin above 745.13
+# covers the rounding of the node radii.
+_DARK_X = 750.0
+# Fewer links than this are not deduplicated (see _distinct).
+_DEDUP_MIN_LINKS = 64
 
 
 @dataclass
@@ -77,16 +86,21 @@ def _disc_capture(
 ) -> np.ndarray:
     """Adaptive disc capture for every offset in rho, clipped to [0, 1].
 
-    The order doubles from 16 until a link's value changes by less than 1e-8
-    relative; converged links drop out. Links still open after order 1024
-    come back as NaN. Nodes are evaluated in chunks of at most _CHUNK_NODES
-    (but at least one link).
+    Offsets whose every node lies where the beam's decay underflows (see
+    _DARK_X) are +0.0 and never evaluated. For the rest the order doubles
+    from 16 until a link's value changes by less than 1e-8 relative;
+    converged links drop out. Links still open after order 1024 come back as
+    NaN. Nodes are evaluated in chunks of at most _CHUNK_NODES (but at least
+    one link).
     """
     result = np.full(rho.shape, np.nan)
-    active = np.arange(rho.size)
+    gap = rho - aperture_radius
+    dark = (gap > 0.0) & (2.0 * gap**2 / beam_radius(z, beam) ** 2 > _DARK_X)
+    result[dark] = 0.0
+    active = np.flatnonzero(~dark)
     prev = None
     order = _QUAD_START_ORDER
-    while True:
+    while active.size and order <= _QUAD_MAX_ORDER:
         step = max(1, _CHUNK_NODES // order**2)
         cur = np.concatenate(
             [
@@ -98,10 +112,9 @@ def _disc_capture(
             done = np.abs(cur - prev) <= _QUAD_RTOL * np.abs(cur) + 1e-16
             result[active[done]] = np.clip(cur[done], 0.0, 1.0)
             active, cur = active[~done], cur[~done]
-        if not active.size or order >= _QUAD_MAX_ORDER:
-            return result
         prev = cur
         order *= 2
+    return result
 
 
 def _link_source(
@@ -159,13 +172,31 @@ def captured_fraction(
     return h
 
 
-def _distinct(a: np.ndarray, b: np.ndarray) -> tuple[list[complex], np.ndarray]:
-    """Distinct (a, b) pairs, each packed exactly into one complex, and the
-    index of every element's pair, shaped like a."""
-    packed = np.empty(a.shape, dtype=complex)
-    packed.real, packed.imag = a, b
-    pairs, inverse = np.unique(packed.ravel(), return_inverse=True)
-    return pairs.tolist(), inverse.reshape(a.shape)
+def _distinct(a: np.ndarray, b: np.ndarray) -> tuple[list[float], list[float], np.ndarray]:
+    """Groups of elements whose (a, b) pairs are bit-identical: each group's a
+    and b as lists, and every element's group index, shaped like a.
+
+    One sort by a uint64 key, the bits of a xor the bits of b with their
+    halves swapped, puts equal pairs side by side, and a group starts
+    wherever the bits change. Pairs whose keys collide may split into more
+    groups but never share one, so every element gets its own values back
+    exactly. Below _DEDUP_MIN_LINKS elements each element is its own group:
+    there, sorting costs more than the repeats it could save.
+    """
+    a_flat, b_flat = np.ravel(a), np.ravel(b)
+    if a.size < _DEDUP_MIN_LINKS:
+        return a_flat.tolist(), b_flat.tolist(), np.arange(a.size).reshape(a.shape)
+    a_bits, b_bits = a_flat.view(np.uint64), b_flat.view(np.uint64)
+    half = np.uint64(32)
+    order = np.argsort(a_bits ^ ((b_bits << half) | (b_bits >> half)))
+    a_bits, b_bits = a_bits[order], b_bits[order]
+    starts = np.empty(order.size, dtype=bool)
+    starts[0] = True
+    starts[1:] = (a_bits[1:] != a_bits[:-1]) | (b_bits[1:] != b_bits[:-1])
+    group = np.empty(order.size, dtype=np.intp)
+    group[order] = np.cumsum(starts) - 1
+    first = order[starts]
+    return a_flat[first].tolist(), b_flat[first].tolist(), group.reshape(a.shape)
 
 
 def build_channel_matrix(scene: Scene) -> ChannelMatrix:
@@ -191,11 +222,11 @@ def build_channel_matrix(scene: Scene) -> ChannelMatrix:
     dy = user_xy[:, None, 1] - ap_xy[None, :, 1]
     # math.hypot once per distinct (dx, dy) and math.atan2 once per distinct
     # (rho, z): numpy's forms can differ by an ulp.
-    steps, step_of = _distinct(dx, dy)
-    offsets = np.array([math.hypot(d.real, d.imag) for d in steps])[step_of]
+    step_x, step_y, step_of = _distinct(dx, dy)
+    offsets = np.array([math.hypot(x, y) for x, y in zip(step_x, step_y)])[step_of]
     z_grid = np.broadcast_to(np.array(zs, dtype=float), dx.shape)
-    geometry, geometry_of = _distinct(offsets, z_grid)
-    angles = np.array([math.atan2(g.real, g.imag) for g in geometry])[geometry_of]
+    geometry_rho, geometry_z, geometry_of = _distinct(offsets, z_grid)
+    angles = np.array([math.atan2(r, z) for r, z in zip(geometry_rho, geometry_z)])[geometry_of]
     fov = np.array([user.fov_half_angle for user in users], dtype=float)
     visible = ~(angles > fov[:, None])
     # Batch keys, computed once per AP and once per user rather than per link.
@@ -207,10 +238,10 @@ def build_channel_matrix(scene: Scene) -> ChannelMatrix:
     batch = ap_key[None, :] * len(discs) + user_key[:, None]
 
     gains = np.zeros(offsets.shape)
-    keys, first = np.unique(batch[visible], return_index=True)
-    for key in keys[np.argsort(first)]:  # in the order of each batch's first link
-        links = visible & (batch == key)
-        u, a = np.argwhere(links)[0]
+    batches = [visible & (batch == key) for key in np.flatnonzero(np.bincount(batch[visible]))]
+    batches.sort(key=np.argmax)  # in the order of each batch's first link
+    for links in batches:
+        u, a = divmod(int(np.argmax(links)), len(aps))
         ap, z, aperture = aps[a], zs[a], apertures[u]
         rho, inverse = np.unique(offsets[links], return_inverse=True)
         eff_beam, z_eff = _link_source(ap.beam, ap.lens, z, float(rho[0]), aperture)

@@ -55,11 +55,6 @@ def noise_variance(photocurrent: float, elec: ElectricalSpec) -> NoiseBreakdown:
     )
 
 
-def snr_amplitude_ratio(photocurrent: float, elec: ElectricalSpec) -> float:
-    """Diagnostic amplitude ratio I / sigma (not the power SINR)."""
-    return photocurrent / math.sqrt(noise_variance(photocurrent, elec).total)
-
-
 def q_function(x: float) -> float:
     """Gaussian tail probability Q(x) = 0.5 erfc(x / sqrt(2))."""
     return 0.5 * math.erfc(x / math.sqrt(2.0))
@@ -121,15 +116,22 @@ class LinkReport:
 def link_report(
     scene: Scene, h: ChannelMatrix, precoder: Precoder, rate_model: str = "shannon"
 ) -> LinkReport:
-    """Evaluate every user and aggregate to network sum rate and efficiency."""
-    received = np.asarray(h.gains) @ precoder.g
+    """Evaluate every user and aggregate to network sum rate and efficiency.
+
+    User u's photocurrents are R_u (H G)[u, :]. Its interference power, the
+    sum of the squared currents of the other streams, is taken for all users
+    in one pass over the off-diagonal of that matrix, row by row.
+    """
+    responsivity = np.array([user.responsivity for user in scene.users])
+    currents = responsivity[:, None] * (np.asarray(h.gains) @ precoder.g)
+    n = len(currents)
+    others = currents[~np.eye(n, dtype=bool)].reshape(n, n - 1)
+    interference = (others**2).sum(axis=1).tolist()
     users = []
-    for u, user in enumerate(scene.users):
-        i_sig = user.responsivity * received[u, u]
+    for i_sig, interf in zip(np.diagonal(currents).tolist(), interference):
         if i_sig > 0.0:
-            interference = user.responsivity * np.delete(received[u, :], u)
             noise = noise_variance(i_sig, scene.electrical).total
-            sinr = i_sig**2 / (noise + float(np.sum(interference**2)))
+            sinr = i_sig**2 / (noise + interf)
         else:
             i_sig = max(i_sig, 0.0)
             sinr = 0.0

@@ -7,12 +7,17 @@ from vcselnet import (
     BeamSpec,
     FUNDAMENTAL_MODE,
     LensSpec,
+    LinkReport,
     SafetySpec,
+    UserLink,
     beam_radius,
+    consumed_power,
     default_scene,
     laguerre,
     load_scene,
     mode_norm_const,
+    noise_variance,
+    user_rate,
 )
 
 # Exposure limit used throughout the tests. The library deliberately ships no
@@ -64,6 +69,33 @@ def oracle_beam_intensity(r, z, beam):
     if np.ndim(r) == 0:
         return float(total)
     return total
+
+
+def oracle_link_report(scene, h, precoder, rate_model="shannon"):
+    """Reference link budget: one user at a time, its interference from the
+    other streams' currents by np.delete and np.sum. link_report must
+    reproduce it bit for bit."""
+    received = np.asarray(h.gains) @ precoder.g
+    users = []
+    for u, user in enumerate(scene.users):
+        i_sig = user.responsivity * received[u, u]
+        if i_sig > 0.0:
+            interference = user.responsivity * np.delete(received[u, :], u)
+            noise = noise_variance(i_sig, scene.electrical).total
+            sinr = i_sig**2 / (noise + float(np.sum(interference**2)))
+        else:
+            i_sig = max(i_sig, 0.0)
+            sinr = 0.0
+        rate = user_rate(sinr, scene.electrical, rate_model)
+        users.append(UserLink(snr=sinr, rate=rate, photocurrent=i_sig))
+    total_rate = sum(link.rate for link in users)
+    consumed = consumed_power(scene)
+    return LinkReport(
+        per_user=tuple(users),
+        sum_rate=total_rate,
+        consumed_power=consumed,
+        energy_efficiency=total_rate / consumed,
+    )
 
 
 @pytest.fixture

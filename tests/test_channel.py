@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -17,6 +18,7 @@ from vcselnet import (
     LensSpec,
     UserTerminal,
     beam_intensity,
+    beam_radius,
     build_channel_matrix,
     captured_fraction,
     default_scene,
@@ -24,7 +26,7 @@ from vcselnet import (
     transformed_source,
 )
 from vcselnet import channel
-from vcselnet.channel import _disc_capture_fixed
+from vcselnet.channel import _DEDUP_MIN_LINKS, _disc_capture_fixed, _distinct
 from vcselnet.errors import DomainError
 
 from conftest import oracle_beam_intensity
@@ -232,18 +234,117 @@ class TestCapturedFraction:
         def erratic(r, z, beam):
             return np.where(r > 2.5, 1.0 + 1.0 / r.shape[-1], 1.0)
 
+        # A 1 um source has spread to w ~ 0.54 m at 2 m, so even the 3 m link
+        # is integrated: none is dark enough to skip (channel._DARK_X).
+        wide = dataclasses.replace(multimode_beam, w0=1e-6)
         monkeypatch.setattr(channel, "beam_intensity", erratic)
         # A unit intensity integrates to the disc area, 2 cm^2.
-        assert captured_fraction(multimode_beam, None, 2.0, 1.0, APERTURE) == pytest.approx(2e-4)
+        assert captured_fraction(wide, None, 2.0, 1.0, APERTURE) == pytest.approx(2e-4)
         expected = f"z=2.0, rho=3.0, aperture={APERTURE!r}"
         with pytest.raises(DomainError, match="did not converge by order 1024") as info:
-            captured_fraction(multimode_beam, None, 2.0, 3.0, APERTURE)
+            captured_fraction(wide, None, 2.0, 3.0, APERTURE)
         assert expected in str(info.value)
 
         # In a channel only the diagonal 2*sqrt(2) m links reach past 2.5 m.
+        scene = default_scene()
+        aps = tuple(dataclasses.replace(ap, beam=wide, lens=None) for ap in scene.aps)
         with pytest.raises(DomainError, match="did not converge by order 1024") as info:
-            build_channel_matrix(default_scene())
+            build_channel_matrix(dataclasses.replace(scene, aps=aps))
         assert f"z=2.0, rho={2.0 * math.sqrt(2.0)!r}, aperture={APERTURE!r}" in str(info.value)
+
+
+class TestDarkLinks:
+    """Offsets whose nearest disc point lies where exp(-x) underflows.
+
+    x = 2 (rho - a)^2 / w_z^2 at the disc edge nearest the beam axis; from
+    x > 750 on the gain is +0.0 without any evaluation. The default beam at
+    z = 2 m still gives subnormal nonzero gains just inside that bound.
+    """
+
+    XS = (700.0, 730.0, 745.0, 749.99, 750.01, 760.0, 1e4)
+
+    def offsets(self, beam):
+        w_z = beam_radius(2.0, beam)
+        return [APERTURE + w_z * math.sqrt(x / 2.0) for x in self.XS]
+
+    def test_gains_match_the_oracle_on_both_sides_of_the_bound(self, multimode_beam):
+        rhos = self.offsets(multimode_beam)
+        want = [oracle_captured_fraction(multimode_beam, None, 2.0, rho, APERTURE) for rho in rhos]
+        got = [captured_fraction(multimode_beam, None, 2.0, rho, APERTURE) for rho in rhos]
+        assert [g.hex() for g in got] == [w.hex() for w in want]
+        assert 0.0 < want[self.XS.index(745.0)] < sys.float_info.min
+        assert all(w == 0.0 for w, x in zip(want, self.XS) if x > 750.0)
+
+    def test_dark_offsets_are_never_evaluated(self, multimode_beam, monkeypatch):
+        rhos = self.offsets(multimode_beam)
+        lit = sum(x < 750.0 for x in self.XS)
+        planes = []
+
+        def recording(r, z, beam):
+            planes.append(r.shape)
+            return beam_intensity(r, z, beam)
+
+        monkeypatch.setattr(channel, "beam_intensity", recording)
+        for rho, x in zip(rhos, self.XS):
+            planes.clear()
+            captured_fraction(multimode_beam, None, 2.0, rho, APERTURE)
+            assert bool(planes) == (x < 750.0)
+
+        # The batched path: one user, one AP per offset, all links in one batch.
+        aps = tuple(AccessPoint(position=(rho, 0.0, 3.0), beam=multimode_beam) for rho in rhos)
+        scene = SimpleNamespace(
+            room=SimpleNamespace(rx_plane_height=1.0),
+            aps=aps,
+            users=(UserTerminal(position=(0.0, 0.0), fov_half_angle=math.pi / 2),),
+        )
+        planes.clear()
+        h = build_channel_matrix(scene)
+        assert sum(n for n, order, _ in planes if order == 16) == lit
+        monkeypatch.undo()
+        assert_bit_identical(h, oracle_channel(scene))
+
+
+def _swap_halves(bits):
+    return (bits << np.uint64(32)) | (bits >> np.uint64(32))
+
+
+class TestDistinct:
+    """_distinct groups elements by the bits of their (a, b) pair."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_every_element_gets_its_own_bits_back(self, data):
+        # A few values, which may be nan, inf or -0.0, repeated over the array.
+        values = np.array(data.draw(st.lists(st.floats(), min_size=1, max_size=6)))
+        shape = (data.draw(st.integers(1, 12)), data.draw(st.integers(1, 12)))
+        pick = st.lists(st.integers(0, values.size - 1), min_size=shape[0] * shape[1],
+                        max_size=shape[0] * shape[1])
+        a = values[data.draw(pick)].reshape(shape)
+        b = values[data.draw(pick)].reshape(shape)
+        xs, ys, of = _distinct(a, b)
+        assert of.shape == shape
+        assert np.array(xs)[of].tobytes() == a.tobytes()
+        assert np.array(ys)[of].tobytes() == b.tobytes()
+        a_bits, b_bits = a.view(np.uint64).ravel(), b.view(np.uint64).ravel()
+        pairs = set(zip(a_bits.tolist(), b_bits.tolist()))
+        keys = {x ^ int(_swap_halves(np.uint64(y))) for x, y in pairs}
+        if a.size < _DEDUP_MIN_LINKS:
+            assert len(xs) == a.size
+        elif len(keys) == len(pairs):  # no two pairs share a sort key
+            assert len(xs) == len(pairs)
+
+    def test_colliding_keys_split_but_never_mix(self):
+        # (a2, b2) differs from (a1, b1) but has the same sort key.
+        a1, b1 = np.array([1.0]).view(np.uint64), np.array([2.0]).view(np.uint64)
+        d = np.uint64(1 << 40)
+        a2, b2 = a1 ^ d, b1 ^ _swap_halves(d)
+        assert a1 ^ _swap_halves(b1) == a2 ^ _swap_halves(b2)
+        a = np.tile(np.concatenate([a1, a2]), 50).view(float)
+        b = np.tile(np.concatenate([b1, b2]), 50).view(float)
+        xs, ys, of = _distinct(a, b)
+        assert len(xs) >= 2
+        assert np.array(xs)[of].tobytes() == a.tobytes()
+        assert np.array(ys)[of].tobytes() == b.tobytes()
 
 
 class TestChannelMatrix:
@@ -325,7 +426,7 @@ class TestChannelMatrix:
         assert_bit_identical(h, oracle_channel(scene))
 
 
-GRID = st.sampled_from([0.0, 0.25, 0.3, 0.5, 1.0])
+GRID = st.sampled_from([0.0, 0.25, 0.3, 0.5, 1.0, 2.0])
 
 
 @st.composite
@@ -334,14 +435,17 @@ def scenes(draw):
 
     Scene pins every AP to the ceiling, so a namespace carries the mixed
     AP heights. Positions come from a small grid so users coincide with APs
-    and with each other, and links repeat their geometry.
+    and with each other, and links repeat their geometry. Offsets up to
+    2*sqrt(2) m and the 8 um waist give dark links (channel._DARK_X), which
+    are never integrated, with the lens off as well as on; about half the
+    scenes hold one.
     """
     lens = LensSpec(f=127e-6, d1=133e-6)
     aps = tuple(
         AccessPoint(
             position=(draw(GRID), draw(GRID), draw(st.sampled_from([2.5, 3.0]))),
             beam=BeamSpec(
-                w0=draw(st.sampled_from([1e-6, 5e-6])),
+                w0=draw(st.sampled_from([1e-6, 5e-6, 8e-6])),
                 wavelength=850e-9,
                 modes=draw(st.sampled_from([FUNDAMENTAL_MODE, DEFAULT_MODES])),
             ),

@@ -1,8 +1,11 @@
 import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.constants import e as ELEMENTARY_CHARGE
 from scipy.constants import k as BOLTZMANN_CONSTANT
 from scipy.stats import norm
@@ -10,6 +13,7 @@ from scipy.stats import norm
 from vcselnet import (
     ElectricalSpec,
     Precoder,
+    UserTerminal,
     build_channel_matrix,
     consumed_power,
     default_scene,
@@ -17,14 +21,13 @@ from vcselnet import (
     max_safe_power,
     noise_variance,
     q_function,
-    snr_amplitude_ratio,
     user_rate,
     zf_precoder,
 )
 from vcselnet.channel import ChannelMatrix
 from vcselnet.errors import DomainError
 
-from conftest import DEFAULT_MPE
+from conftest import DEFAULT_MPE, oracle_link_report
 
 # Frozen noise values for the default electrical parameters (B_e = 1.75 GHz,
 # R_l = 50 ohm, NF = 5 dB, T = 300 K, RIN = -155 dB/Hz, 4.47 pA/sqrt(Hz)),
@@ -107,12 +110,6 @@ class TestNoise:
     def test_rejects_negative_current(self):
         with pytest.raises(DomainError):
             noise_variance(-1e-6, ElectricalSpec())
-
-    def test_snr_amplitude_ratio(self):
-        elec = ElectricalSpec()
-        i = 1e-3
-        expected = i / math.sqrt(noise_variance(i, elec).total)
-        assert snr_amplitude_ratio(i, elec) == expected
 
 
 class TestQFunction:
@@ -254,3 +251,48 @@ class TestLinkReport:
         report = link_report(scene, h, pre, rate_model="ook")
         for link in report.per_user:
             assert link.rate in (0.0, scene.electrical.rx_bandwidth)
+
+
+@st.composite
+def link_budgets(draw):
+    """A scene stand-in, channel and precoder for link_report.
+
+    One to twelve users with mixed responsivities, at least as many APs:
+    from ten users on, numpy sums a row's interference pairwise. Gains
+    include exact zeros; precoder weights have either sign and a magnitude
+    drawn per draw, so SINRs range from noise- to interference-limited and
+    some desired currents are negative. A user may have an all-zero precoder
+    column, so that its signal is exactly zero.
+    """
+    n_users = draw(st.integers(1, 12))
+    n_aps = draw(st.integers(n_users, 14))
+    gain = st.one_of(st.just(0.0), st.floats(1e-9, 1.0))
+    gains = np.array([[draw(gain) for _ in range(n_aps)] for _ in range(n_users)])
+    scale = 10.0 ** draw(st.integers(-7, 0))
+    g = scale * np.array([[draw(st.floats(-1.0, 1.0)) for _ in range(n_users)]
+                          for _ in range(n_aps)])
+    for u in range(n_users):
+        if draw(st.booleans()):
+            g[:, u] = 0.0
+    users = tuple(
+        UserTerminal(position=(0.0, 0.0), responsivity=draw(st.sampled_from([0.1, 0.4, 0.55, 1.2])))
+        for _ in range(n_users)
+    )
+    scene = SimpleNamespace(users=users, aps=default_scene().aps, electrical=ElectricalSpec())
+    h = ChannelMatrix(gains=gains, distances=np.ones_like(gains), offsets=np.zeros_like(gains))
+    return scene, h, Precoder(g=g, beta=1.0, g0=g)
+
+
+def report_bits(report):
+    values = [v for link in report.per_user for v in (link.snr, link.rate, link.photocurrent)]
+    values += [report.sum_rate, report.consumed_power, report.energy_efficiency]
+    return [float(v).hex() for v in values]
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=link_budgets(), rate_model=st.sampled_from(["shannon", "ook"]))
+def test_link_report_matches_per_user_oracle_bit_for_bit(case, rate_model):
+    scene, h, precoder = case
+    got = link_report(scene, h, precoder, rate_model)
+    want = oracle_link_report(scene, h, precoder, rate_model)
+    assert report_bits(got) == report_bits(want)

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 import subprocess
 import sys
@@ -342,6 +343,41 @@ class TestEmitOutputs:
             dirs.append(out)
         for csv in sorted(p.name for p in dirs[0].iterdir()):
             assert (dirs[0] / csv).read_bytes() == (dirs[1] / csv).read_bytes()
+
+
+# 8 x 8 ceiling APs at 1 m pitch, one on-axis user under each: 4,096 links.
+GRID_CONFIG = (
+    "[room]\nwidth_m = 8.0\nlength_m = 8.0\n\n[transmitters]\npositions_m = "
+    + "; ".join(f"({x + 0.5}, {y + 0.5}, 3.0)" for x in range(8) for y in range(8))
+    + f"\n\n[safety]\nmpe_w_per_m2 = {DEFAULT_MPE}\n"
+)
+
+
+def test_grid_sweep_bytes_are_pinned(tmp_path):
+    """The 8 x 8 grid at 1 and 8 um, lens off and on, byte for byte.
+
+    Between them the four channels hold every kind of link: all 4,096
+    integrated (1 um, lens off), and 3,084 to 4,032 exact zeros, most of
+    them never integrated. The digests are those of integrating every link
+    and of the per-user SINR loop (conftest.oracle_link_report): skipping
+    exact zeros and summing interference in one pass leave every byte as it
+    is. results.csv also passes through the precoder's SVD: another LAPACK
+    build may round it differently, and then its digest must be taken
+    again from code that predates any change under test.
+    """
+    sweep = SweepSpec(waist_start=1e-6, waist_end=8e-6, steps=2)
+    result = run_sweep(load_scene(GRID_CONFIG), sweep, collect_artifacts=True)
+    emit_outputs(result, tmp_path)
+    gains = {key: hashlib.sha256(h.gains.tobytes()).hexdigest()
+             for key, (h, _) in result.artifacts.items()}
+    assert gains == {
+        (0, "off"): "32421853a3b69826a47252d4076a1780b8d27b3e4ee8bfd8b5d6b8e9dd85bc39",
+        (0, "on"): "2fdd6f04c4850ef5002c01f46db6829f24e49c53bf817896357764b546698856",
+        (1, "off"): "40c2233d81461a4ee89b97391189517409f7ff9a76864c49dfd197e83ac90e0d",
+        (1, "on"): "48cbf78ee1def63e7000ce927d65bb32aa745323c6c3b7f26d9a734c0391ed05",
+    }
+    results = hashlib.sha256((tmp_path / "results.csv").read_bytes()).hexdigest()
+    assert results == "9d806874da42e7ec2cc5dedf19ce13d43630f50e3d441e0a52f9c4649f4fe56c"
 
 
 class TestCli:
