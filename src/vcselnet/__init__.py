@@ -54,7 +54,7 @@ from .link_budget import (
     q_function,
     user_rate,
 )
-from .precoding import Precoder, residual_interference, zf_precoder
+from .precoding import Precoder, zf_precoder
 from .scene import (
     AccessPoint,
     ElectricalSpec,
@@ -126,7 +126,6 @@ __all__ = [
     "pupil_fraction",
     "q_function",
     "rayleigh_range",
-    "residual_interference",
     "run_sweep",
     "subtense_angle",
     "transformed_source",

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -199,20 +200,31 @@ def _distinct(a: np.ndarray, b: np.ndarray) -> tuple[list[float], list[float], n
     return a_flat[first].tolist(), b_flat[first].tolist(), group.reshape(a.shape)
 
 
-def build_channel_matrix(scene: Scene) -> ChannelMatrix:
-    """Evaluate every (user, AP) link in the scene.
+class LinkGeometry(NamedTuple):
+    """What a channel build computes from positions alone, reusable while
+    only the beams and lenses change.
 
-    Beams point straight down, so the propagation distance is the vertical
-    drop from the ceiling to the receive plane and the lateral offset is the
-    horizontal AP-user distance. Links whose arrival angle at the detector
-    exceeds the user's field-of-view half angle are zeroed. The detector
-    disc lies in the receive plane, perpendicular to the beam axis, so the
-    integral over it is already the captured power: no incidence cosine.
-
-    Links sharing (beam, lens, z, aperture) form one batch, and each distinct
-    offset in a batch is integrated once; every gain equals captured_fraction
-    of its link bit for bit.
+    users, aps and rx_plane_height are those of the scene it was built from.
+    batches is the plan: links grouped by each AP's source (beam, lens, z)
+    and each user's aperture as given, so it holds for any scene whose APs
+    that shared a source still do. Each batch is (links, ap, z, aperture,
+    rho, inverse): the links' flat indices into the (users x aps) matrix,
+    the AP of its first link, its distinct offsets (ascending) and each
+    link's index into them. source_ap names, per AP, the first AP whose
+    source it shared.
     """
+
+    users: tuple
+    aps: tuple
+    rx_plane_height: float
+    source_ap: tuple[int, ...]
+    offsets: np.ndarray
+    distances: np.ndarray
+    batches: tuple[tuple, ...]
+
+
+def link_geometry(scene: Scene) -> LinkGeometry:
+    """The scene's link geometry and batch plan (see build_channel_matrix)."""
     aps, users = scene.aps, scene.users
     zs = [ap.position[2] - scene.room.rx_plane_height for ap in aps]
     apertures = [math.sqrt(user.detector_area / math.pi) for user in users]
@@ -230,24 +242,83 @@ def build_channel_matrix(scene: Scene) -> ChannelMatrix:
     fov = np.array([user.fov_half_angle for user in users], dtype=float)
     visible = ~(angles > fov[:, None])
     # Batch keys, computed once per AP and once per user rather than per link.
+    # An AP's key is the first AP with its source (beam, lens, z).
     sources: dict = {}
-    ap_key = np.array([sources.setdefault((ap.beam, ap.lens, z), len(sources))
-                       for ap, z in zip(aps, zs)])
+    source_ap = tuple(sources.setdefault((ap.beam, ap.lens, z), a)
+                      for a, (ap, z) in enumerate(zip(aps, zs)))
+    ap_key = np.array(source_ap)
     discs: dict = {}
     user_key = np.array([discs.setdefault(a, len(discs)) for a in apertures])
     batch = ap_key[None, :] * len(discs) + user_key[:, None]
 
-    gains = np.zeros(offsets.shape)
-    batches = [visible & (batch == key) for key in np.flatnonzero(np.bincount(batch[visible]))]
-    batches.sort(key=np.argmax)  # in the order of each batch's first link
-    for links in batches:
-        u, a = divmod(int(np.argmax(links)), len(aps))
-        ap, z, aperture = aps[a], zs[a], apertures[u]
-        rho, inverse = np.unique(offsets[links], return_inverse=True)
+    batches = []
+    for key in np.flatnonzero(np.bincount(batch[visible])):
+        links = np.flatnonzero(visible & (batch == key))
+        u, a = divmod(int(links[0]), len(aps))
+        rho, inverse = np.unique(offsets.flat[links], return_inverse=True)
+        batches.append((links, a, zs[a], apertures[u], rho, inverse))
+    batches.sort(key=lambda b: b[0][0])  # in the order of each batch's first link
+    return LinkGeometry(users, aps, scene.room.rx_plane_height, source_ap, offsets, z_grid,
+                        tuple(batches))
+
+
+def _check_geometry(scene: Scene, geometry: LinkGeometry) -> None:
+    """Raise DomainError unless geometry was built for this scene's users and
+    APs, and its APs still share the sources its plan groups them by.
+
+    Users and AP positions are compared by identity, which keeps the check
+    cheap: a scene rebuilt with other beams or lenses keeps them.
+    """
+    aps = scene.aps
+    if (
+        scene.users is not geometry.users
+        or scene.room.rx_plane_height != geometry.rx_plane_height
+        or len(aps) != len(geometry.aps)
+        or any(ap.position is not ref.position for ap, ref in zip(aps, geometry.aps))
+    ):
+        raise DomainError("link geometry was built for another scene's users or access points")
+    for a, first in enumerate(geometry.source_ap):
+        # Tuples compare items by identity first: APs given one shared beam
+        # and lens object pass without comparing fields.
+        if (aps[a].beam, aps[a].lens) != (aps[first].beam, aps[first].lens):
+            raise DomainError(
+                f"access points {first} and {a} no longer share the source "
+                "their link geometry groups them by"
+            )
+
+
+def build_channel_matrix(scene: Scene, geometry: LinkGeometry | None = None) -> ChannelMatrix:
+    """Evaluate every (user, AP) link in the scene.
+
+    Beams point straight down, so the propagation distance is the vertical
+    drop from the ceiling to the receive plane and the lateral offset is the
+    horizontal AP-user distance. Links whose arrival angle at the detector
+    exceeds the user's field-of-view half angle are zeroed. The detector
+    disc lies in the receive plane, perpendicular to the beam axis, so the
+    integral over it is already the captured power: no incidence cosine.
+
+    Links sharing (beam, lens, z, aperture) form one batch, and each distinct
+    offset in a batch is integrated once; every gain equals captured_fraction
+    of its link bit for bit. The offsets, angles and batches come from
+    geometry when given: link_geometry of a scene that differs from this one
+    only in its beams and lenses, which lets a sweep do that work once.
+    DomainError if it was built for other users or APs, or if APs that
+    shared a source there no longer do.
+    """
+    if geometry is None:
+        geometry = link_geometry(scene)
+    else:
+        _check_geometry(scene, geometry)
+    gains = np.zeros(geometry.offsets.shape)
+    flat = gains.reshape(-1)
+    for links, a, z, aperture, rho, inverse in geometry.batches:
+        ap = scene.aps[a]
         eff_beam, z_eff = _link_source(ap.beam, ap.lens, z, float(rho[0]), aperture)
         h = _disc_capture(eff_beam, z_eff, rho, aperture)[inverse]
         if np.isnan(h).any():
-            raise _not_converged(z, float(offsets[links][np.isnan(h)][0]), aperture)
-        gains[links] = h
-    distances = z_grid.copy()
-    return ChannelMatrix(gains=gains, distances=distances, offsets=offsets)
+            raise _not_converged(z, float(rho[inverse][np.isnan(h)][0]), aperture)
+        flat[links] = h
+    # A geometry can serve many calls: each matrix gets arrays of its own.
+    return ChannelMatrix(
+        gains=gains, distances=geometry.distances.copy(), offsets=geometry.offsets.copy()
+    )

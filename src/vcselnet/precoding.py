@@ -95,11 +95,3 @@ def zf_precoder(h, per_ap_power_cap) -> Precoder:
     beta = float(np.min(caps[active] / row_power[active]))
     return Precoder(g=beta * g0, beta=beta, g0=g0)
 
-
-def residual_interference(h, precoder: Precoder) -> np.ndarray:
-    """Off-diagonal of H g: power leakage between streams (diagonal zeroed)."""
-    gains = getattr(h, "gains", h)
-    prod = np.asarray(gains, dtype=float) @ precoder.g
-    out = prod.copy()
-    np.fill_diagonal(out, 0.0)
-    return out

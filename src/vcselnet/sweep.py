@@ -16,12 +16,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import ChannelMatrix, build_channel_matrix
+from .channel import ChannelMatrix, LinkGeometry, build_channel_matrix, link_geometry
 from .errors import ConfigError, DomainError, SweepPointError, VcselNetError
 from .eye_safety import max_safe_power
 from .link_budget import LinkReport, link_report
 from .precoding import Precoder, zf_precoder
-from .scene import Scene, place_users
+from .scene import AccessPoint, Scene, place_users
 
 SCHEMA_VERSION = "v1"
 
@@ -101,28 +101,42 @@ class SweepResult:
     artifacts: dict[tuple[int, str], tuple[ChannelMatrix, Precoder]]
 
 
-def _configure(scene: Scene, waist: float, lens_mode: str) -> Scene:
+def _sources(scene: Scene, waist: float) -> tuple[list[int], list[int]]:
+    """Each AP's source index, and the first AP of each source.
+
+    APs share a source where their beams are equal, by value, once set to a
+    common waist: at every sweep point, where the lens state is common too.
+    """
+    sources: dict = {}  # beam at `waist` -> source index
+    index = {beam: sources.setdefault(replace(beam, w0=waist), len(sources))
+             for beam in dict.fromkeys(ap.beam for ap in scene.aps)}
+    of = [index[ap.beam] for ap in scene.aps]
+    return of, [of.index(s) for s in range(len(sources))]
+
+
+def _configure(
+    scene: Scene, waist: float, lens_mode: str, sources: tuple[list[int], list[int]]
+) -> Scene:
     """Scene copy with every AP at the given waist and lens state.
 
-    Each distinct source beam is rebuilt once, and APs that shared it share
-    the rebuilt beam.
+    sources is _sources of the scene's APs. One beam is rebuilt per source,
+    and APs that shared it share the rebuilt beam.
     """
-    beams = {beam: replace(beam, w0=waist) for beam in {ap.beam for ap in scene.aps}}
+    of, firsts = sources
+    beams = [replace(scene.aps[a].beam, w0=waist) for a in firsts]
+    lens = scene.lens_design if lens_mode == "on" else None
     aps = tuple(
-        replace(
-            ap,
-            beam=beams[ap.beam],
-            lens=scene.lens_design if lens_mode == "on" else None,
-        )
-        for ap in scene.aps
+        AccessPoint(position=ap.position, beam=beams[s], lens=lens, array_n=ap.array_n,
+                    pitch=ap.pitch, per_vcsel_power=ap.per_vcsel_power)
+        for ap, s in zip(scene.aps, of)
     )
     return replace(scene, aps=aps)
 
 
 def _evaluate(
-    scene: Scene, caps: np.ndarray, rate_model: str
+    scene: Scene, geometry: LinkGeometry, caps: np.ndarray, rate_model: str
 ) -> tuple[ChannelMatrix, Precoder, LinkReport]:
-    h = build_channel_matrix(scene)
+    h = build_channel_matrix(scene, geometry)
     precoder = zf_precoder(h, caps)
     return h, precoder, link_report(scene, h, precoder, rate_model)
 
@@ -163,27 +177,30 @@ def run_sweep(
     rows: list[SweepRow] = []
     artifacts: dict[tuple[int, str], tuple[ChannelMatrix, Precoder]] = {}
 
+    # Only random placement depends on the seed: any other scene is evaluated
+    # once, and that evaluation stands for every seed. Users and link
+    # geometry depend on positions alone, so both are made once per seed.
+    bases = []
+    for seed in seeds if scene.placement == "random" else (None,):
+        base = scene if seed is None else place_users(scene, len(scene.users), seed)
+        bases.append((seed, base, link_geometry(base)))
+    sources = of, firsts = _sources(scene, sweep.waist_start)
     for w_idx, waist in enumerate(float(w) for w in waists):
         for mode in modes:
             seed = None
             try:
-                scn = _configure(scene, waist, mode)
-                # Placement moves only users, so one cap per distinct source
-                # (beam, lens) serves every AP with that source and every seed.
-                sources = dict.fromkeys((ap.beam, ap.lens) for ap in scn.aps)
-                source_caps = {
-                    (beam, lens): max_safe_power(beam, scn.safety, lens).p_max
-                    for beam, lens in sources
-                }
-                vcsel_caps = [source_caps[ap.beam, ap.lens] for ap in scn.aps]
-                p_max = min(vcsel_caps)
-                caps = np.array([ap.array_n**2 * p for ap, p in zip(scn.aps, vcsel_caps)])
-                # Only random placement depends on the seed: any other scene
-                # is evaluated once, and that evaluation stands for every seed.
+                point = _configure(scene, waist, mode, sources)
+                # One cap per source serves every AP with that source and every seed.
+                source_caps = [
+                    max_safe_power(point.aps[a].beam, point.safety, point.aps[a].lens).p_max
+                    for a in firsts
+                ]
+                p_max = min(source_caps)
+                caps = np.array([ap.array_n**2 * source_caps[s] for ap, s in zip(point.aps, of)])
                 reports = []
-                for seed in seeds if scene.placement == "random" else (None,):
-                    placed = scn if seed is None else place_users(scn, len(scene.users), seed)
-                    h, precoder, report = _evaluate(placed, caps, rate_model)
+                for seed, base, geometry in bases:
+                    placed = point if base is scene else replace(base, aps=point.aps)
+                    h, precoder, report = _evaluate(placed, geometry, caps, rate_model)
                     if collect_artifacts and not reports:
                         artifacts[(w_idx, mode)] = (h, precoder)
                     reports.append(report)

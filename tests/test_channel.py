@@ -26,8 +26,10 @@ from vcselnet import (
     transformed_source,
 )
 from vcselnet import channel
-from vcselnet.channel import _DEDUP_MIN_LINKS, _disc_capture_fixed, _distinct
+from vcselnet.channel import _DEDUP_MIN_LINKS, _disc_capture_fixed, _distinct, link_geometry
 from vcselnet.errors import DomainError
+from vcselnet.scene import place_users
+from vcselnet.sweep import _configure, _sources
 
 from conftest import oracle_beam_intensity
 
@@ -468,3 +470,65 @@ def scenes(draw):
 @given(scene=scenes())
 def test_batched_channel_matches_scalar_oracle(scene):
     assert_bit_identical(build_channel_matrix(scene), oracle_channel(scene))
+
+
+def at_waist(scene, waist, lens):
+    """scene with its beams set to one waist and one lens state: each
+    distinct beam rebuilt once, AP positions kept, as a sweep point does."""
+    rebuilt = {}
+    aps = tuple(
+        dataclasses.replace(
+            ap, beam=rebuilt.setdefault(ap.beam, dataclasses.replace(ap.beam, w0=waist)), lens=lens
+        )
+        for ap in scene.aps
+    )
+    return SimpleNamespace(room=scene.room, aps=aps, users=scene.users)
+
+
+@settings(max_examples=25, deadline=None)
+@given(scene=scenes(), waist=st.sampled_from([1e-6, 3e-6, 8e-6]), lens_on=st.booleans())
+def test_reused_geometry_matches_scalar_oracle(scene, waist, lens_on):
+    """A geometry built once serves the scene at another waist and lens state."""
+    lens = LensSpec(f=127e-6, d1=133e-6) if lens_on else None
+    moved = at_waist(scene, waist, lens)
+    h = build_channel_matrix(moved, link_geometry(scene))
+    assert_bit_identical(h, oracle_channel(moved))
+
+
+class TestLinkGeometry:
+    @pytest.fixture
+    def scene(self, compact_scene):
+        return place_users(compact_scene, 3, seed=0)
+
+    def test_a_reconfigured_scene_reuses_it(self, scene):
+        geometry = link_geometry(scene)
+        point = _configure(scene, 2e-6, "on", _sources(scene, 2e-6))
+        h = build_channel_matrix(point, geometry)
+        assert_bit_identical(h, [getattr(build_channel_matrix(point), name)
+                                 for name in ("gains", "distances", "offsets")])
+        assert not np.shares_memory(h.offsets, geometry.offsets)
+        assert not np.shares_memory(h.distances, geometry.distances)
+
+    def test_another_scene_is_refused(self, scene):
+        geometry = link_geometry(scene)
+        aps = list(scene.aps)
+        aps[3] = dataclasses.replace(aps[3], position=(0.5, 0.5, 3.0))
+        room = dataclasses.replace(scene.room, rx_plane_height=0.9)
+        others = {
+            "users": place_users(scene, 3, seed=1),
+            "aps": dataclasses.replace(scene, aps=tuple(aps)),
+            "room": dataclasses.replace(scene, room=room),
+            "fewer aps": dataclasses.replace(scene, aps=scene.aps[:3]),
+        }
+        for name, other in others.items():
+            with pytest.raises(DomainError, match="another scene"):
+                build_channel_matrix(other, geometry)
+
+    def test_aps_that_no_longer_share_a_source_are_refused(self, scene):
+        # All four APs shared one source; the plan integrates them as one batch.
+        geometry = link_geometry(scene)
+        aps = list(scene.aps)
+        beam = dataclasses.replace(aps[2].beam, wavelength=940e-9)
+        aps[2] = dataclasses.replace(aps[2], beam=beam)
+        with pytest.raises(DomainError, match="access points 0 and 2 no longer share"):
+            build_channel_matrix(dataclasses.replace(scene, aps=tuple(aps)), geometry)

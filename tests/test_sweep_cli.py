@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 import math
 import subprocess
 import sys
@@ -7,11 +8,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import vcselnet.sweep
 from vcselnet import (
+    FUNDAMENTAL_MODE,
+    AccessPoint,
+    BeamSpec,
     SweepResult,
     SweepSpec,
+    UserTerminal,
     build_channel_matrix,
     emit_outputs,
     link_report,
@@ -47,11 +54,8 @@ def compact_config_file(tmp_path):
     return path
 
 
-def manual_point(scene, waist, lens_mode, seed=None, rate_model="shannon"):
-    """Re-evaluate one sweep point with only public API calls.
-
-    With a seed, the scene's users are redrawn as a random replicate.
-    """
+def configured(scene, waist, lens_mode):
+    """The scene a sweep point evaluates, rebuilt AP by AP with public calls."""
     aps = tuple(
         dataclasses.replace(
             ap,
@@ -60,7 +64,15 @@ def manual_point(scene, waist, lens_mode, seed=None, rate_model="shannon"):
         )
         for ap in scene.aps
     )
-    scn = dataclasses.replace(scene, aps=aps)
+    return dataclasses.replace(scene, aps=aps)
+
+
+def manual_point(scene, waist, lens_mode, seed=None, rate_model="shannon"):
+    """Re-evaluate one sweep point with only public API calls.
+
+    With a seed, the scene's users are redrawn as a random replicate.
+    """
+    scn = configured(scene, waist, lens_mode)
     if seed is not None:
         scn = place_users(scn, len(scene.users), seed)
     caps = np.array(
@@ -224,6 +236,23 @@ class TestRunSweep:
                 assert caps.tolist() == expected
             assert len(set(vcsel_caps)) == sources
 
+    def test_beams_that_differ_only_in_waist_are_one_source(self, compact_scene, monkeypatch):
+        # Every point sets one waist, so these APs share a beam and a cap there.
+        aps = tuple(
+            dataclasses.replace(ap, beam=dataclasses.replace(ap.beam, w0=3e-6)) if i < 2 else ap
+            for i, ap in enumerate(compact_scene.aps)
+        )
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return max_safe_power(*args)
+
+        monkeypatch.setattr(vcselnet.sweep, "max_safe_power", counting)
+        scene = place_users_on_axis(dataclasses.replace(compact_scene, aps=aps), 3)
+        result = run_sweep(scene, SweepSpec(waist_start=1e-6, waist_end=1.5e-6, steps=2))
+        assert len(calls) == len(result.rows)
+
     def test_random_placement_statistics(self, compact_scene):
         # The compact room keeps every random draw zero-forceable (lens off);
         # focused beams leave far users with an underflowed-to-zero or
@@ -378,6 +407,166 @@ def test_grid_sweep_bytes_are_pinned(tmp_path):
     }
     results = hashlib.sha256((tmp_path / "results.csv").read_bytes()).hexdigest()
     assert results == "9d806874da42e7ec2cc5dedf19ce13d43630f50e3d441e0a52f9c4649f4fe56c"
+
+
+# Three random users in the compact room, three seeds, lens off, both dumps.
+COMPACT_RANDOM_ARGS = ("--seeds", "0,1,2", "--lens", "off", "--waist-start", "1e-6",
+                       "--waist-end", "1.5e-6", "--steps", "3",
+                       "--dump-channel", "--dump-precoder")
+
+
+def test_compact_random_sweep_bytes_are_pinned(tmp_path, capsys):
+    """Every file of a three-seed random sweep, byte for byte.
+
+    The digests are those of placing every seed's users and building its
+    link geometry again at every point: doing both once per seed leaves
+    every byte as it is. The precoder and results files also pass through
+    the SVD (see test_grid_sweep_bytes_are_pinned).
+    """
+    config = tmp_path / "random.ini"
+    config.write_text(COMPACT_CONFIG + "\n[users]\nplacement = random\ncount = 3\n",
+                      encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["--config", str(config), "--out", str(out), *COMPACT_RANDOM_ARGS]) == 0
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+    assert digests == {
+        "channel_w00_off.csv": "05fed0ca993d22227d75f8e81751678bb033d0a30b0ab2f6f30619f3deb32296",
+        "channel_w01_off.csv": "05b626c15beff40a538b70399408a6f1eb812460a54dcf2a56ba47f57b69df24",
+        "channel_w02_off.csv": "e368142150092b3a1a05046f6f9ce7b9eca7366c6f7dc7c6126c6665932a9dd8",
+        "fig_energy_efficiency.lens_off.csv":
+            "982a28829659e717d79eebc4cab404e27af1a28ddd3b813811e3653a42e37522",
+        "fig_sum_rate.lens_off.csv":
+            "cd154c5c317a0f5c7d3e01a6e701667ef3b342494212be7befda1e13ac8d2c31",
+        "precoder_w00_off.csv": "305457885cb9221eb3730825b659b55fdc32d5d1d9bea4a3c1acbeaf332480f0",
+        "precoder_w01_off.csv": "ee6f35430c93ac222990ea913e97b5490ec9fd26b7a79ea5ea6ea64e2687414e",
+        "precoder_w02_off.csv": "da0921b7ac19947957d661b649c789b30aef2d9c12dd9afc255fcce79d0b3e75",
+        "results.csv": "60fc61e78e88c77c3281fd1c7760c55b38138de9142388beb10a109c42b0ae06",
+    }
+
+
+@st.composite
+def sweep_cases(draw):
+    """A small scene and a sweep over it.
+
+    APs draw from four beams: 850 and 940 nm, a 3 um beam that differs
+    from the first only in w0 (one source at every point), and a TEM00
+    beam. Their own lens states differ, so a sweep's batch plan can be finer
+    than a point's sources. Scene pins every AP to the ceiling, so AP
+    heights vary between scenes. Users are explicit, with mixed apertures
+    and FOVs, or one or two randomly placed users replicated over up to three
+    seeds.
+    """
+    base = load_scene(COMPACT_CONFIG)
+    height = draw(st.sampled_from([2.5, 3.0]))
+    room = dataclasses.replace(base.room, height=height,
+                               rx_plane_height=draw(st.sampled_from([0.8, 1.0])))
+    beams = (BeamSpec(5e-6, 850e-9), BeamSpec(5e-6, 940e-9), BeamSpec(3e-6, 850e-9),
+             BeamSpec(5e-6, 850e-9, FUNDAMENTAL_MODE))
+    # Distinct positions, so that most points are zero-forceable.
+    spots = st.lists(st.tuples(*[st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0])] * 2),
+                     min_size=2, max_size=4, unique=True)
+    aps = tuple(
+        AccessPoint(position=(x, y, height), beam=draw(st.sampled_from(beams)),
+                    lens=draw(st.sampled_from([None, base.lens_design])))
+        for x, y in draw(spots)
+    )
+    users = tuple(
+        UserTerminal(position=xy, detector_area=draw(st.sampled_from([1e-4, 2e-4])),
+                     fov_half_angle=draw(st.sampled_from([math.pi / 2, 0.5])))
+        for xy in draw(spots)[:len(aps)]
+    )
+    scene = dataclasses.replace(base, room=room, aps=aps, users=users, placement="explicit")
+    seeds = None
+    if draw(st.booleans()):
+        # More than two random users in a 1 m room are often rank deficient.
+        scene = place_users(scene, min(len(users), 2), draw(st.integers(0, 50)))
+        seeds = tuple(draw(st.lists(st.integers(0, 50), min_size=1, max_size=3, unique=True)))
+    sweep = SweepSpec(waist_start=1e-6, waist_end=draw(st.sampled_from([1.5e-6, 3e-6])), steps=2,
+                      lens_modes=draw(st.sampled_from([("off",), ("on",), ("off", "on")])),
+                      seeds=seeds)
+    return scene, sweep
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=sweep_cases())
+def test_every_point_channel_matches_a_fresh_build(case):
+    """The channel of every (point, seed), and each collected artifact, equal
+    build_channel_matrix of that point's scene built from scratch, bit for
+    bit. A point whose precoder fails ends the sweep; the channels built up
+    to it are still checked."""
+    scene, sweep = case
+    built = []
+
+    def recording(scn, geometry):
+        built.append(build_channel_matrix(scn, geometry))
+        return built[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(vcselnet.sweep, "build_channel_matrix", recording)
+        try:
+            result = run_sweep(scene, sweep, collect_artifacts=True)
+        except SweepPointError:
+            result = None
+    seeds = sweep.seeds if scene.placement == "random" else (None,)
+    waists = np.linspace(sweep.waist_start, sweep.waist_end, sweep.steps).tolist()
+    points = list(itertools.product(enumerate(waists), sorted(sweep.lens_modes), seeds))
+    assert 0 < len(built) <= len(points)
+    for h, ((w_idx, waist), mode, seed) in zip(built, points):
+        placed = scene if seed is None else place_users(scene, len(scene.users), seed)
+        sources = vcselnet.sweep._sources(placed, waist)
+        assert vcselnet.sweep._configure(placed, waist, mode, sources) == configured(
+            placed, waist, mode
+        )
+        want = build_channel_matrix(configured(placed, waist, mode))
+        for name in ("gains", "distances", "offsets"):
+            assert getattr(h, name).tobytes() == getattr(want, name).tobytes()
+        if result is not None and seed == seeds[0]:
+            assert result.artifacts[w_idx, mode][0] is h
+    assert result is None or len(built) == len(points)
+
+
+@pytest.mark.parametrize("placement", ["on-axis", "random"])
+def test_position_only_work_is_done_once_per_seed(compact_scene, monkeypatch, placement):
+    calls = {"link_geometry": 0, "place_users": 0, "build_channel_matrix": 0}
+
+    def counting(name):
+        fn = getattr(vcselnet.sweep, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return counted
+
+    if placement == "random":
+        scene = place_users(compact_scene, 3, seed=0)
+    else:
+        scene = place_users_on_axis(compact_scene, 3)
+    for name in calls:
+        monkeypatch.setattr(vcselnet.sweep, name, counting(name))
+    sweep = SweepSpec(waist_start=1e-6, waist_end=1.5e-6, steps=3,
+                      lens_modes=("off",), seeds=(0, 1, 2))
+    run_sweep(scene, sweep)
+    # Only a random scene is evaluated once per seed.
+    evaluated = len(sweep.seeds) if placement == "random" else 1
+    assert calls == {
+        "link_geometry": evaluated,
+        "place_users": evaluated if placement == "random" else 0,
+        "build_channel_matrix": sweep.steps * evaluated,
+    }
+
+
+def test_every_channel_owns_its_geometry_arrays(compact_scene):
+    sweep = SweepSpec(waist_start=1e-6, waist_end=1.5e-6, steps=3, lens_modes=("off",))
+    result = run_sweep(place_users_on_axis(compact_scene, 3), sweep, collect_artifacts=True)
+    matrices = [h for h, _ in result.artifacts.values()]
+    assert len(matrices) == 3
+    for a, b in itertools.combinations(matrices, 2):
+        for name in ("gains", "distances", "offsets"):
+            assert not np.shares_memory(getattr(a, name), getattr(b, name))
+    offsets = matrices[1].offsets.copy()
+    matrices[0].offsets[:] = -1.0
+    assert np.array_equal(matrices[1].offsets, offsets)
 
 
 class TestCli:
