@@ -251,12 +251,25 @@ def link_geometry(scene: Scene) -> LinkGeometry:
     user_key = np.array([discs.setdefault(a, len(discs)) for a in apertures])
     batch = ap_key[None, :] * len(discs) + user_key[:, None]
 
+    # A batch's distinct offsets are those of the (offset, distance) groups its
+    # links fall in: sort the few groups, not the links. Equal neighbours are
+    # merged (groups are per link below _DEDUP_MIN_LINKS), so rho and inverse
+    # are those np.unique(offsets.flat[links], return_inverse=True) returns.
+    group_rho = np.array(geometry_rho)
+    position = np.empty(group_rho.size, dtype=np.intp)  # group -> index into its batch's rho
     batches = []
     for key in np.flatnonzero(np.bincount(batch[visible])):
         links = np.flatnonzero(visible & (batch == key))
         u, a = divmod(int(links[0]), len(aps))
-        rho, inverse = np.unique(offsets.flat[links], return_inverse=True)
-        batches.append((links, a, zs[a], apertures[u], rho, inverse))
+        group = geometry_of.flat[links]
+        present = np.flatnonzero(np.bincount(group))
+        present = present[np.argsort(group_rho[present])]
+        rho = group_rho[present]
+        new = np.empty(rho.size, dtype=bool)
+        new[0] = True
+        new[1:] = rho[1:] != rho[:-1]
+        position[present] = np.cumsum(new) - 1
+        batches.append((links, a, zs[a], apertures[u], rho[new], position[group]))
     batches.sort(key=lambda b: b[0][0])  # in the order of each batch's first link
     return LinkGeometry(users, aps, scene.room.rx_plane_height, source_ap, offsets, z_grid,
                         tuple(batches))

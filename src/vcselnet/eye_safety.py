@@ -128,7 +128,7 @@ def max_safe_power(
         )
     eff_beam, _ = transformed_source(beam, lens)
     d86 = d86_distance(eff_beam, safety)
-    mhp = max(d86, safety.mhp_floor)
+    mhp = most_hazardous_position(eff_beam, safety)
     alpha = subtense_angle(eff_beam, mhp)
     eta = pupil_fraction(eff_beam, mhp, safety)
     p_max = safety.mpe * math.pi * safety.pupil_radius**2 / eta

@@ -33,6 +33,18 @@ class NoiseBreakdown:
     total: float
 
 
+def _noise_constants(elec: ElectricalSpec) -> tuple[float, float, float]:
+    """The terms of noise_variance that do not depend on the signal: the
+    thermal and preamp variances, A^2, and the dimensionless RIN coefficient
+    10^(RIN/10) B_e that multiplies I^2."""
+    be = elec.rx_bandwidth
+    nf_lin = 10.0 ** (elec.noise_figure_db / 10.0)
+    thermal = 4.0 * BOLTZMANN * elec.temperature * nf_lin * be / elec.load_resistance
+    rin_coef = 10.0 ** (elec.rin_db_per_hz / 10.0) * be
+    preamp = elec.preamp_noise_density * be
+    return thermal, rin_coef, preamp
+
+
 def noise_variance(photocurrent: float, elec: ElectricalSpec) -> NoiseBreakdown:
     """Receiver noise for a given DC signal photocurrent, A^2.
 
@@ -43,12 +55,9 @@ def noise_variance(photocurrent: float, elec: ElectricalSpec) -> NoiseBreakdown:
     """
     if photocurrent < 0:
         raise DomainError(f"photocurrent must be >= 0, got {photocurrent!r}")
-    be = elec.rx_bandwidth
-    shot = 2.0 * ELECTRON_CHARGE * photocurrent * be
-    nf_lin = 10.0 ** (elec.noise_figure_db / 10.0)
-    thermal = 4.0 * BOLTZMANN * elec.temperature * nf_lin * be / elec.load_resistance
-    rin = 10.0 ** (elec.rin_db_per_hz / 10.0) * be * photocurrent**2
-    preamp = elec.preamp_noise_density * be
+    thermal, rin_coef, preamp = _noise_constants(elec)
+    shot = 2.0 * ELECTRON_CHARGE * photocurrent * elec.rx_bandwidth
+    rin = rin_coef * photocurrent**2
     return NoiseBreakdown(
         shot=shot, thermal=thermal, rin=rin, preamp=preamp,
         total=shot + thermal + rin + preamp,
@@ -120,23 +129,32 @@ def link_report(
 
     User u's photocurrents are R_u (H G)[u, :]. Its interference power, the
     sum of the squared currents of the other streams, is taken for all users
-    in one pass over the off-diagonal of that matrix, row by row.
+    in one pass over the off-diagonal of that matrix, row by row. Noise and
+    SINR follow for all users with a positive signal in array passes, in
+    noise_variance's order of operations. Any other user has SINR 0, and a
+    negative photocurrent is reported as 0.
     """
+    elec = scene.electrical
     responsivity = np.array([user.responsivity for user in scene.users])
     currents = responsivity[:, None] * (np.asarray(h.gains) @ precoder.g)
     n = len(currents)
     others = currents[~np.eye(n, dtype=bool)].reshape(n, n - 1)
-    interference = (others**2).sum(axis=1).tolist()
-    users = []
-    for i_sig, interf in zip(np.diagonal(currents).tolist(), interference):
-        if i_sig > 0.0:
-            noise = noise_variance(i_sig, scene.electrical).total
-            sinr = i_sig**2 / (noise + interf)
-        else:
-            i_sig = max(i_sig, 0.0)
-            sinr = 0.0
-        rate = user_rate(sinr, scene.electrical, rate_model)
-        users.append(UserLink(snr=sinr, rate=rate, photocurrent=i_sig))
+    interference = (others**2).sum(axis=1)
+    signal = np.diagonal(currents)
+    lit = signal > 0.0
+    i_sig = signal[lit]
+    # I^2 as Python float powers, as noise_variance takes them: libm's pow and
+    # numpy's square differ in the last bit for about 1 value in 1,000.
+    i_sq = np.array([i**2 for i in i_sig.tolist()])
+    thermal, rin_coef, preamp = _noise_constants(elec)
+    noise = 2.0 * ELECTRON_CHARGE * i_sig * elec.rx_bandwidth + thermal + rin_coef * i_sq + preamp
+    sinr = np.zeros(n)
+    sinr[lit] = i_sq / (noise + interference[lit])
+    photocurrent = np.where(signal < 0.0, 0.0, signal)  # max(i, 0.0): keeps -0.0 and NaN
+    users = [
+        UserLink(snr=snr, rate=user_rate(snr, elec, rate_model), photocurrent=i)
+        for snr, i in zip(sinr.tolist(), photocurrent.tolist())
+    ]
     total_rate = sum(link.rate for link in users)
     consumed = consumed_power(scene)
     return LinkReport(

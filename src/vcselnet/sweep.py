@@ -185,6 +185,8 @@ def run_sweep(
         base = scene if seed is None else place_users(scene, len(scene.users), seed)
         bases.append((seed, base, link_geometry(base)))
     sources = of, firsts = _sources(scene, sweep.waist_start)
+    source_of = np.array(of)
+    elements = np.array([ap.array_n**2 for ap in scene.aps], dtype=float)  # VCSELs per AP
     for w_idx, waist in enumerate(float(w) for w in waists):
         for mode in modes:
             seed = None
@@ -196,7 +198,7 @@ def run_sweep(
                     for a in firsts
                 ]
                 p_max = min(source_caps)
-                caps = np.array([ap.array_n**2 * source_caps[s] for ap, s in zip(point.aps, of)])
+                caps = elements * np.array(source_caps)[source_of]
                 reports = []
                 for seed, base, geometry in bases:
                     placed = point if base is scene else replace(base, aps=point.aps)
@@ -209,18 +211,19 @@ def run_sweep(
                     f", seed={seed}" if seed is not None else ""
                 )
                 raise SweepPointError(f"sweep point failed ({where}): {exc}", exc) from exc
-            sum_rates = [report.sum_rate for report in reports]
-            ees = [report.energy_efficiency for report in reports]
+            sum_rates = np.array([report.sum_rate for report in reports])
+            ees = np.array([report.energy_efficiency for report in reports])
+            min_snrs = np.array([_min_snr_db(report) for report in reports])
             rows.append(
                 SweepRow(
                     waist=waist,
                     lens_mode=mode,
                     seed_count=len(seeds),
-                    sum_rate=float(np.mean(sum_rates)),
-                    sum_rate_std=float(np.std(sum_rates)),
-                    ee=float(np.mean(ees)),
-                    ee_std=float(np.std(ees)),
-                    min_user_snr_db=float(np.mean([_min_snr_db(r) for r in reports])),
+                    sum_rate=float(sum_rates.mean()),
+                    sum_rate_std=float(sum_rates.std()),
+                    ee=float(ees.mean()),
+                    ee_std=float(ees.std()),
+                    min_user_snr_db=float(min_snrs.mean()),
                     p_max=p_max,
                 )
             )

@@ -42,6 +42,13 @@ positions_m = (0.25, 0.25, 3.0); (0.25, 0.75, 3.0); (0.75, 0.25, 3.0); (0.75, 0.
 mpe_w_per_m2 = {DEFAULT_MPE}
 """
 
+# 8 x 8 ceiling APs at 1 m pitch, one on-axis user under each: 4,096 links.
+GRID_CONFIG = (
+    "[room]\nwidth_m = 8.0\nlength_m = 8.0\n\n[transmitters]\npositions_m = "
+    + "; ".join(f"({x + 0.5}, {y + 0.5}, 3.0)" for x in range(8) for y in range(8))
+    + f"\n\n[safety]\nmpe_w_per_m2 = {DEFAULT_MPE}\n"
+)
+
 
 def oracle_mode_intensity(p, l, r, z, beam):
     """Reference LG mode intensity: one mode, its own w(z), x and exp(-x)."""

@@ -432,7 +432,7 @@ GRID = st.sampled_from([0.0, 0.25, 0.3, 0.5, 1.0, 2.0])
 
 
 @st.composite
-def scenes(draw):
+def scenes(draw, counts=st.integers(1, 5), heights=st.sampled_from([2.5, 3.0])):
     """Random stand-in scenes: the fields build_channel_matrix reads.
 
     Scene pins every AP to the ceiling, so a namespace carries the mixed
@@ -440,12 +440,13 @@ def scenes(draw):
     and with each other, and links repeat their geometry. Offsets up to
     2*sqrt(2) m and the 8 um waist give dark links (channel._DARK_X), which
     are never integrated, with the lens off as well as on; about half the
-    scenes hold one.
+    scenes hold one. counts draws the number of APs and of users, heights
+    each AP's height above the floor (the receive plane is at 1 m).
     """
     lens = LensSpec(f=127e-6, d1=133e-6)
     aps = tuple(
         AccessPoint(
-            position=(draw(GRID), draw(GRID), draw(st.sampled_from([2.5, 3.0]))),
+            position=(draw(GRID), draw(GRID), draw(heights)),
             beam=BeamSpec(
                 w0=draw(st.sampled_from([1e-6, 5e-6, 8e-6])),
                 wavelength=850e-9,
@@ -453,7 +454,7 @@ def scenes(draw):
             ),
             lens=draw(st.sampled_from([None, lens])),
         )
-        for _ in range(draw(st.integers(1, 5)))
+        for _ in range(draw(counts))
     )
     users = tuple(
         UserTerminal(
@@ -461,7 +462,7 @@ def scenes(draw):
             detector_area=draw(st.sampled_from([1e-4, 2e-4])),
             fov_half_angle=draw(st.sampled_from([math.pi / 2, 0.2])),
         )
-        for _ in range(draw(st.integers(1, 5)))
+        for _ in range(draw(counts))
     )
     return SimpleNamespace(room=SimpleNamespace(rx_plane_height=1.0), aps=aps, users=users)
 
@@ -493,6 +494,39 @@ def test_reused_geometry_matches_scalar_oracle(scene, waist, lens_on):
     moved = at_waist(scene, waist, lens)
     h = build_channel_matrix(moved, link_geometry(scene))
     assert_bit_identical(h, oracle_channel(moved))
+
+
+def assert_plan(geometry):
+    """Every batch's offsets and inverse are np.unique's of its links' offsets."""
+    for links, *_, rho, inverse in geometry.batches:
+        want_rho, want_inverse = np.unique(geometry.offsets.flat[links], return_inverse=True)
+        assert np.all(rho[1:] > rho[:-1])
+        assert rho[inverse].tobytes() == geometry.offsets.flat[links].tobytes()
+        assert rho.tobytes() == want_rho.tobytes()
+        assert inverse.tobytes() == want_inverse.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(scene=scenes(counts=st.integers(8, 12), heights=st.sampled_from([2.5, 2.9])))
+def test_batch_plan_is_the_unique_plan(scene):
+    """From 64 links on, where _distinct sorts, each batch's offsets come from
+    its (offset, distance) groups: strictly ascending, giving every link its
+    own offset back, and equal to what np.unique makes of the links.
+
+    A 1.9 m drop has low bits set, so _distinct's sort key, which folds them
+    into the offset's high bits, numbers the groups out of offset order."""
+    geometry = link_geometry(scene)
+    assert geometry.offsets.size >= _DEDUP_MIN_LINKS
+    assert_plan(geometry)
+
+
+def test_a_small_scene_still_integrates_each_offset_once():
+    # 16 links, below _DEDUP_MIN_LINKS, so one group per link; the plan
+    # still merges equal offsets: 0, 2 and 2 sqrt(2) m.
+    geometry = link_geometry(default_scene())
+    assert geometry.offsets.size < _DEDUP_MIN_LINKS
+    assert [rho.size for *_, rho, _ in geometry.batches] == [3]
+    assert_plan(geometry)
 
 
 class TestLinkGeometry:

@@ -32,7 +32,7 @@ from vcselnet import (
 from vcselnet.cli import main
 from vcselnet.errors import ConfigError, DomainError, SweepPointError, exit_code_for
 
-from conftest import COMPACT_CONFIG, DEFAULT_MPE
+from conftest import COMPACT_CONFIG, DEFAULT_MPE, GRID_CONFIG
 
 CONFIG_TEXT = f"""
 [safety]
@@ -372,14 +372,6 @@ class TestEmitOutputs:
             dirs.append(out)
         for csv in sorted(p.name for p in dirs[0].iterdir()):
             assert (dirs[0] / csv).read_bytes() == (dirs[1] / csv).read_bytes()
-
-
-# 8 x 8 ceiling APs at 1 m pitch, one on-axis user under each: 4,096 links.
-GRID_CONFIG = (
-    "[room]\nwidth_m = 8.0\nlength_m = 8.0\n\n[transmitters]\npositions_m = "
-    + "; ".join(f"({x + 0.5}, {y + 0.5}, 3.0)" for x in range(8) for y in range(8))
-    + f"\n\n[safety]\nmpe_w_per_m2 = {DEFAULT_MPE}\n"
-)
 
 
 def test_grid_sweep_bytes_are_pinned(tmp_path):
