@@ -9,6 +9,7 @@ mode power (so the full-plane integral of each mode pattern is 1).
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -35,6 +36,37 @@ def _factorial(n: int) -> float:
     if n < len(_FACTORIAL):
         return _FACTORIAL[n]
     return float(math.factorial(n))
+
+
+# Largest array, in elements, a thread keeps for reuse between calls (512 KiB
+# of float64). Temporaries of that size, freed after every kernel call, let
+# the allocator trim the heap and fault the pages back in on the next call;
+# reused buffers skip both. Larger arrays, such as a deep quadrature order's
+# nodes, are allocated per call so that they are not held for the thread's life.
+_SCRATCH_MAX_NODES = 2**16
+_scratch = threading.local()
+
+
+def _scratch_buffer(name, shape: tuple[int, ...], dtype=float) -> np.ndarray:
+    """An uninitialised array of this shape that the calling thread's next
+    request under the same name reuses.
+
+    Each name keeps one flat buffer per thread, grown to the largest request
+    seen up to _SCRATCH_MAX_NODES elements; a larger request gets a fresh
+    array that is not kept. The caller owns the contents only until its next
+    request under that name, so results must never be returned in one.
+    """
+    size = math.prod(shape)
+    if size > _SCRATCH_MAX_NODES:
+        return np.empty(shape, dtype)
+    try:
+        buffers = _scratch.buffers
+    except AttributeError:  # the thread's first request
+        buffers = _scratch.buffers = {}
+    flat = buffers.get(name)
+    if flat is None or flat.size < size:
+        flat = buffers[name] = np.empty(size, dtype)
+    return flat[:size].reshape(shape)
 
 
 # Default transverse mode mix: p in {0, 1} x l in {0, 1, 2, 3}, equal power.
@@ -152,14 +184,29 @@ def laguerre(p: int, l: int, x):
             f"radial index {p} exceeds the supported maximum {MAX_RADIAL_INDEX}"
         )
     x_arr = np.asarray(x, dtype=float)
-    if p == 0:
-        acc = np.ones_like(x_arr)
-    else:
-        prev, acc = 1.0, (1.0 + l) - x_arr
-        for k in range(1, p):
-            prev, acc = acc, ((2 * k + 1 + l - x_arr) * acc - (k + l) * prev) / (k + 1)
+    acc = _laguerre_into(p, l, x_arr, *(np.empty_like(x_arr) for _ in range(3)))
     if np.ndim(x) == 0:
         return float(acc)
+    return acc
+
+
+def _laguerre_into(p: int, l: int, x: np.ndarray, acc, prev, work) -> np.ndarray:
+    """laguerre's recurrence in three caller-owned arrays shaped like x (x
+    itself is only read); returns the one holding L_p^l(x)."""
+    if p == 0:
+        acc.fill(1.0)
+        return acc
+    np.subtract(1.0 + l, x, out=acc)
+    if p > 1:
+        prev.fill(1.0)
+    for k in range(1, p):
+        # ((2k + 1 + l - x) * L_k - (k + l) * L_{k-1}) / (k + 1)
+        np.subtract(2 * k + 1 + l, x, out=work)
+        np.multiply(work, acc, out=work)
+        np.multiply(prev, k + l, out=prev)
+        np.subtract(work, prev, out=work)
+        np.divide(work, k + 1, out=work)
+        prev, acc, work = acc, work, prev
     return acc
 
 
@@ -226,40 +273,53 @@ def mode_intensity(p: int, l: int, r, z: float, beam: BeamSpec):
 def beam_intensity(r, z: float, beam: BeamSpec):
     """Total intensity: mode intensities weighted by their power fractions.
 
-    w(z), x = 2 r^2 / w_z^2 and exp(-x) are shared by all modes; each mode adds
-    frac * (((c * x**l) * L_p^l(x)**2) * exp(-x)), c = (A_p^l)^2 w0^2 / w_z^2,
-    built in one work buffer and summed in mode order. Where exp(-x) underflows
+    w(z), x = 2 r^2 / w_z^2, exp(-x) and each distinct x**l are shared by all
+    modes; each mode adds frac * (((c * x**l) * L_p^l(x)**2) * exp(-x)),
+    c = (A_p^l)^2 w0^2 / w_z^2, summed in mode order. Where exp(-x) underflows
     to 0 the intensity is 0, even where x**l * L**2 overflows. r may be a
     scalar or ndarray of non-negative radii; r itself is never written.
+    Temporaries live in the thread's scratch buffers (see _scratch_buffer);
+    the result is always a new array.
     """
     r_arr = np.atleast_1d(np.asarray(r, dtype=float))
-    if np.any(r_arr < 0):
+    shape = r_arr.shape
+    mask = _scratch_buffer("mask", shape, bool)
+    if np.less(r_arr, 0, out=mask).any():
         raise DomainError("radial coordinate must be >= 0")
     w_z = beam_radius(z, beam)
-    x = 2.0 * r_arr**2 / w_z**2
-    decay = np.exp(-x)
-    total, term = None, np.empty_like(x)
+    # x = 2.0 * r**2 / w_z**2 and decay = exp(-x), one operation at a time.
+    x = np.square(r_arr, out=_scratch_buffer("x", shape))
+    np.multiply(2.0, x, out=x)
+    np.divide(x, w_z**2, out=x)
+    decay = np.negative(x, out=_scratch_buffer("decay", shape))
+    np.exp(decay, out=decay)
+    # x**0 = 1 and x**1 = x exactly, so only l >= 2 takes the power.
+    powers: dict[int, np.ndarray] = {}
+    for _, l, frac in beam.modes:
+        if frac != 0.0 and l >= 2 and l not in powers:
+            powers[l] = np.power(x, l, out=_scratch_buffer(("x**l", len(powers)), shape))
+    total = np.empty(shape)
+    term = lag_work = None  # the first term is built in total, the rest in term
     for p, l, frac in beam.modes:
         if frac == 0.0:
             continue
+        out = total if term is None else term
         c = mode_norm_const(p, l, beam.w0) ** 2 * beam.w0**2 / w_z**2
-        # c * x**l; x**0 = 1 and x**1 = x exactly, so those skip the power.
         if l == 0:
-            term.fill(c)
-        elif l == 1:
-            np.multiply(x, c, out=term)
+            out.fill(c)
         else:
-            np.multiply(np.power(x, l, out=term), c, out=term)
+            np.multiply(x if l == 1 else powers[l], c, out=out)
         if p:  # L_0^l = 1: skipping its square is exact
-            lag = laguerre(p, l, x)
-            np.multiply(term, np.square(lag, out=lag), out=term)
-        np.multiply(term, decay, out=term)
-        np.multiply(term, frac, out=term)
-        if total is None:  # the first term becomes the sum
-            total, term = term, np.empty_like(x)
+            lag_work = lag_work or [_scratch_buffer(("L", i), shape) for i in range(3)]
+            lag = _laguerre_into(p, l, x, *lag_work)
+            np.multiply(out, np.square(lag, out=lag), out=out)
+        np.multiply(out, decay, out=out)
+        np.multiply(out, frac, out=out)
+        if term is None:
+            term = _scratch_buffer("term", shape)
         else:
             total += term
-    total[decay == 0.0] = 0.0
+    total[np.equal(decay, 0.0, out=mask)] = 0.0
     if np.ndim(r) == 0:
         return float(total[0])
     return total

@@ -16,7 +16,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .beam_optics import BeamSpec, LensSpec, beam_intensity, beam_radius, transformed_source
+from .beam_optics import (BeamSpec, LensSpec, _scratch_buffer, beam_intensity, beam_radius,
+                          transformed_source)
 from .errors import DomainError
 from .scene import Scene
 
@@ -67,7 +68,8 @@ def _disc_capture_fixed(
     One integral per offset in rho. Detector-centered polar coordinates
     (s, phi); the distance from the beam axis to an integration node is
     r = sqrt(rho^2 + s^2 + 2 rho s cos phi). Each link is reduced on its own
-    (order x order) plane, so its value does not depend on the batch.
+    (order x order) plane, so its value does not depend on the batch. The
+    node radii live in the thread's scratch buffer "r".
     """
     x, w = _gauss_nodes(order)
     s = 0.5 * aperture_radius * (x + 1.0)
@@ -77,7 +79,11 @@ def _disc_capture_fixed(
     # rho^2 as a Python float power: numpy's square may round differently.
     rho_sq = np.array([r**2 for r in rho.tolist()])[:, None, None]
     rho = rho[:, None, None]
-    r = np.sqrt(rho_sq + s[:, None] ** 2 + 2.0 * rho * s[:, None] * np.cos(phi)[None, :])
+    # r = sqrt((rho^2 + s^2) + 2 rho s cos(phi)), one operation at a time.
+    r = _scratch_buffer("r", (rho.size, order, order))
+    np.multiply(2.0 * rho * s[:, None], np.cos(phi)[None, :], out=r)
+    np.add(rho_sq + s[:, None] ** 2, r, out=r)
+    np.sqrt(r, out=r)
     intensity = beam_intensity(r, z, beam)
     return np.array([w_s @ plane @ w_phi for plane in intensity])
 

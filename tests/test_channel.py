@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import sys
+import threading
 from types import SimpleNamespace
 
 import numpy as np
@@ -494,6 +495,37 @@ def test_reused_geometry_matches_scalar_oracle(scene, waist, lens_on):
     moved = at_waist(scene, waist, lens)
     h = build_channel_matrix(moved, link_geometry(scene))
     assert_bit_identical(h, oracle_channel(moved))
+
+
+def test_concurrent_builds_match_serial_builds(compact_scene):
+    """Each thread integrates in scratch buffers of its own (beam_optics._scratch)."""
+    scene = place_users(compact_scene, 4, seed=3)
+    design = scene.lens_design
+    points = [(1e-6, None), (8e-6, None), (3e-6, design), (8e-6, design)]
+    moved = [at_waist(scene, waist, lens) for waist, lens in points]
+    serial = [build_channel_matrix(s).gains.tobytes() for s in moved]
+    assert len(set(serial)) == len(serial)
+    rounds = 5
+    got = [[] for _ in moved]
+    start = threading.Barrier(len(moved), timeout=60)
+
+    def build(i):
+        start.wait()
+        for _ in range(rounds):
+            got[i].append(build_channel_matrix(moved[i]).gains.tobytes())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build, args=(i,)) for i in range(len(moved))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == [[want] * rounds for want in serial]
 
 
 def assert_plan(geometry):

@@ -384,7 +384,11 @@ def test_grid_sweep_bytes_are_pinned(tmp_path):
     exact zeros and summing interference in one pass leave every byte as it
     is. results.csv also passes through the precoder's SVD: another LAPACK
     build may round it differently, and then its digest must be taken
-    again from code that predates any change under test.
+    again from code that predates any change under test. The same holds for
+    the host libm's pow: the channel squares each offset (rho**2) and the
+    link budget each signal photocurrent (I**2) with Python's float power,
+    which calls pow, and a pow rounded otherwise moves gains and SINRs by
+    an ulp.
     """
     sweep = SweepSpec(waist_start=1e-6, waist_end=8e-6, steps=2)
     result = run_sweep(load_scene(GRID_CONFIG), sweep, collect_artifacts=True)
@@ -413,7 +417,8 @@ def test_compact_random_sweep_bytes_are_pinned(tmp_path, capsys):
     The digests are those of placing every seed's users and building its
     link geometry again at every point: doing both once per seed leaves
     every byte as it is. The precoder and results files also pass through
-    the SVD (see test_grid_sweep_bytes_are_pinned).
+    the SVD, and every file through the host libm's pow (see
+    test_grid_sweep_bytes_are_pinned).
     """
     config = tmp_path / "random.ini"
     config.write_text(COMPACT_CONFIG + "\n[users]\nplacement = random\ncount = 3\n",
