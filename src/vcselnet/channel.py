@@ -5,6 +5,12 @@ landing on a user's detector disc: the beam intensity integrated over the
 disc by 2-D polar quadrature, summed over the source's transverse modes.
 Links arriving outside a receiver's field of view contribute zero. Wall
 reflections are out of scope.
+
+Every gain below _GAIN_FLOOR (1e-30) is exactly +0.0. Most such links are
+never integrated: the beam's closed-form tail T(X), the fraction of its power
+outside x = 2 r^2 / w_z^2 = X, bounds what a disc can capture, and an offset
+whose nearest disc point lies past the X where T falls to the floor is
+skipped (see _dark_x).
 """
 
 from __future__ import annotations
@@ -28,13 +34,20 @@ _QUAD_MAX_ORDER = 1024
 # Quadrature nodes evaluated in one array: a single link at the maximum order,
 # so a batch of links never needs more memory than one worst-case link.
 _CHUNK_NODES = _QUAD_MAX_ORDER**2
+# Gains below this are +0.0, whether screened out or computed. At 1 W emitted
+# such a link carries at most 1e-30 A of photocurrent, 24 orders below the
+# default receiver's 1.35 uA thermal-noise current, yet near-zero entries slow
+# zero forcing's SVD several-fold. Over 336 random points in the compact
+# four-AP room, some with cond(H) ~ 1e9, flooring at the quadrature's 1e-16
+# absolute tolerance moves the ZF scale by up to 8.7e-8 relative, 1e-20 by
+# 2e-11 and 1e-30 by 2.8e-16.
+_GAIN_FLOOR = 1e-30
 # exp(-x) is +0.0 in float64 for every x > ~745.13, and beam_intensity is 0
-# wherever exp(-x) is. No node of a disc of radius a whose centre sits rho > a
-# off the beam axis is closer to the axis than rho - a, so where
-# x = 2 (rho - a)^2 / w_z^2 exceeds this bound every node's intensity is 0 and
-# the capture is exactly +0.0 without evaluating it. The margin above 745.13
-# covers the rounding of the node radii.
-_DARK_X = 750.0
+# wherever exp(-x) is, so every offset past this x captures exactly +0.0
+# whatever the modes: the screen never starts further out. The margin above
+# 745.13 covers the rounding of the node radii. (The widest mode BeamSpec
+# admits, p = 12 and l = 107, falls to the floor by x = 356.23.)
+_MAX_DARK_X = 750.0
 # Fewer links than this are not deduplicated (see _distinct).
 _DEDUP_MIN_LINKS = 64
 
@@ -58,6 +71,73 @@ class ChannelMatrix:
 def _gauss_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
     x, w = np.polynomial.legendre.leggauss(order)
     return x, w
+
+
+def _tail_polynomial(modes) -> tuple[list[int], int]:
+    """Integers a_j and D with T(X) = exp(-X) sum_j a_j X^j / D, the fraction
+    of the beam's power outside x = 2 r^2 / w_z^2 = X, at any z.
+
+    In x, mode (p, l) carries the density p!/(p+l)! x^l L_p^l(x)^2 exp(-x),
+    with L_p^l(x) = sum_m (-1)^m C(p+l, p-m) x^m / m!. So p! L_p^l has
+    integer coefficients b_m, and x^l (p! L_p^l)^2 integer coefficients e_k.
+    With Gamma(k+1, X) = k! exp(-X) sum_{j<=k} X^j / j!, the mode adds
+    frac * sum_{k>=j} e_k k! / (j! p! (p+l)!) to the coefficient of X^j.
+    Each float frac is an exact binary fraction, so the sum is exact: the
+    alternating e_k cancel without rounding.
+    """
+    degree = max(2 * p + l for p, l, _ in modes)
+    terms = []
+    for p, l, frac in modes:
+        b = [(-1) ** m * math.comb(p + l, p - m) * math.perm(p, p - m) for m in range(p + 1)]
+        e = [0] * (2 * p + l + 1)
+        for i, b_i in enumerate(b):
+            for j, b_j in enumerate(b):
+                e[i + j + l] += b_i * b_j
+        numerator, scale = frac.as_integer_ratio()
+        terms.append((e, numerator, scale * math.factorial(p) * math.factorial(p + l)))
+    denominator = math.factorial(degree) * math.lcm(*(t[2] for t in terms))
+    a = [0] * (degree + 1)
+    for e, numerator, scale in terms:
+        upper = 0  # sum_{k>=j} e_k k!
+        for j in range(len(e) - 1, -1, -1):
+            upper += e[j] * math.factorial(j)
+            a[j] += numerator * upper * (denominator // (scale * math.factorial(j)))
+    return a, denominator
+
+
+def _power_outside(x: float, polynomial: tuple[list[int], int]) -> float:
+    """T(x) for x >= 0 from _tail_polynomial: the polynomial is evaluated
+    exactly at x's binary fraction n / d, so only the logarithms and the
+    final exp round, and neither exp(-x) nor x^j under- or overflows."""
+    a, denominator = polynomial
+    n, d = float(x).as_integer_ratio()
+    acc, d_power = 0, 1  # acc = sum_j a_j n^j d^(K-j) once the loop is done
+    for a_j in reversed(a):
+        acc = acc * n + a_j * d_power
+        d_power *= d
+    return math.exp(math.log(acc) - math.log(denominator * d_power // d) - x)
+
+
+@lru_cache(maxsize=64)
+def _dark_x(modes) -> float:
+    """The screen's threshold for a mode set: the least multiple of 0.01 with
+    T(X) <= _GAIN_FLOOR, or _MAX_DARK_X if T is still above the floor there.
+
+    No point of a disc of radius a whose centre sits rho > a off the beam
+    axis is closer to the axis than rho - a, so it captures at most
+    T(2 (rho - a)^2 / w_z^2): below the floor wherever that x exceeds this
+    threshold. T falls monotonically, so bisection on the 0.01 grid finds
+    it, once per mode set: 86.12 for DEFAULT_MODES, 69.08 for TEM00.
+    """
+    polynomial = _tail_polynomial(modes)
+    lo, hi = 0, round(_MAX_DARK_X * 100)  # in hundredths; T(lo) > floor throughout
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _power_outside(mid / 100, polynomial) <= _GAIN_FLOOR:
+            hi = mid
+        else:
+            lo = mid
+    return hi / 100
 
 
 def _disc_capture_fixed(
@@ -91,18 +171,19 @@ def _disc_capture_fixed(
 def _disc_capture(
     beam: BeamSpec, z: float, rho: np.ndarray, aperture_radius: float
 ) -> np.ndarray:
-    """Adaptive disc capture for every offset in rho, clipped to [0, 1].
+    """Adaptive disc capture for every offset in rho, clipped to [0, 1], and
+    +0.0 wherever it falls below _GAIN_FLOOR.
 
-    Offsets whose every node lies where the beam's decay underflows (see
-    _DARK_X) are +0.0 and never evaluated. For the rest the order doubles
-    from 16 until a link's value changes by less than 1e-8 relative;
-    converged links drop out. Links still open after order 1024 come back as
-    NaN. Nodes are evaluated in chunks of at most _CHUNK_NODES (but at least
-    one link).
+    Offsets whose nearest disc point lies past the beam's tail threshold
+    (see _dark_x) capture less than the floor and are never evaluated. For
+    the rest the order doubles from 16 until a link's value changes by less
+    than 1e-8 relative; converged links drop out. Links still open after
+    order 1024 come back as NaN. Nodes are evaluated in chunks of at most
+    _CHUNK_NODES (but at least one link).
     """
     result = np.full(rho.shape, np.nan)
     gap = rho - aperture_radius
-    dark = (gap > 0.0) & (2.0 * gap**2 / beam_radius(z, beam) ** 2 > _DARK_X)
+    dark = (gap > 0.0) & (2.0 * gap**2 / beam_radius(z, beam) ** 2 > _dark_x(beam.modes))
     result[dark] = 0.0
     active = np.flatnonzero(~dark)
     prev = None
@@ -121,6 +202,7 @@ def _disc_capture(
             active, cur = active[~done], cur[~done]
         prev = cur
         order *= 2
+    result[result < _GAIN_FLOOR] = 0.0
     return result
 
 
@@ -170,7 +252,9 @@ def captured_fraction(
     come from the transformed beam whose waist sits d2 past the lens, so the
     effective propagation distance is z - d2 (z <= d2 is out of domain).
     The quadrature order doubles until the result changes by less than
-    1e-8 relative; the result is clipped to [0, 1].
+    1e-8 relative; the result is clipped to [0, 1], and a fraction below
+    _GAIN_FLOOR (1e-30) is +0.0. A disc so far off axis that the beam's tail
+    bounds its capture below the floor is never integrated.
     """
     eff_beam, z_eff = _link_source(beam, lens, z, rho, aperture_radius)
     h = float(_disc_capture(eff_beam, z_eff, np.array([float(rho)]), aperture_radius)[0])
@@ -317,8 +401,9 @@ def build_channel_matrix(scene: Scene, geometry: LinkGeometry | None = None) -> 
     integral over it is already the captured power: no incidence cosine.
 
     Links sharing (beam, lens, z, aperture) form one batch, and each distinct
-    offset in a batch is integrated once; every gain equals captured_fraction
-    of its link bit for bit. The offsets, angles and batches come from
+    offset in a batch is integrated once, unless the beam's tail screens it
+    out; every gain equals captured_fraction of its link bit for bit, so
+    gains below 1e-30 are +0.0. The offsets, angles and batches come from
     geometry when given: link_geometry of a scene that differs from this one
     only in its beams and lenses, which lets a sweep do that work once.
     DomainError if it was built for other users or APs, or if APs that

@@ -1,15 +1,18 @@
 import dataclasses
 import math
+import subprocess
 import sys
 import threading
+import time
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
-from scipy.special import eval_genlaguerre
+from scipy.special import eval_genlaguerre, gammaincc, genlaguerre
 
 from vcselnet import (
     DEFAULT_MODES,
@@ -30,12 +33,19 @@ from vcselnet import channel
 from vcselnet.channel import _DEDUP_MIN_LINKS, _disc_capture_fixed, _distinct, link_geometry
 from vcselnet.errors import DomainError
 from vcselnet.scene import place_users
-from vcselnet.sweep import _configure, _sources
+from vcselnet.sweep import SweepSpec, _configure, _sources, run_sweep
 
-from conftest import oracle_beam_intensity
+from conftest import COMPACT_CONFIG, oracle_beam_intensity
 
 # 2 cm^2 detector disc radius.
 APERTURE = math.sqrt(2e-4 / math.pi)
+# Every gain below this is exactly +0.0 (channel._GAIN_FLOOR).
+GAIN_FLOOR = 1e-30
+
+
+def floored(gain):
+    """An oracle gain as the channel reports it: +0.0 below the floor."""
+    return gain if gain >= GAIN_FLOOR else 0.0
 
 
 # Per-link scalar reference: one adaptive quadrature per link and per order,
@@ -85,7 +95,7 @@ def oracle_channel(scene):
             offsets[u, a] = rho
             if math.atan2(rho, z) > user.fov_half_angle:
                 continue
-            gains[u, a] = oracle_captured_fraction(ap.beam, ap.lens, z, rho, aperture)
+            gains[u, a] = floored(oracle_captured_fraction(ap.beam, ap.lens, z, rho, aperture))
     return gains, distances, offsets
 
 
@@ -229,7 +239,8 @@ class TestCapturedFraction:
     def test_matches_scalar_oracle_bit_for_bit(self, multimode_beam, table_lens, rho):
         for lens in (None, table_lens):
             got = captured_fraction(multimode_beam, lens, 2.0, rho, APERTURE)
-            assert got == oracle_captured_fraction(multimode_beam, lens, 2.0, rho, APERTURE)
+            want = oracle_captured_fraction(multimode_beam, lens, 2.0, rho, APERTURE)
+            assert got == floored(want)
 
     def test_non_convergence_names_the_link(self, multimode_beam, monkeypatch):
         # Beyond r = 2.5 m the integral moves by 1/order at every order, so
@@ -238,7 +249,8 @@ class TestCapturedFraction:
             return np.where(r > 2.5, 1.0 + 1.0 / r.shape[-1], 1.0)
 
         # A 1 um source has spread to w ~ 0.54 m at 2 m, so even the 3 m link
-        # is integrated: none is dark enough to skip (channel._DARK_X).
+        # is integrated: its nearest disc point sits at x = 2 (rho - a)^2 / w^2
+        # ~ 61, inside the default beam's tail threshold (channel._dark_x).
         wide = dataclasses.replace(multimode_beam, w0=1e-6)
         monkeypatch.setattr(channel, "beam_intensity", erratic)
         # A unit intensity integrates to the disc area, 2 cm^2.
@@ -257,30 +269,35 @@ class TestCapturedFraction:
 
 
 class TestDarkLinks:
-    """Offsets whose nearest disc point lies where exp(-x) underflows.
+    """Offsets near the default beam's tail threshold X* = 86.12.
 
     x = 2 (rho - a)^2 / w_z^2 at the disc edge nearest the beam axis; from
-    x > 750 on the gain is +0.0 without any evaluation. The default beam at
-    z = 2 m still gives subnormal nonzero gains just inside that bound.
+    x > X* on the gain is +0.0 without any evaluation. Just inside X* the
+    link is integrated and its gain, far below 1e-30, is floored to +0.0.
     """
 
-    XS = (700.0, 730.0, 745.0, 749.99, 750.01, 760.0, 1e4)
+    XS = (75.0, 80.0, 85.5, 86.11, 86.13, 90.0, 750.01, 1e4)
+    X_STAR = 86.12
 
     def offsets(self, beam):
         w_z = beam_radius(2.0, beam)
         return [APERTURE + w_z * math.sqrt(x / 2.0) for x in self.XS]
 
     def test_gains_match_the_oracle_on_both_sides_of_the_bound(self, multimode_beam):
+        assert channel._dark_x(multimode_beam.modes) == self.X_STAR
         rhos = self.offsets(multimode_beam)
-        want = [oracle_captured_fraction(multimode_beam, None, 2.0, rho, APERTURE) for rho in rhos]
+        raw = [oracle_captured_fraction(multimode_beam, None, 2.0, rho, APERTURE) for rho in rhos]
         got = [captured_fraction(multimode_beam, None, 2.0, rho, APERTURE) for rho in rhos]
-        assert [g.hex() for g in got] == [w.hex() for w in want]
-        assert 0.0 < want[self.XS.index(745.0)] < sys.float_info.min
-        assert all(w == 0.0 for w, x in zip(want, self.XS) if x > 750.0)
+        assert [g.hex() for g in got] == [floored(w).hex() for w in raw]
+        assert got[self.XS.index(75.0)] > GAIN_FLOOR
+        # Integrated, nonzero, and floored.
+        assert 0.0 < raw[self.XS.index(80.0)] < GAIN_FLOOR
+        assert got[self.XS.index(80.0)] == 0.0
+        assert all(w <= GAIN_FLOOR for w, x in zip(raw, self.XS) if x > self.X_STAR)
 
     def test_dark_offsets_are_never_evaluated(self, multimode_beam, monkeypatch):
         rhos = self.offsets(multimode_beam)
-        lit = sum(x < 750.0 for x in self.XS)
+        lit = sum(x < self.X_STAR for x in self.XS)
         planes = []
 
         def recording(r, z, beam):
@@ -291,7 +308,7 @@ class TestDarkLinks:
         for rho, x in zip(rhos, self.XS):
             planes.clear()
             captured_fraction(multimode_beam, None, 2.0, rho, APERTURE)
-            assert bool(planes) == (x < 750.0)
+            assert bool(planes) == (x < self.X_STAR)
 
         # The batched path: one user, one AP per offset, all links in one batch.
         aps = tuple(AccessPoint(position=(rho, 0.0, 3.0), beam=multimode_beam) for rho in rhos)
@@ -305,6 +322,161 @@ class TestDarkLinks:
         assert sum(n for n, order, _ in planes if order == 16) == lit
         monkeypatch.undo()
         assert_bit_identical(h, oracle_channel(scene))
+
+
+def scipy_power_outside(p, l, x):
+    """One LG mode's power outside x = 2 r^2 / w_z^2, from scipy's Laguerre
+    coefficients and regularized upper incomplete gamma function."""
+    laguerre_poly = genlaguerre(p, l)
+    density = np.polynomial.Polynomial(laguerre_poly.coeffs[::-1]) ** 2
+    return sum(
+        c * math.factorial(k + l) * gammaincc(k + l + 1, x) for k, c in enumerate(density.coef)
+    ) * math.factorial(p) / math.factorial(p + l)
+
+
+def power_outside(x, modes):
+    return channel._power_outside(x, channel._tail_polynomial(modes))
+
+
+class TestTailBound:
+    """T(X), the fraction of a beam's power outside x = X, and the screen's
+    threshold X*: the least multiple of 0.01 with T(X*) <= 1e-30."""
+
+    XS = (0.01, 0.5, 2.0, 7.0, 20.0, 69.08, 86.12, 150.0, 400.0)
+
+    @pytest.mark.parametrize("p", range(4))
+    @pytest.mark.parametrize("l", range(7))
+    def test_each_mode_matches_gammaincc(self, p, l):
+        for x in self.XS:
+            want = scipy_power_outside(p, l, x)
+            assert power_outside(x, ((p, l, 1.0),)) == pytest.approx(want, rel=1e-10, abs=0.0)
+
+    def test_fundamental_mode_is_exp(self):
+        for x in self.XS:
+            assert power_outside(x, FUNDAMENTAL_MODE) == math.exp(-x)
+
+    def test_mode_mix_is_weighted_sum(self):
+        want = sum(frac * scipy_power_outside(p, l, 30.0) for p, l, frac in DEFAULT_MODES)
+        assert power_outside(30.0, DEFAULT_MODES) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("a_over_w", np.linspace(0.1, 3.0, 8))
+    def test_centred_disc_captures_one_minus_tail(self, multimode_beam, a_over_w):
+        a = a_over_w * beam_radius(2.0, multimode_beam)
+        got = captured_fraction(multimode_beam, None, 2.0, 0.0, a)
+        assert got == pytest.approx(1.0 - power_outside(2.0 * a_over_w**2, DEFAULT_MODES),
+                                    rel=1e-9)
+
+    @pytest.mark.parametrize("modes, x_star",
+                             [(DEFAULT_MODES, 86.12), (FUNDAMENTAL_MODE, 69.08)])
+    def test_threshold_is_the_floor_rounded_up(self, modes, x_star):
+        assert channel._dark_x(modes) == x_star
+        assert power_outside(x_star, modes) <= GAIN_FLOOR < power_outside(x_star - 0.01, modes)
+        # scipy agrees on which side of the floor each grid point lies.
+        tails = [sum(f * scipy_power_outside(p, l, x) for p, l, f in modes)
+                 for x in (x_star - 0.01, x_star)]
+        assert tails[1] <= GAIN_FLOOR < tails[0]
+
+    def test_threshold_is_capped_where_exp_underflows(self, monkeypatch):
+        channel._dark_x.cache_clear()
+        monkeypatch.setattr(channel, "_MAX_DARK_X", 50.0)
+        try:
+            assert channel._dark_x(DEFAULT_MODES) == 50.0
+        finally:
+            channel._dark_x.cache_clear()
+
+    def test_highest_orders_stay_exact(self):
+        # The polynomial's coefficients alternate in sign and reach ~1e200
+        # here: summed in floats they cancel to values far outside [0, 1].
+        p, l = 12, 107
+
+        def density(x):
+            log_norm = math.lgamma(p + 1) - math.lgamma(p + l + 1)
+            return math.exp(l * math.log(x) - x + log_norm) * eval_genlaguerre(p, l, x) ** 2
+
+        want, _ = integrate.quad(density, 132.0, math.inf, epsabs=0.0, epsrel=1e-12, limit=200)
+        assert power_outside(132.0, ((p, l, 1.0),)) == pytest.approx(want, rel=1e-9)
+        assert 132.0 < channel._dark_x(((p, l, 1.0),)) < channel._MAX_DARK_X
+
+    def test_threshold_is_found_once_per_mode_set_in_a_sweep(self, scene_with_mpe):
+        fundamental = dataclasses.replace(scene_with_mpe.aps[0].beam, modes=FUNDAMENTAL_MODE)
+        aps = (dataclasses.replace(scene_with_mpe.aps[0], beam=fundamental),
+               *scene_with_mpe.aps[1:])
+        scene = dataclasses.replace(scene_with_mpe, aps=aps)
+        channel._dark_x.cache_clear()
+        run_sweep(scene, SweepSpec(waist_start=1e-6, waist_end=8e-6, steps=3))
+        info = channel._dark_x.cache_info()
+        assert info.misses == 2
+        assert info.hits >= 6 * 2 - 2  # six points, at least one batch per mode set
+
+    def test_first_call_is_cheap(self):
+        costs = []
+        for _ in range(5):
+            channel._dark_x.cache_clear()
+            start = time.perf_counter()
+            channel._dark_x(DEFAULT_MODES)
+            costs.append(time.perf_counter() - start)
+        assert min(costs) <= 2e-4
+
+    def test_runtime_imports_no_exact_or_scipy_arithmetic(self, tmp_path):
+        config = tmp_path / "scene.ini"
+        config.write_text(COMPACT_CONFIG, encoding="utf-8")
+        args = ["--config", str(config), "--out", str(tmp_path / "out"), "--steps", "2"]
+        code = (
+            "import sys\n"
+            "from vcselnet.cli import main\n"
+            f"assert main({args!r}) == 0\n"
+            "print(sorted(m for m in ('fractions', 'decimal', 'scipy') if m in sys.modules))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split("\n")[-2] == "[]"
+
+
+@st.composite
+def mode_sets(draw):
+    """1-4 distinct LG modes with p <= 3 and l <= 6 and random power fractions."""
+    pairs = draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 6)),
+                          min_size=1, max_size=4, unique=True))
+    weights = draw(st.lists(st.floats(0.05, 1.0), min_size=len(pairs), max_size=len(pairs)))
+    return tuple((p, l, w / sum(weights)) for (p, l), w in zip(pairs, weights))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    modes=mode_sets(),
+    w0=st.floats(1e-6, 1e-4),
+    z=st.floats(0.5, 5.0),
+    aperture=st.floats(1e-3, 5e-2),
+    past=st.floats(1e-6, 2.0),
+)
+def test_screened_links_capture_less_than_the_floor(modes, w0, z, aperture, past):
+    """A link just past X* is screened, and scipy's 2-D integral over its
+    disc, in beam-centred polar coordinates, agrees it is dark."""
+    beam = BeamSpec(w0=w0, wavelength=850e-9, modes=modes)
+    w_z = beam_radius(z, beam)
+    rho = aperture + w_z * math.sqrt((channel._dark_x(modes) + past) / 2.0)
+
+    def unreachable(r, z, beam):
+        raise AssertionError("a screened link was integrated")
+
+    with mock.patch.object(channel, "beam_intensity", unreachable):
+        assert captured_fraction(beam, None, z, rho, aperture) == 0.0
+
+    def half_width(r):  # the disc's angular half width at radius r
+        cos = (r * r + rho * rho - aperture * aperture) / (2.0 * r * rho)
+        return math.acos(min(1.0, max(-1.0, cos)))
+
+    oracle, _ = integrate.dblquad(
+        lambda phi, r: independent_intensity(beam, r, z) * r,
+        rho - aperture,
+        rho + aperture,
+        lambda r: -half_width(r),
+        half_width,
+        epsabs=0.0,
+        epsrel=1e-6,
+    )
+    assert 0.0 <= oracle <= GAIN_FLOOR
 
 
 def _swap_halves(bits):
@@ -439,9 +611,10 @@ def scenes(draw, counts=st.integers(1, 5), heights=st.sampled_from([2.5, 3.0])):
     Scene pins every AP to the ceiling, so a namespace carries the mixed
     AP heights. Positions come from a small grid so users coincide with APs
     and with each other, and links repeat their geometry. Offsets up to
-    2*sqrt(2) m and the 8 um waist give dark links (channel._DARK_X), which
-    are never integrated, with the lens off as well as on; about half the
-    scenes hold one. counts draws the number of APs and of users, heights
+    2*sqrt(2) m give links past the tail threshold (channel._dark_x), which
+    are never integrated, and integrated links whose gains fall below the
+    floor, with the lens off as well as on: about half the scenes hold the
+    first kind and a third the second. counts draws the number of APs and of users, heights
     each AP's height above the floor (the receive plane is at 1 m).
     """
     lens = LensSpec(f=127e-6, d1=133e-6)

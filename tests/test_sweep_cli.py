@@ -377,12 +377,15 @@ class TestEmitOutputs:
 def test_grid_sweep_bytes_are_pinned(tmp_path):
     """The 8 x 8 grid at 1 and 8 um, lens off and on, byte for byte.
 
-    Between them the four channels hold every kind of link: all 4,096
-    integrated (1 um, lens off), and 3,084 to 4,032 exact zeros, most of
-    them never integrated. The digests are those of integrating every link
-    and of the per-user SINR loop (conftest.oracle_link_report): skipping
-    exact zeros and summing interference in one pass leave every byte as it
-    is. results.csv also passes through the precoder's SVD: another LAPACK
+    Between them the four channels hold every kind of link: at 1 um lens
+    off 8 of the 34 distinct offsets are integrated and 1,596 gains are
+    nonzero, down to 7e-27; the other three channels are diagonal, their
+    4,032 off-diagonal links +0.0, almost all of them never integrated. The
+    digests are those of integrating every link, flooring each gain below
+    1e-30 to +0.0, and of the per-user SINR loop
+    (conftest.oracle_link_report): skipping links past the beam's tail
+    threshold and exact zeros, and summing interference in one pass, leave
+    every byte as it is. results.csv also passes through the precoder's SVD: another LAPACK
     build may round it differently, and then its digest must be taken
     again from code that predates any change under test. The same holds for
     the host libm's pow: the channel squares each offset (rho**2) and the
@@ -396,13 +399,13 @@ def test_grid_sweep_bytes_are_pinned(tmp_path):
     gains = {key: hashlib.sha256(h.gains.tobytes()).hexdigest()
              for key, (h, _) in result.artifacts.items()}
     assert gains == {
-        (0, "off"): "32421853a3b69826a47252d4076a1780b8d27b3e4ee8bfd8b5d6b8e9dd85bc39",
+        (0, "off"): "f2a5854d68b17eb9f35eaf236cf188bbd38dde4654b1aaf050e7a0afb5e47ef0",
         (0, "on"): "2fdd6f04c4850ef5002c01f46db6829f24e49c53bf817896357764b546698856",
-        (1, "off"): "40c2233d81461a4ee89b97391189517409f7ff9a76864c49dfd197e83ac90e0d",
-        (1, "on"): "48cbf78ee1def63e7000ce927d65bb32aa745323c6c3b7f26d9a734c0391ed05",
+        (1, "off"): "e5418c5d3249b1f554f637837d683350ec411e12e3f839e8bb797f6773b5035c",
+        (1, "on"): "7a2d039328a9a97cb5f61a6ef2cade2b78b3b2b264dfa0d0764a82183c163eab",
     }
     results = hashlib.sha256((tmp_path / "results.csv").read_bytes()).hexdigest()
-    assert results == "9d806874da42e7ec2cc5dedf19ce13d43630f50e3d441e0a52f9c4649f4fe56c"
+    assert results == "47a2a1b9947582c6348ec9789d2601d974339b80bb16c0627de9e1ad255a0c80"
 
 
 # Three random users in the compact room, three seeds, lens off, both dumps.
