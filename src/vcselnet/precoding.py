@@ -5,6 +5,18 @@ H G0 = I, so each user sees only its own stream. Intensity signals are
 non-negative, so an AP's emitted power for unit-power streams is the L1 norm
 of its row of the precoder; the whole precoder is scaled by the largest beta
 keeping every AP within its cap. After scaling, diag(H G) = beta.
+
+A channel in which every user is reached by exactly one AP, and every AP
+reaches at most one user (a scaled partial permutation, as in a grid whose
+beams are too narrow to reach a neighbour's user), is inverted entry by
+entry without an SVD: its singular values are the |h|, and its
+pseudo-inverse holds 1/h at the transposed positions. Its bytes are those
+of the SVD path wherever LAPACK's gesdd factors the channel exactly, as it
+does for up to 25 users whose APs ascend with the user index, and for some
+larger channels, such as the 8 x 8 grid's at 1 and 8 um. Elsewhere gesdd
+rounds a Householder reflector or its divide-and-conquer scaling, and the
+two paths differ by at most an ulp, the short-cut never the farther from
+1/h. Any other channel is factorized by an SVD.
 """
 
 from __future__ import annotations
@@ -34,31 +46,65 @@ class Precoder:
     g0: np.ndarray
 
 
-def _most_aligned_rows(h: np.ndarray) -> tuple[int, int]:
-    """Indices of the most linearly dependent pair of user rows."""
+def _rank_deficiency(h: np.ndarray) -> SingularChannelError:
+    """The error for a rank-deficient channel, naming the users behind it.
+
+    Names the most linearly dependent pair of user rows. Where every pair of
+    rows is orthogonal (as in every scaled partial permutation), no pair is
+    dependent: the rank is lost to one weak user, who is named alone.
+    """
     norms = np.linalg.norm(h, axis=1)
     unit = h / np.where(norms[:, None] > 0, norms[:, None], 1.0)
     gram = np.abs(unit @ unit.T)
     np.fill_diagonal(gram, -np.inf)
-    i, j = divmod(int(np.argmax(gram)), gram.shape[1])
-    return (min(i, j), max(i, j))
+    k = int(np.argmax(gram))
+    if gram.flat[k] > 0.0:
+        i, j = divmod(k, gram.shape[1])
+        i, j = min(i, j), max(i, j)
+        return SingularChannelError(
+            f"channel matrix is rank deficient: rows of users {i} and {j} "
+            "are (near-)linearly dependent",
+            pair=(i, j),
+        )
+    u = int(np.argmin(norms))
+    return SingularChannelError(
+        f"channel matrix is rank deficient: user {u}'s channel row is "
+        f"{norms[u] / norms.max():.3g} times the strongest user's, and no two "
+        "users' rows are aligned",
+        pair=(u, u),
+    )
 
 
 def zf_precoder(h, per_ap_power_cap) -> Precoder:
     """Build the cap-respecting zero-forcing precoder for channel matrix h.
 
-    h may be a ChannelMatrix or a (users x aps) array. per_ap_power_cap is
-    the emitted optical power budget per AP, W; a scalar applies to all APs,
-    an array gives per-AP budgets. Raises InfeasibleError when there are
-    more users than APs and SingularChannelError (naming the most dependent
-    user pair) when the channel is rank deficient at relative tolerance
-    1e-10.
+    h may be a ChannelMatrix or a (users x aps) array of finite gains.
+    per_ap_power_cap is the emitted optical power budget per AP, W; a scalar
+    applies to all APs, an array gives per-AP budgets. Raises DomainError
+    for a non-finite gain, a cap array of another length, or a cap that is
+    not positive and finite; InfeasibleError when there are more users than
+    APs; and SingularChannelError when the channel is rank deficient at
+    relative tolerance 1e-10, naming the most dependent user pair, or the
+    weakest user when every pair of rows is orthogonal.
+
+    A scaled partial permutation (one nonzero gain per user, in distinct AP
+    columns) skips the SVD: G0 holds 1/h at each transposed nonzero. That is
+    also what the Newton-Schulz step below makes of it, since for
+    inv = fl(1/h), h * inv rounds to 1 or 1 - 2**-53, and 2 - h * inv then
+    rounds to exactly 1.
     """
     gains = getattr(h, "gains", h)
     mat = np.asarray(gains, dtype=float)
-    if mat.ndim != 2:
-        raise DomainError(f"channel matrix must be 2-D, got shape {mat.shape}")
+    if mat.ndim != 2 or mat.shape[0] == 0:
+        raise DomainError(f"channel matrix must be 2-D with a user, got shape {mat.shape}")
     n_users, n_aps = mat.shape
+    if not np.isfinite(mat).all():
+        raise DomainError("channel gains must be finite")
+    caps = np.asarray(per_ap_power_cap, dtype=float)
+    if caps.shape not in ((), (1,), (n_aps,)):
+        raise DomainError(f"need one per-AP power cap or {n_aps}, got shape {caps.shape}")
+    if not ((caps > 0.0) & (caps < np.inf)).all():  # NaN fails both
+        raise DomainError("per-AP power caps must be positive and finite")
     if n_users > n_aps:
         raise InfeasibleError(
             f"{n_users} users cannot be zero-forced by {n_aps} access points"
@@ -71,27 +117,30 @@ def zf_precoder(h, per_ap_power_cap) -> Precoder:
             f"user {u} has an all-zero channel row (no AP reaches it)", pair=(u, u)
         )
 
-    # One rank-revealing factorization serves both the rank check and the
-    # pseudo-inverse.
-    u_mat, s, vt = np.linalg.svd(mat, full_matrices=False)
-    if s[-1] <= RANK_RTOL * s[0]:
-        pair = _most_aligned_rows(mat)
-        raise SingularChannelError(
-            f"channel matrix is rank deficient: rows of users {pair[0]} and {pair[1]} "
-            "are (near-)linearly dependent",
-            pair=pair,
-        )
-    g0 = (vt.T / s) @ u_mat.T  # (aps x users) right pseudo-inverse
-    # One Newton-Schulz step squares the inversion residual, pushing
-    # |H g0 - I| from the raw SVD's ~cond*eps down to product-evaluation
-    # noise. Exact inputs (e.g. identity channels) pass through unchanged.
-    g0 = g0 @ (2.0 * np.eye(n_users) - mat @ g0)
+    # With no zero row, n_users nonzeros are one per row; n_users nonzero
+    # columns put them in distinct columns.
+    if np.count_nonzero(mat) == n_users and np.count_nonzero(mat.any(axis=0)) == n_users:
+        users, aps = np.nonzero(mat)
+        h_nz = mat[users, aps]
+        s = np.abs(h_nz)  # the singular values, unsorted
+        if s.min() <= RANK_RTOL * s.max():
+            raise _rank_deficiency(mat)
+        g0 = np.zeros((n_aps, n_users))
+        g0[aps, users] = 1.0 / h_nz
+    else:
+        # One rank-revealing factorization serves both the rank check and the
+        # pseudo-inverse.
+        u_mat, s, vt = np.linalg.svd(mat, full_matrices=False)
+        if s[-1] <= RANK_RTOL * s[0]:
+            raise _rank_deficiency(mat)
+        g0 = (vt.T / s) @ u_mat.T  # (aps x users) right pseudo-inverse
+        # One Newton-Schulz step squares the inversion residual, pushing
+        # |H g0 - I| from the raw SVD's ~cond*eps down to product-evaluation
+        # noise. Exact inputs (e.g. identity channels) pass through unchanged.
+        g0 = g0 @ (2.0 * np.eye(n_users) - mat @ g0)
 
-    caps = np.broadcast_to(np.asarray(per_ap_power_cap, dtype=float), (n_aps,))
-    if np.any(caps <= 0) or not np.all(np.isfinite(caps)):
-        raise DomainError("per-AP power caps must be positive and finite")
+    caps = np.broadcast_to(caps, (n_aps,))
     row_power = np.abs(g0).sum(axis=1)
     active = row_power > 0.0
     beta = float(np.min(caps[active] / row_power[active]))
     return Precoder(g=beta * g0, beta=beta, g0=g0)
-

@@ -139,3 +139,17 @@ def scene_with_mpe():
 def compact_scene():
     """Small-footprint scene where random placement is always zero-forceable."""
     return load_scene(COMPACT_CONFIG)
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """Every matrix passed to np.linalg.svd while the test runs, in order."""
+    calls = []
+    svd = np.linalg.svd
+
+    def counting_svd(a, *args, **kwargs):
+        calls.append(np.array(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    return calls

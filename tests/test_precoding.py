@@ -1,5 +1,9 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vcselnet import (
     Precoder,
@@ -8,6 +12,7 @@ from vcselnet import (
     zf_precoder,
 )
 from vcselnet.errors import DomainError, InfeasibleError, SingularChannelError
+from vcselnet.precoding import RANK_RTOL
 
 
 def random_channel(rng, n_users, n_aps, log10_cond):
@@ -131,6 +136,47 @@ class TestFailureModes:
         with pytest.raises(DomainError):
             zf_precoder(np.eye(3), np.array([1.0, 0.0, 1.0]))
 
+    def test_caps_are_checked_before_the_rank(self):
+        # Rank deficient (both users on AP 0) and a NaN cap: the cap is the
+        # first fault found.
+        with pytest.raises(DomainError, match="caps"):
+            zf_precoder([[1.0, 0.0], [2.0, 0.0]], np.nan)
+
+    @pytest.mark.parametrize("caps", [np.ones(2), np.ones(4), np.ones((3, 1))])
+    def test_rejects_caps_of_another_length(self, caps):
+        with pytest.raises(DomainError, match="per-AP power cap"):
+            zf_precoder(np.eye(3), caps)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_gains(self, bad):
+        for h in (np.diag([1.0, bad]), np.array([[1.0, 0.5], [bad, 2.0]])):
+            with pytest.raises(DomainError, match="finite"):
+                zf_precoder(h, 1.0)
+
+    def test_rejects_a_channel_without_users(self):
+        with pytest.raises(DomainError):
+            zf_precoder(np.zeros((0, 3)), 1.0)
+
+
+class TestWeakUser:
+    """Rank lost to one weak user, with no two user rows aligned."""
+
+    def test_scaled_permutation_names_the_weak_user(self):
+        with pytest.raises(SingularChannelError) as exc_info:
+            zf_precoder(np.diag([1.0, 1.0, 1e-11]), 1.0)
+        assert exc_info.value.pair == (2, 2)
+        message = str(exc_info.value)
+        assert "user 2" in message and "1e-11" in message
+        assert "users 0 and 1" not in message
+
+    def test_orthogonal_rows_through_the_svd_name_the_weak_user(self):
+        # Two gains per user, so the SVD path decides the rank.
+        h = np.array([[0.5, 0.25, 0.0, 0.0], [0.0, 0.0, 3e-12, 4e-12]])
+        with pytest.raises(SingularChannelError, match="user 1") as exc_info:
+            zf_precoder(h, 1.0)
+        assert exc_info.value.pair == (1, 1)
+        assert f"{5e-12 / np.hypot(0.5, 0.25):.3g}" in str(exc_info.value)
+
 
 class TestResidualInterference:
     """The off-diagonal of H g: power leaking between streams."""
@@ -168,3 +214,109 @@ class TestResidualInterference:
         np.fill_diagonal(res, 0.0)
         assert res.shape == h.gains.shape
         assert np.all(np.diag(res) == 0.0)
+
+
+def oracle_svd_precoder(h, cap):
+    """The SVD path written out: svd, (vt.T / s) @ u.T, one Newton-Schulz
+    step, then the cap scale. Returns (g0, g, beta)."""
+    u, s, vt = np.linalg.svd(h, full_matrices=False)
+    assert s[-1] > RANK_RTOL * s[0]
+    g0 = (vt.T / s) @ u.T
+    g0 = g0 @ (2.0 * np.eye(h.shape[0]) - h @ g0)
+    caps = np.broadcast_to(np.asarray(cap, dtype=float), (h.shape[1],))
+    row_power = np.abs(g0).sum(axis=1)
+    active = row_power > 0.0
+    beta = float(np.min(caps[active] / row_power[active]))
+    return g0, beta * g0, beta
+
+
+@st.composite
+def scaled_partial_permutations(draw, ascending):
+    """(h, cap): up to 8 APs, each reaching at most one of up to n_aps users,
+    every user reached by one AP (APs left over have all-zero columns);
+    random signs, magnitudes 1e-6 to 1e6 with cond(h) < 1e10, and a scalar
+    or per-AP cap. With `ascending`, user i's AP index grows with i."""
+    n_aps = draw(st.integers(1, 8))
+    n_users = draw(st.integers(1, n_aps))
+    aps = draw(st.permutations(range(n_aps)))[:n_users]
+    if ascending:
+        aps = sorted(aps)
+    magnitude = st.one_of(st.floats(-6.0, 6.0).map(lambda e: 10.0**e),
+                          st.floats(1e-6, 1e6))
+    mags = np.array(draw(st.lists(magnitude, min_size=n_users, max_size=n_users)))
+    mags = np.maximum(mags, 10.0**-9.9 * mags.max())  # cond(h) < 1e10
+    signs = draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n_users, max_size=n_users))
+    h = np.zeros((n_users, n_aps))
+    h[np.arange(n_users), aps] = np.array(signs) * mags
+    cap = draw(st.one_of(st.floats(1e-3, 1e3),
+                         st.lists(st.floats(1e-3, 1e3), min_size=n_aps, max_size=n_aps)
+                         .map(np.array)))
+    return h, cap
+
+
+class TestScaledPermutations:
+    """Channels with one nonzero gain per user, in distinct AP columns, skip
+    the SVD."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(scaled_partial_permutations(ascending=True))
+    def test_ascending_layouts_match_the_svd_path_bit_for_bit(self, case):
+        """LAPACK factors these channels exactly (up to 25 users), so the
+        short-cut reproduces its bytes, signed zeros included. Layouts whose
+        AP order is not ascending are covered by the next test: there LAPACK
+        rounds its Householder reflectors."""
+        h, cap = case
+        g0, g, beta = oracle_svd_precoder(h, cap)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(np.linalg, "svd", None)  # the short-cut calls no SVD
+            pre = zf_precoder(h, cap)
+        assert pre.g0.tobytes() == g0.tobytes()
+        assert pre.g.tobytes() == g.tobytes()
+        assert np.float64(pre.beta).tobytes() == np.float64(beta).tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(scaled_partial_permutations(ascending=False))
+    def test_any_layout_is_the_rounded_exact_inverse(self, case):
+        """Each entry of G0 is 1/h correctly rounded at the transposed
+        position and +0.0 elsewhere, and lies within an ulp of the SVD
+        path, whose own entries off that pattern are rounding residue."""
+        h, cap = case
+        pre = zf_precoder(h, cap)
+        users, aps = np.nonzero(h)
+        pattern = np.zeros(pre.g0.shape, dtype=bool)
+        pattern[aps, users] = True
+        assert pre.g0[~pattern].tobytes() == np.zeros(np.count_nonzero(~pattern)).tobytes()
+        for user, ap in zip(users, aps):
+            got, exact = pre.g0[ap, user], 1 / Fraction(h[user, ap])
+            for neighbour in (np.nextafter(got, -np.inf), np.nextafter(got, np.inf)):
+                assert abs(Fraction(got) - exact) <= abs(Fraction(neighbour) - exact)
+        g0, _, beta = oracle_svd_precoder(h, cap)
+        assert np.all(np.abs(pre.g0 - g0)[pattern] <= np.spacing(np.abs(g0[pattern])))
+        assert np.all(np.abs(g0[~pattern]) <= 1e-15 * np.abs(g0).max())
+        assert pre.beta == pytest.approx(beta, rel=4.5e-16)
+
+    def test_singular_permutation_is_found_without_an_svd(self, svd_calls):
+        h = np.array([[0.0, 0.0, RANK_RTOL * 0.2], [0.0, 0.2, 0.0]])  # at the cutoff
+        with pytest.raises(SingularChannelError, match="user 0") as exc_info:
+            zf_precoder(h, 1.0)
+        assert exc_info.value.pair == (0, 0)
+        assert svd_calls == []
+        s = np.linalg.svd(h, compute_uv=False)
+        assert s[-1] <= RANK_RTOL * s[0]  # the SVD path agrees
+
+    def test_users_sharing_their_only_ap_name_the_pair(self, svd_calls):
+        h = np.array([[0.0, 0.3, 0.0], [0.0, 0.7, 0.0]])
+        with pytest.raises(SingularChannelError) as exc_info:
+            zf_precoder(h, 1.0)
+        assert exc_info.value.pair == (0, 1)
+        assert "users 0 and 1" in str(exc_info.value)
+        assert len(svd_calls) == 1
+
+    def test_a_row_with_two_gains_takes_the_svd(self, svd_calls):
+        h = np.array([[0.0, 0.4, 0.0, 0.1], [0.0, 0.0, 0.9, 0.0]])
+        pre = zf_precoder(h, 0.5)
+        assert len(svd_calls) == 1
+        g0, g, beta = oracle_svd_precoder(h, 0.5)
+        assert pre.g0.tobytes() == g0.tobytes()
+        assert pre.g.tobytes() == g.tobytes()
+        assert pre.beta == beta

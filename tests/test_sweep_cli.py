@@ -385,9 +385,12 @@ def test_grid_sweep_bytes_are_pinned(tmp_path):
     1e-30 to +0.0, and of the per-user SINR loop
     (conftest.oracle_link_report): skipping links past the beam's tail
     threshold and exact zeros, and summing interference in one pass, leave
-    every byte as it is. results.csv also passes through the precoder's SVD: another LAPACK
-    build may round it differently, and then its digest must be taken
-    again from code that predates any change under test. The same holds for
+    every byte as it is. Of results.csv's four rows only (0, off) still
+    passes through the precoder's SVD; the three diagonal channels are
+    inverted entry by entry, which gives the bytes the SVD gave them.
+    Another LAPACK build may round that SVD differently, and then the digest
+    must be taken again from code that predates any change under test. The
+    same holds for
     the host libm's pow: the channel squares each offset (rho**2) and the
     link budget each signal photocurrent (I**2) with Python's float power,
     which calls pow, and a pow rounded otherwise moves gains and SINRs by
@@ -406,6 +409,16 @@ def test_grid_sweep_bytes_are_pinned(tmp_path):
     }
     results = hashlib.sha256((tmp_path / "results.csv").read_bytes()).hexdigest()
     assert results == "47a2a1b9947582c6348ec9789d2601d974339b80bb16c0627de9e1ad255a0c80"
+
+
+def test_grid_sweep_factorizes_only_the_coupled_point(svd_calls):
+    """Of the pinned grid's four channels only 1 um lens off couples users;
+    the other three are diagonal and are inverted without an SVD."""
+    sweep = SweepSpec(waist_start=1e-6, waist_end=8e-6, steps=2)
+    result = run_sweep(load_scene(GRID_CONFIG), sweep, collect_artifacts=True)
+    assert set(result.artifacts) == {(0, "off"), (0, "on"), (1, "off"), (1, "on")}
+    assert len(svd_calls) == 1
+    assert np.array_equal(svd_calls[0], result.artifacts[(0, "off")][0].gains)
 
 
 # Three random users in the compact room, three seeds, lens off, both dumps.
@@ -620,6 +633,19 @@ class TestCli:
         config.write_text(CONFIG_TEXT + "\n[users]\ncount = 9\n", encoding="utf-8")
         code, _ = self.run_cli(tmp_path, config)
         assert code == 4
+
+    def test_weak_user_is_named_alone(self, tmp_path, capsys):
+        # Seed 15 at 3 um lens on: each user reaches one AP of its own, and
+        # user 3's gain is 3e-12 of the strongest, so no pair is to blame.
+        config = tmp_path / "random.ini"
+        config.write_text(COMPACT_CONFIG + "\n[users]\nplacement = random\ncount = 4\n",
+                          encoding="utf-8")
+        code, _ = self.run_cli(tmp_path, config, "--seeds", "15", "--lens", "on",
+                               "--waist-start", "3e-6", "--waist-end", "4e-6")
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "waist=3e-06 m" in err and "user 3's channel row is 2.98e-12 times" in err
+        assert "users 0 and 1" not in err
 
     def test_fixed_transmit_power_exits_3(self, tmp_path, capsys):
         config = tmp_path / "fixed.ini"
