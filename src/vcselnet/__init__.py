@@ -15,13 +15,9 @@ from .beam_optics import (
     TransformedBeam,
     beam_intensity,
     beam_radius,
-    divergence_half_angle,
-    far_field_divergence,
     laguerre,
     lens_transform,
-    mode_intensity,
     mode_norm_const,
-    phase_front_radius,
     rayleigh_range,
     transformed_source,
 )
@@ -106,21 +102,17 @@ __all__ = [
     "consumed_power",
     "d86_distance",
     "default_scene",
-    "divergence_half_angle",
     "dump_scene",
     "emit_outputs",
     "exit_code_for",
-    "far_field_divergence",
     "laguerre",
     "lens_transform",
     "link_report",
     "load_scene",
     "max_safe_power",
-    "mode_intensity",
     "mode_norm_const",
     "most_hazardous_position",
     "noise_variance",
-    "phase_front_radius",
     "place_users",
     "place_users_on_axis",
     "pupil_fraction",

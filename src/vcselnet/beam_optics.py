@@ -28,16 +28,6 @@ MAX_RADIAL_INDEX = 12
 # l = 108 it overflows to inf where the true intensity is finite and tiny.
 MAX_AZIMUTHAL_INDEX = 107
 
-# Factorials as floats, 0! .. 20!. 20! = 2^18 * odd, still exact in a double.
-_FACTORIAL = tuple(float(math.factorial(n)) for n in range(21))
-
-
-def _factorial(n: int) -> float:
-    if n < len(_FACTORIAL):
-        return _FACTORIAL[n]
-    return float(math.factorial(n))
-
-
 # Largest array, in elements, a thread keeps for reuse between calls (512 KiB
 # of float64). Temporaries of that size, freed after every kernel call, let
 # the allocator trim the heap and fault the pages back in on the next call;
@@ -147,15 +137,13 @@ class LensSpec:
 class TransformedBeam:
     """Beam parameters after the lens.
 
-    d2      distance from the lens to the new waist plane, m
-    w_l     new waist radius, m
-    theta2  post-lens far-field half divergence, rad
-    k       waist magnification w_l / w0
+    d2   distance from the lens to the new waist plane, m
+    w_l  new waist radius, m
+    k    waist magnification w_l / w0
     """
 
     d2: float
     w_l: float
-    theta2: float
     k: float
 
     def __post_init__(self):
@@ -220,7 +208,7 @@ def mode_norm_const(p: int, l: int, w0: float) -> float:
         )
     if not w0 > 0:
         raise DomainError(f"w0 must be positive, got {w0!r}")
-    return math.sqrt(2.0 * _factorial(p) / (math.pi * _factorial(p + l))) / w0
+    return math.sqrt(2.0 * math.factorial(p) / (math.pi * math.factorial(p + l))) / w0
 
 
 def rayleigh_range(beam: BeamSpec) -> float:
@@ -234,40 +222,6 @@ def beam_radius(z: float, beam: BeamSpec) -> float:
         raise DomainError(f"propagation distance must be >= 0, got {z!r}")
     zr = rayleigh_range(beam)
     return beam.w0 * math.sqrt(1.0 + (z / zr) ** 2)
-
-
-def far_field_divergence(beam: BeamSpec) -> float:
-    """Asymptotic half divergence atan(lambda / (pi w0)), rad."""
-    return math.atan(beam.wavelength / (math.pi * beam.w0))
-
-
-def divergence_half_angle(z: float, beam: BeamSpec) -> float:
-    """Half divergence seen from the waist, theta(z) = atan(w(z)/z). Requires z > 0.
-
-    Decreases monotonically toward atan(lambda/(pi w0)) as z grows.
-    """
-    if not z > 0:
-        raise DomainError(f"divergence is defined for z > 0, got {z!r}")
-    return math.atan(beam_radius(z, beam) / z)
-
-def phase_front_radius(z: float, beam: BeamSpec) -> float:
-    """Wavefront curvature radius R(z) = z (1 + (z_r/z)^2), m. Requires z > 0."""
-    if not z > 0:
-        raise DomainError(f"phase front radius is defined for z > 0, got {z!r}")
-    zr = rayleigh_range(beam)
-    return z * (1.0 + (zr / z) ** 2)
-
-
-def mode_intensity(p: int, l: int, r, z: float, beam: BeamSpec):
-    """Normalized LG mode intensity at radius r and distance z, 1/m^2.
-
-    |U_{p,l}(r, z)|^2 = (A_p^l)^2 (w0^2 / w_z^2) (2 r^2 / w_z^2)^l
-                        [L_p^l(2 r^2 / w_z^2)]^2 exp(-2 r^2 / w_z^2)
-
-    Integrating over the transverse plane gives 1 for any z. r may be a
-    scalar or ndarray of non-negative radii. A one-mode beam_intensity.
-    """
-    return beam_intensity(r, z, replace(beam, modes=((p, l, 1.0),)))
 
 
 def beam_intensity(r, z: float, beam: BeamSpec):
@@ -337,9 +291,6 @@ def lens_transform(beam: BeamSpec, lens: LensSpec) -> TransformedBeam:
     equivalent to propagating the complex beam parameter through free space
     d1 and a thin lens of focal length f. The denominator is strictly
     positive for any physical input, so there is no singular configuration.
-    k = w_l/w0 and theta2 = theta/k, theta being the pre-lens far-field
-    divergence; theta2 coincides with the transformed beam's own asymptotic
-    divergence.
     """
     zr = rayleigh_range(beam)
     delta = lens.d1 - lens.f
@@ -347,8 +298,7 @@ def lens_transform(beam: BeamSpec, lens: LensSpec) -> TransformedBeam:
     d2 = lens.f * (zr**2 + lens.d1 * delta) / den
     w_l = beam.w0 * lens.f / math.sqrt(den)
     k = w_l / beam.w0
-    theta2 = far_field_divergence(beam) / k
-    return TransformedBeam(d2=d2, w_l=w_l, theta2=theta2, k=k)
+    return TransformedBeam(d2=d2, w_l=w_l, k=k)
 
 
 def transformed_source(beam: BeamSpec, lens: LensSpec | None) -> tuple[BeamSpec, float]:

@@ -49,16 +49,18 @@ class Precoder:
 def _rank_deficiency(h: np.ndarray) -> SingularChannelError:
     """The error for a rank-deficient channel, naming the users behind it.
 
-    Names the most linearly dependent pair of user rows. Where every pair of
-    rows is orthogonal (as in every scaled partial permutation), no pair is
-    dependent: the rank is lost to one weak user, who is named alone.
+    Names the most nearly parallel pair of user rows, unless the sine of their
+    angle exceeds the weakest row's norm relative to the strongest (as in any
+    scaled partial permutation); then that weak user is named alone.
     """
     norms = np.linalg.norm(h, axis=1)
     unit = h / np.where(norms[:, None] > 0, norms[:, None], 1.0)
     gram = np.abs(unit @ unit.T)
     np.fill_diagonal(gram, -np.inf)
     k = int(np.argmax(gram))
-    if gram.flat[k] > 0.0:
+    u = int(np.argmin(norms))
+    weakest = float(norms[u] / norms.max())
+    if 1.0 - float(gram.flat[k]) ** 2 <= weakest**2:  # the pair's sine <= weakest
         i, j = divmod(k, gram.shape[1])
         i, j = min(i, j), max(i, j)
         return SingularChannelError(
@@ -66,11 +68,10 @@ def _rank_deficiency(h: np.ndarray) -> SingularChannelError:
             "are (near-)linearly dependent",
             pair=(i, j),
         )
-    u = int(np.argmin(norms))
     return SingularChannelError(
         f"channel matrix is rank deficient: user {u}'s channel row is "
-        f"{norms[u] / norms.max():.3g} times the strongest user's, and no two "
-        "users' rows are aligned",
+        f"{weakest:.3g} times the strongest user's, less than the sine of the "
+        "angle between any two users' rows",
         pair=(u, u),
     )
 
@@ -84,8 +85,8 @@ def zf_precoder(h, per_ap_power_cap) -> Precoder:
     for a non-finite gain, a cap array of another length, or a cap that is
     not positive and finite; InfeasibleError when there are more users than
     APs; and SingularChannelError when the channel is rank deficient at
-    relative tolerance 1e-10, naming the most dependent user pair, or the
-    weakest user when every pair of rows is orthogonal.
+    relative tolerance 1e-10, naming the most dependent user pair or the
+    weakest user (see _rank_deficiency).
 
     A scaled partial permutation (one nonzero gain per user, in distinct AP
     columns) skips the SVD: G0 holds 1/h at each transposed nonzero. That is

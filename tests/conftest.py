@@ -50,6 +50,12 @@ GRID_CONFIG = (
 )
 
 
+def one_mode(beam, p, l):
+    """beam with all its power in the single LG mode (p, l), so that
+    beam_intensity on it gives that mode's normalized intensity."""
+    return dataclasses.replace(beam, modes=((p, l, 1.0),))
+
+
 def oracle_mode_intensity(p, l, r, z, beam):
     """Reference LG mode intensity: one mode, its own w(z), x and exp(-x)."""
     r_arr = np.asarray(r, dtype=float)

@@ -15,13 +15,9 @@ from vcselnet import (
     TransformedBeam,
     beam_intensity,
     beam_radius,
-    divergence_half_angle,
-    far_field_divergence,
     laguerre,
     lens_transform,
-    mode_intensity,
     mode_norm_const,
-    phase_front_radius,
     rayleigh_range,
     transformed_source,
 )
@@ -29,17 +25,13 @@ from vcselnet import beam_optics
 from vcselnet.beam_optics import _SCRATCH_MAX_NODES, MAX_AZIMUTHAL_INDEX, _scratch_buffer
 from vcselnet.errors import DomainError
 
-from conftest import oracle_beam_intensity
+from conftest import one_mode, oracle_beam_intensity
 
 # Frozen oracle values for the 5 um / 850 nm fundamental beam. Derived from
 # closed forms evaluated independently of the package (see the matching
 # expressions in each test).
 Z_R = 9.239978392911157e-05
 W_2M = 0.10822536141798857
-THETA_FF = 0.054059955989850444
-THETA_ZR = 0.07637801983704852
-THETA_2M = 0.05405995604743171
-R_2M = 2.00000000426886
 A_1_2_W1 = 0.32573500793528  # sqrt(2 * 1! / (pi * 3!))
 
 TABLE_F = 0.127e-3
@@ -156,8 +148,9 @@ class TestModeNormalization:
     @pytest.mark.parametrize("z", [0.0, 2.0])
     def test_plane_integral_is_unity(self, p, l, z, fundamental_beam):
         w = beam_radius(z, fundamental_beam)
+        mode = one_mode(fundamental_beam, p, l)
         val, err = integrate.quad(
-            lambda r: mode_intensity(p, l, r, z, fundamental_beam) * 2.0 * math.pi * r,
+            lambda r: beam_intensity(r, z, mode) * 2.0 * math.pi * r,
             0.0,
             12.0 * w,
             limit=200,
@@ -194,64 +187,13 @@ class TestPropagation:
         with pytest.raises(DomainError):
             beam_radius(-1e-3, fundamental_beam)
 
-    def test_far_field_divergence_frozen(self, fundamental_beam):
-        assert far_field_divergence(fundamental_beam) == pytest.approx(
-            THETA_FF, rel=1e-12
-        )
-
-    def test_divergence_frozen_points(self, fundamental_beam):
-        assert divergence_half_angle(Z_R, fundamental_beam) == pytest.approx(
-            THETA_ZR, rel=1e-12
-        )
-        assert divergence_half_angle(2.0, fundamental_beam) == pytest.approx(
-            THETA_2M, rel=1e-12
-        )
-
-    def test_divergence_decreases_toward_far_field(self, fundamental_beam):
-        zs = [1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0]
-        thetas = [divergence_half_angle(z, fundamental_beam) for z in zs]
-        assert all(a > b for a, b in zip(thetas, thetas[1:]))
-        assert thetas[-1] > far_field_divergence(fundamental_beam)
-
-    def test_divergence_converges_within_tolerance(self, fundamental_beam):
-        theta_ff = far_field_divergence(fundamental_beam)
-        for z in (100 * Z_R, 300 * Z_R, 1e4 * Z_R):
-            theta = divergence_half_angle(z, fundamental_beam)
-            assert abs(theta - theta_ff) / theta_ff <= 1e-3
-
-    def test_divergence_rejects_nonpositive(self, fundamental_beam):
-        with pytest.raises(DomainError):
-            divergence_half_angle(0.0, fundamental_beam)
-
-    def test_phase_front_radius_frozen(self, fundamental_beam):
-        assert phase_front_radius(2.0, fundamental_beam) == pytest.approx(
-            R_2M, rel=1e-12
-        )
-
-    def test_phase_front_minimum_at_rayleigh_range(self, fundamental_beam):
-        r_min = phase_front_radius(Z_R, fundamental_beam)
-        assert r_min == pytest.approx(2.0 * Z_R, rel=1e-9)
-        for z in (0.3 * Z_R, 0.9 * Z_R, 1.1 * Z_R, 5.0 * Z_R):
-            assert phase_front_radius(z, fundamental_beam) > r_min
-
-    def test_phase_front_identity(self, fundamental_beam):
-        # R(z) = z + z_r^2 / z
-        for z in (1e-4, 0.05, 2.0):
-            assert phase_front_radius(z, fundamental_beam) == pytest.approx(
-                z + Z_R**2 / z, rel=1e-12
-            )
-
-    def test_phase_front_rejects_nonpositive(self, fundamental_beam):
-        with pytest.raises(DomainError):
-            phase_front_radius(0.0, fundamental_beam)
-
 
 class TestIntensity:
     def test_fundamental_peak_value(self, fundamental_beam):
         # On-axis fundamental intensity is 2 / (pi w(z)^2).
         for z in (0.0, 0.5, 2.0):
             w = beam_radius(z, fundamental_beam)
-            assert mode_intensity(0, 0, 0.0, z, fundamental_beam) == pytest.approx(
+            assert beam_intensity(0.0, z, fundamental_beam) == pytest.approx(
                 2.0 / (math.pi * w**2), rel=1e-12
             )
 
@@ -266,28 +208,28 @@ class TestIntensity:
             expected = (
                 a2 * (w0**2 / w**2) * x**l * eval_genlaguerre(p, l, x) ** 2 * math.exp(-x)
             )
-            assert mode_intensity(p, l, r, z, fundamental_beam) == pytest.approx(
+            assert beam_intensity(r, z, one_mode(fundamental_beam, p, l)) == pytest.approx(
                 expected, rel=1e-9, abs=1e-300
             )
 
     def test_azimuthal_modes_vanish_on_axis(self, fundamental_beam):
         for l in (1, 2, 3):
-            assert mode_intensity(0, l, 0.0, 1.0, fundamental_beam) == 0.0
+            assert beam_intensity(0.0, 1.0, one_mode(fundamental_beam, 0, l)) == 0.0
 
     def test_rejects_negative_radius(self, fundamental_beam):
         with pytest.raises(DomainError):
-            mode_intensity(0, 0, -1e-6, 1.0, fundamental_beam)
+            beam_intensity(-1e-6, 1.0, fundamental_beam)
 
     def test_array_radius(self, fundamental_beam):
         r = np.array([0.0, 1e-3, 5e-3])
-        vals = mode_intensity(0, 0, r, 2.0, fundamental_beam)
+        vals = beam_intensity(r, 2.0, fundamental_beam)
         assert vals.shape == r.shape
         assert np.all(np.diff(vals) < 0)
 
     def test_beam_intensity_is_weighted_sum(self, multimode_beam):
         r, z = 2.3e-3, 1.7
         manual = sum(
-            frac * mode_intensity(p, l, r, z, multimode_beam)
+            frac * beam_intensity(r, z, one_mode(multimode_beam, p, l))
             for p, l, frac in multimode_beam.modes
         )
         assert beam_intensity(r, z, multimode_beam) == pytest.approx(manual, rel=1e-12)
@@ -586,9 +528,13 @@ class TestLensTransform:
     def test_divergence_scales_inversely_with_magnification(
         self, fundamental_beam, table_lens
     ):
-        tb = lens_transform(fundamental_beam, table_lens)
-        assert tb.theta2 == pytest.approx(
-            far_field_divergence(fundamental_beam) / tb.k, rel=1e-15
+        # Far from the waist w(z) -> z lambda / (pi w0), so the relayed beam's
+        # spot (and far-field angle) is the source's divided by k = w_l / w0.
+        k = lens_transform(fundamental_beam, table_lens).k
+        relayed, _ = transformed_source(fundamental_beam, table_lens)
+        z = 100.0
+        assert beam_radius(z, relayed) / beam_radius(z, fundamental_beam) == (
+            pytest.approx(1.0 / k, rel=1e-9)
         )
 
     def test_transformed_source_without_lens(self, fundamental_beam):
@@ -621,8 +567,8 @@ class TestLensSpecValidation:
 
     def test_transformed_beam_guards(self):
         with pytest.raises(DomainError):
-            TransformedBeam(d2=1e-4, w_l=0.0, theta2=0.1, k=1.0)
+            TransformedBeam(d2=1e-4, w_l=0.0, k=1.0)
         with pytest.raises(DomainError):
-            TransformedBeam(d2=math.inf, w_l=1e-6, theta2=0.1, k=1.0)
+            TransformedBeam(d2=math.inf, w_l=1e-6, k=1.0)
         with pytest.raises(DomainError):
-            TransformedBeam(d2=1e-4, w_l=1e-6, theta2=0.1, k=0.0)
+            TransformedBeam(d2=1e-4, w_l=1e-6, k=0.0)

@@ -159,7 +159,7 @@ class TestFailureModes:
 
 
 class TestWeakUser:
-    """Rank lost to one weak user, with no two user rows aligned."""
+    """Rank lost to one weak user, with no two user rows nearly parallel."""
 
     def test_scaled_permutation_names_the_weak_user(self):
         with pytest.raises(SingularChannelError) as exc_info:
@@ -176,6 +176,14 @@ class TestWeakUser:
             zf_precoder(h, 1.0)
         assert exc_info.value.pair == (1, 1)
         assert f"{5e-12 / np.hypot(0.5, 0.25):.3g}" in str(exc_info.value)
+
+    def test_hairline_overlap_does_not_name_a_pair(self):
+        # Rows 0 and 1 overlap at |cos| = 1e-20, far from parallel; the rank
+        # is lost to user 2, whose row is 1e-11 of the strongest.
+        h = np.array([[1.0, 1e-20, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1e-11]])
+        with pytest.raises(SingularChannelError, match="user 2") as exc_info:
+            zf_precoder(h, 1.0)
+        assert exc_info.value.pair == (2, 2)
 
 
 class TestResidualInterference:

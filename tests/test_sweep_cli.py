@@ -464,8 +464,9 @@ def sweep_cases(draw):
     APs draw from four beams: 850 and 940 nm, a 3 um beam that differs
     from the first only in w0 (one source at every point), and a TEM00
     beam. Their own lens states differ, so a sweep's batch plan can be finer
-    than a point's sources. Scene pins every AP to the ceiling, so AP
-    heights vary between scenes. Users are explicit, with mixed apertures
+    than a point's sources. Array sizes and pitches differ per AP, so a
+    point that reset either would not match its rebuilt scene. Scene pins
+    every AP to the ceiling, so AP heights vary between scenes. Users are explicit, with mixed apertures
     and FOVs, or one or two randomly placed users replicated over up to three
     seeds.
     """
@@ -480,7 +481,9 @@ def sweep_cases(draw):
                      min_size=2, max_size=4, unique=True)
     aps = tuple(
         AccessPoint(position=(x, y, height), beam=draw(st.sampled_from(beams)),
-                    lens=draw(st.sampled_from([None, base.lens_design])))
+                    lens=draw(st.sampled_from([None, base.lens_design])),
+                    array_n=draw(st.sampled_from([1, 2, 5])),
+                    pitch=draw(st.sampled_from([10e-6, 20e-6])))
         for x, y in draw(spots)
     )
     users = tuple(
