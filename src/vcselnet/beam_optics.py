@@ -71,8 +71,8 @@ FUNDAMENTAL_MODE: tuple[tuple[int, int, float], ...] = ((0, 0, 1.0),)
 class BeamSpec:
     """Source beam: waist radius, wavelength and transverse mode mix.
 
-    w0          waist radius at the source, m
-    wavelength  vacuum wavelength, m
+    w0          waist radius at the source, m; positive and finite
+    wavelength  vacuum wavelength, m; positive and finite
     modes       tuple of (p, l, power_fraction); fractions must sum to 1
     """
 
@@ -81,10 +81,10 @@ class BeamSpec:
     modes: tuple[tuple[int, int, float], ...] = DEFAULT_MODES
 
     def __post_init__(self):
-        if not self.w0 > 0:
-            raise DomainError(f"w0 must be positive, got {self.w0!r}")
-        if not self.wavelength > 0:
-            raise DomainError(f"wavelength must be positive, got {self.wavelength!r}")
+        if not 0 < self.w0 < math.inf:
+            raise DomainError(f"w0 must be positive and finite, got {self.w0!r}")
+        if not 0 < self.wavelength < math.inf:
+            raise DomainError(f"wavelength must be positive and finite, got {self.wavelength!r}")
         if not self.modes:
             raise DomainError("modes must contain at least one (p, l, fraction) entry")
         seen = set()

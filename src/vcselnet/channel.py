@@ -15,6 +15,7 @@ skipped (see _dark_x).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -141,31 +142,43 @@ def _dark_x(modes) -> float:
 
 
 def _disc_capture_fixed(
-    beam: BeamSpec, z: float, rho: np.ndarray, aperture_radius: float, order: int
-) -> np.ndarray:
-    """Fixed-order tensor Gauss-Legendre integrals of the intensity over the disc.
+    beam: BeamSpec, z: float, rho: np.ndarray, aperture_radius: float, orders: tuple[int, ...]
+) -> list[np.ndarray]:
+    """Fixed-order tensor Gauss-Legendre integrals of the intensity over the
+    disc: one array per order in orders, one integral per offset in rho.
 
-    One integral per offset in rho. Detector-centered polar coordinates
-    (s, phi); the distance from the beam axis to an integration node is
-    r = sqrt(rho^2 + s^2 + 2 rho s cos phi). Each link is reduced on its own
-    (order x order) plane, so its value does not depend on the batch. The
-    node radii live in the thread's scratch buffer "r".
+    Detector-centered polar coordinates (s, phi); the distance from the beam
+    axis to an integration node is r = sqrt(rho^2 + s^2 + 2 rho s cos phi).
+    All nodes go to one beam_intensity call as one (links x nodes) array, a
+    link's orders side by side, so a second order costs no second call. Each
+    link is reduced on its own (order x order) plane, so its value depends
+    on neither the batch nor the other orders. The node radii live in the
+    thread's scratch buffer "r".
     """
-    x, w = _gauss_nodes(order)
-    s = 0.5 * aperture_radius * (x + 1.0)
-    w_s = 0.5 * aperture_radius * w * s
-    phi = math.pi * (x + 1.0)
-    w_phi = math.pi * w
     # rho^2 as a Python float power: numpy's square may round differently.
     rho_sq = np.array([r**2 for r in rho.tolist()])[:, None, None]
     rho = rho[:, None, None]
-    # r = sqrt((rho^2 + s^2) + 2 rho s cos(phi)), one operation at a time.
-    r = _scratch_buffer("r", (rho.size, order, order))
-    np.multiply(2.0 * rho * s[:, None], np.cos(phi)[None, :], out=r)
-    np.add(rho_sq + s[:, None] ** 2, r, out=r)
+    # Columns bounds[k]:bounds[k + 1] of each link's row hold order k's nodes.
+    bounds = list(itertools.accumulate((order * order for order in orders), initial=0))
+    r = _scratch_buffer("r", (rho.size, bounds[-1]))
+    weights = []
+    for order, start, stop in zip(orders, bounds, bounds[1:]):
+        x, w = _gauss_nodes(order)
+        s = 0.5 * aperture_radius * (x + 1.0)
+        phi = math.pi * (x + 1.0)
+        weights.append((0.5 * aperture_radius * w * s, math.pi * w))
+        # r^2 = (rho^2 + s^2) + 2 rho s cos(phi), one operation at a time, in
+        # a view of the order's columns.
+        r_sq = r[:, start:stop].reshape(-1, order, order)
+        np.multiply(2.0 * rho * s[:, None], np.cos(phi)[None, :], out=r_sq)
+        np.add(rho_sq + s[:, None] ** 2, r_sq, out=r_sq)
     np.sqrt(r, out=r)
     intensity = beam_intensity(r, z, beam)
-    return np.array([w_s @ plane @ w_phi for plane in intensity])
+    return [
+        np.array([w_s @ plane @ w_phi
+                  for plane in intensity[:, start:stop].reshape(-1, order, order)])
+        for order, start, stop, (w_s, w_phi) in zip(orders, bounds, bounds[1:], weights)
+    ]
 
 
 def _disc_capture(
@@ -177,31 +190,33 @@ def _disc_capture(
     Offsets whose nearest disc point lies past the beam's tail threshold
     (see _dark_x) capture less than the floor and are never evaluated. For
     the rest the order doubles from 16 until a link's value changes by less
-    than 1e-8 relative; converged links drop out. Links still open after
-    order 1024 come back as NaN. Nodes are evaluated in chunks of at most
-    _CHUNK_NODES (but at least one link).
+    than 1e-8 relative; converged links drop out. The first round integrates
+    orders 16 and 32 in one kernel call, as the first comparison needs both;
+    each later round one order. Links still open after order 1024 come back
+    as NaN. A round's nodes are evaluated in chunks of at most _CHUNK_NODES
+    (but at least one link).
     """
     result = np.full(rho.shape, np.nan)
     gap = rho - aperture_radius
     dark = (gap > 0.0) & (2.0 * gap**2 / beam_radius(z, beam) ** 2 > _dark_x(beam.modes))
     result[dark] = 0.0
     active = np.flatnonzero(~dark)
-    prev = None
-    order = _QUAD_START_ORDER
-    while active.size and order <= _QUAD_MAX_ORDER:
-        step = max(1, _CHUNK_NODES // order**2)
-        cur = np.concatenate(
-            [
-                _disc_capture_fixed(beam, z, rho[active[i : i + step]], aperture_radius, order)
-                for i in range(0, active.size, step)
-            ]
-        )
-        if prev is not None:
-            done = np.abs(cur - prev) <= _QUAD_RTOL * np.abs(cur) + 1e-16
-            result[active[done]] = np.clip(cur[done], 0.0, 1.0)
-            active, cur = active[~done], cur[~done]
-        prev = cur
-        order *= 2
+    orders: tuple[int, ...] = (_QUAD_START_ORDER, 2 * _QUAD_START_ORDER)
+    while active.size and orders[-1] <= _QUAD_MAX_ORDER:
+        step = max(1, _CHUNK_NODES // sum(order * order for order in orders))
+        chunks = [
+            _disc_capture_fixed(beam, z, rho[active[i : i + step]], aperture_radius, orders)
+            for i in range(0, active.size, step)
+        ]
+        # The round's last order against the order before it: in the first
+        # round its own first order, later the previous round's.
+        *earlier, cur = (np.concatenate(values) for values in zip(*chunks))
+        if earlier:
+            prev = earlier[-1]
+        done = np.abs(cur - prev) <= _QUAD_RTOL * np.abs(cur) + 1e-16
+        result[active[done]] = np.clip(cur[done], 0.0, 1.0)
+        active, prev = active[~done], cur[~done]
+        orders = (2 * orders[-1],)
     result[result < _GAIN_FLOOR] = 0.0
     return result
 

@@ -76,6 +76,14 @@ class AccessPoint:
                 f"per_vcsel_power must be positive, got {self.per_vcsel_power!r}"
             )
 
+    def with_source(self, beam: BeamSpec, lens: LensSpec | None) -> AccessPoint:
+        """This AP with another beam and lens: dataclasses.replace's copy,
+        built without __init__. __post_init__ checks neither field, and both
+        validate themselves."""
+        ap = object.__new__(AccessPoint)
+        ap.__dict__.update(self.__dict__, beam=beam, lens=lens)
+        return ap
+
 
 @dataclass(frozen=True)
 class UserTerminal:
@@ -206,6 +214,22 @@ class Scene:
             x, y = user.position
             if not (0.0 <= x <= self.room.width and 0.0 <= y <= self.room.length):
                 raise ConfigError(f"user {i} at {user.position!r} lies outside the room footprint")
+
+    def with_aps(self, aps: tuple[AccessPoint, ...]) -> Scene:
+        """This scene with other APs: dataclasses.replace's copy, validated
+        only if the APs moved.
+
+        __post_init__ checks the APs' count and positions alone, so APs that
+        hold this scene's own position objects, one for one (with_source
+        copies, say), are taken without __init__; any others are validated.
+        """
+        if len(aps) == len(self.aps) and all(
+            ap.position is ref.position for ap, ref in zip(aps, self.aps)
+        ):
+            scene = object.__new__(Scene)
+            scene.__dict__.update(self.__dict__, aps=aps)
+            return scene
+        return replace(self, aps=aps)
 
 
 # ---------------------------------------------------------------------------

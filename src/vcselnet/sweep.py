@@ -21,7 +21,7 @@ from .errors import ConfigError, DomainError, SweepPointError, VcselNetError
 from .eye_safety import max_safe_power
 from .link_budget import LinkReport, link_report
 from .precoding import Precoder, zf_precoder
-from .scene import AccessPoint, Scene, place_users
+from .scene import Scene, place_users
 
 SCHEMA_VERSION = "v1"
 
@@ -42,7 +42,7 @@ _CSV_COLUMNS = (
 class SweepSpec:
     """Sweep grid and replication plan.
 
-    waist_start / waist_end   inclusive waist range, m
+    waist_start / waist_end   inclusive waist range, m; finite
     steps                     number of grid points (linear spacing)
     lens_modes                subset of ("off", "on")
     seeds                     replicate seeds of a randomly placed scene;
@@ -56,9 +56,10 @@ class SweepSpec:
     seeds: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        if not 0 < self.waist_start < self.waist_end:
+        if not 0 < self.waist_start < self.waist_end < math.inf:
             raise ConfigError(
-                f"need 0 < waist_start < waist_end, got {self.waist_start!r}, {self.waist_end!r}"
+                "need 0 < waist_start < waist_end, both finite, got "
+                f"{self.waist_start!r}, {self.waist_end!r}"
             )
         if self.steps < 2:
             raise ConfigError(f"steps must be >= 2, got {self.steps!r}")
@@ -120,17 +121,15 @@ def _configure(
     """Scene copy with every AP at the given waist and lens state.
 
     sources is _sources of the scene's APs. One beam is rebuilt per source,
-    and APs that shared it share the rebuilt beam.
+    and APs that shared it share the rebuilt beam. Only the beams and the
+    lens change, so the APs and the scene are copied without re-validation
+    (AccessPoint.with_source, Scene.with_aps); each compares equal to its
+    dataclasses.replace rebuild.
     """
     of, firsts = sources
     beams = [replace(scene.aps[a].beam, w0=waist) for a in firsts]
     lens = scene.lens_design if lens_mode == "on" else None
-    aps = tuple(
-        AccessPoint(position=ap.position, beam=beams[s], lens=lens, array_n=ap.array_n,
-                    pitch=ap.pitch, per_vcsel_power=ap.per_vcsel_power)
-        for ap, s in zip(scene.aps, of)
-    )
-    return replace(scene, aps=aps)
+    return scene.with_aps(tuple(ap.with_source(beams[s], lens) for ap, s in zip(scene.aps, of)))
 
 
 def _evaluate(
@@ -201,7 +200,7 @@ def run_sweep(
                 caps = elements * np.array(source_caps)[source_of]
                 reports = []
                 for seed, base, geometry in bases:
-                    placed = point if base is scene else replace(base, aps=point.aps)
+                    placed = point if base is scene else base.with_aps(point.aps)
                     h, precoder, report = _evaluate(placed, geometry, caps, rate_model)
                     if collect_artifacts and not reports:
                         artifacts[(w_idx, mode)] = (h, precoder)

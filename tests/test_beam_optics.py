@@ -442,6 +442,13 @@ class TestBeamSpecValidation:
         with pytest.raises(DomainError):
             BeamSpec(**kwargs)
 
+    @pytest.mark.parametrize("field", ["w0", "wavelength"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_rejects_non_finite(self, field, value):
+        kwargs = {"w0": 5e-6, "wavelength": 850e-9, field: value}
+        with pytest.raises(DomainError, match=f"{field} must be positive and finite"):
+            BeamSpec(**kwargs)
+
     def test_rejects_azimuthal_index_beyond_finite_range(self):
         assert MAX_AZIMUTHAL_INDEX == 107
         BeamSpec(w0=5e-6, wavelength=850e-9, modes=((0, 107, 1.0),))

@@ -41,6 +41,9 @@ from conftest import COMPACT_CONFIG, oracle_beam_intensity
 APERTURE = math.sqrt(2e-4 / math.pi)
 # Every gain below this is exactly +0.0 (channel._GAIN_FLOOR).
 GAIN_FLOOR = 1e-30
+# Nodes per link in the quadrature's first round: orders 16 and 32 side by
+# side in one beam_intensity call, whose radii arrive as (links x nodes).
+FIRST_ROUND_NODES = 16 * 16 + 32 * 32
 
 
 def floored(gain):
@@ -231,8 +234,7 @@ class TestCapturedFraction:
 
     def test_fixed_order_quadrature_has_converged(self, multimode_beam):
         rho = np.array([1.0])
-        a = _disc_capture_fixed(multimode_beam, 2.0, rho, APERTURE, 256)
-        b = _disc_capture_fixed(multimode_beam, 2.0, rho, APERTURE, 512)
+        a, b = _disc_capture_fixed(multimode_beam, 2.0, rho, APERTURE, (256, 512))
         assert a[0] == pytest.approx(b[0], rel=1e-10)
 
     @pytest.mark.parametrize("rho", [0.0, 0.05, 0.3, 1.0])
@@ -243,10 +245,13 @@ class TestCapturedFraction:
             assert got == floored(want)
 
     def test_non_convergence_names_the_link(self, multimode_beam, monkeypatch):
-        # Beyond r = 2.5 m the integral moves by 1/order at every order, so
-        # the 1e-8 test never passes and the order runs past 1024.
+        # Beyond r = 2.5 m every node draws fresh noise, so no two orders
+        # agree to 1e-8, not even the first round's two in one call, and the
+        # order runs past 1024.
+        noise = np.random.default_rng(0)
+
         def erratic(r, z, beam):
-            return np.where(r > 2.5, 1.0 + 1.0 / r.shape[-1], 1.0)
+            return np.where(r > 2.5, 1.0 + noise.random(r.shape), 1.0)
 
         # A 1 um source has spread to w ~ 0.54 m at 2 m, so even the 3 m link
         # is integrated: its nearest disc point sits at x = 2 (rho - a)^2 / w^2
@@ -319,7 +324,7 @@ class TestDarkLinks:
         )
         planes.clear()
         h = build_channel_matrix(scene)
-        assert sum(n for n, order, _ in planes if order == 16) == lit
+        assert sum(n for n, nodes in planes if nodes == FIRST_ROUND_NODES) == lit
         monkeypatch.undo()
         assert_bit_identical(h, oracle_channel(scene))
 
@@ -571,8 +576,8 @@ class TestChannelMatrix:
         assert np.all(off == 0.0)
 
     def test_batch_spanning_several_chunks(self, multimode_beam, monkeypatch):
-        # Two order-16 links per chunk; from order 32 on every chunk holds one link.
-        monkeypatch.setattr(channel, "_CHUNK_NODES", 2 * 16 * 16)
+        # Two links per first-round chunk; from order 64 on every chunk holds one link.
+        monkeypatch.setattr(channel, "_CHUNK_NODES", 2 * FIRST_ROUND_NODES)
         sizes = []
 
         def recording(r, z, beam):
@@ -590,15 +595,44 @@ class TestChannelMatrix:
             users=(UserTerminal(position=(0.0, 0.0)),),
         )
         h = build_channel_matrix(scene)
-        assert max(n for n, _, _ in sizes) > 1
-        assert sum(order == 16 for _, order, _ in sizes) > 1
-        for n, order, _ in sizes:
-            assert n * order * order <= max(2 * 16 * 16, order * order)
+        assert max(n for n, _ in sizes) > 1
+        assert sum(nodes == FIRST_ROUND_NODES for _, nodes in sizes) > 1
+        for n, nodes in sizes:
+            assert n * nodes <= max(2 * FIRST_ROUND_NODES, nodes)
         monkeypatch.undo()
         for a, offset in enumerate(rho):
             alone = captured_fraction(multimode_beam, None, 2.0, offset, APERTURE)
             assert h.gains[0, a] == alone
         assert_bit_identical(h, oracle_channel(scene))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    modes=st.sampled_from([FUNDAMENTAL_MODE, DEFAULT_MODES]),
+    w0=st.sampled_from([1e-6, 5e-6, 8e-6]),
+    z=st.floats(0.5, 3.0),
+    aperture=st.sampled_from([APERTURE, 0.5 * APERTURE]),
+    rho=st.lists(st.floats(0.0, 0.5), min_size=3, max_size=6),
+)
+def test_merged_first_round_matches_separate_orders(modes, w0, z, aperture, rho):
+    """Orders 16 and 32 in one kernel call give, bit for bit, what each order
+    gives alone and what the per-link oracle gives; the adaptive capture is
+    the same whether its first round is one chunk or split over several."""
+    beam = BeamSpec(w0, 850e-9, modes)
+    offsets = np.array(rho)
+    merged = _disc_capture_fixed(beam, z, offsets, aperture, (16, 32))
+    for order, got in zip((16, 32), merged):
+        (alone,) = _disc_capture_fixed(beam, z, offsets, aperture, (order,))
+        assert got.tobytes() == alone.tobytes()
+        assert got.tolist() == [oracle_disc_capture_fixed(beam, z, x, aperture, order) for x in rho]
+    whole = channel._disc_capture(beam, z, offsets, aperture)
+    # One link per first-round chunk.
+    with mock.patch.object(channel, "_CHUNK_NODES", FIRST_ROUND_NODES):
+        split = channel._disc_capture(beam, z, offsets, aperture)
+    assert split.tobytes() == whole.tobytes()
+    assert split.tolist() == [
+        floored(oracle_captured_fraction(beam, None, z, x, aperture)) for x in rho
+    ]
 
 
 GRID = st.sampled_from([0.0, 0.25, 0.3, 0.5, 1.0, 2.0])

@@ -1,16 +1,22 @@
 """The package surface that the benchmark under perfbench/ relies on.
 
 perfbench/test_smoke.py runs the benchmark itself and takes tens of seconds,
-so it stays out of the default test run. This test only imports the
-benchmark's modules and checks the names and fields they reach, so that
-removing one of them fails here and not first in a benchmark run.
+so it stays out of the default test run. These tests only import the
+benchmark's modules, check the names and fields they reach, and run a small
+sweep under its tracer, so that removing one of them, or a change to
+run_sweep that hides a layer call from the tracer, fails here and not first
+in a benchmark run.
 """
 
+import collections
 import dataclasses
 import importlib
+import sys
 from pathlib import Path
 
-from vcselnet import AccessPoint, ChannelMatrix
+import pytest
+
+from vcselnet import AccessPoint, ChannelMatrix, SweepSpec, load_scene
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -19,8 +25,15 @@ def field_names(cls):
     return {f.name for f in dataclasses.fields(cls)}
 
 
-def test_benchmark_modules_import_and_find_their_layers(monkeypatch):
+@pytest.fixture
+def perfbench(monkeypatch):
+    """perfbench's directory on the import path; its modules are only read
+    (no bytecode is written there)."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
     monkeypatch.syspath_prepend(str(PERFBENCH))
+
+
+def test_benchmark_modules_import_and_find_their_layers(perfbench):
     tracing = importlib.import_module("tracing")
     importlib.import_module("workloads")
     layers = tracing.plain_layers()
@@ -29,3 +42,32 @@ def test_benchmark_modules_import_and_find_their_layers(monkeypatch):
     # link geometries from a channel's distances and offsets.
     assert "per_vcsel_power" in field_names(AccessPoint)
     assert {"distances", "offsets"} <= field_names(ChannelMatrix)
+
+
+def test_a_traced_sweep_reports_every_layer_per_point(perfbench):
+    """The benchmark's tracer, installed as it installs it, sees each point's
+    layers in run_sweep: one channel, precoding and link_budget span per
+    point and one eye_safety span per source per point, all inside the
+    sweep.run span."""
+    tracing = importlib.import_module("tracing")
+    workloads = importlib.import_module("workloads")
+    # The benchmark's 2 x 2 grid, with one AP at another wavelength: two sources.
+    scene = load_scene(workloads.grid_config(2))
+    aps = list(scene.aps)
+    aps[3] = dataclasses.replace(aps[3], beam=dataclasses.replace(aps[3].beam, wavelength=940e-9))
+    scene = dataclasses.replace(scene, aps=tuple(aps))
+    sweep = SweepSpec(waist_start=1e-6, waist_end=8e-6, steps=2)
+    tracer = tracing.Tracer()
+    try:
+        result = tracing.instrument(tracer).run_sweep(scene, sweep)
+    finally:
+        tracing.restore()
+    points, sources = len(result.rows), len({ap.beam for ap in scene.aps})
+    assert (points, sources) == (4, 2)
+    calls = collections.Counter(name for name, *_ in tracer.spans)
+    assert calls == {"sweep.run": 1, "eye_safety": points * sources, "channel": points,
+                     "precoding": points, "link_budget": points}
+    assert all(parent == 0 for name, _, _, parent, _ in tracer.spans if name != "sweep.run")
+    metrics = tracing.layer_metrics(tracer, ops=1)
+    assert metrics["channel.calls"] == metrics["precoding.calls"] == points
+    assert metrics["channel.links"] == points * len(scene.aps) * len(scene.users)

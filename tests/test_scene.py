@@ -510,6 +510,39 @@ class TestDirectConstruction:
         assert tagged == scene
 
 
+class TestValidatedCopies:
+    """with_source and with_aps equal dataclasses.replace's copies; with_aps
+    skips validation only for APs at the scene's own positions."""
+
+    def test_with_source_equals_replace(self):
+        scene = default_scene()
+        beam = BeamSpec(w0=2e-6, wavelength=940e-9)
+        for lens in (None, scene.lens_design):
+            ap = scene.aps[1].with_source(beam, lens)
+            assert type(ap) is AccessPoint
+            assert vars(ap) == vars(dataclasses.replace(scene.aps[1], beam=beam, lens=lens))
+            assert ap.position is scene.aps[1].position
+
+    def test_with_aps_equals_replace(self):
+        scene = dataclasses.replace(default_scene(), warnings=("note",))
+        aps = tuple(ap.with_source(ap.beam, None) for ap in scene.aps)
+        copy = scene.with_aps(aps)
+        assert type(copy) is Scene and copy.aps is aps
+        assert vars(copy) == vars(dataclasses.replace(scene, aps=aps))
+
+    def test_with_aps_validates_aps_that_moved(self):
+        scene = default_scene()
+        outside = (dataclasses.replace(scene.aps[0], position=(9.0, 1.0, 3.0)),) + scene.aps[1:]
+        with pytest.raises(ConfigError, match="access point 0 .* outside the room"):
+            scene.with_aps(outside)
+        with pytest.raises(ConfigError, match="users exceed"):
+            scene.with_aps(scene.aps[:3])
+        # Equal positions held in other objects are validated, and pass.
+        moved = tuple(dataclasses.replace(ap, position=tuple([*ap.position])) for ap in scene.aps)
+        assert all(a.position is not b.position for a, b in zip(moved, scene.aps))
+        assert scene.with_aps(moved) == scene
+
+
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 

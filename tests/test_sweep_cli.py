@@ -16,6 +16,7 @@ from vcselnet import (
     FUNDAMENTAL_MODE,
     AccessPoint,
     BeamSpec,
+    Scene,
     SweepResult,
     SweepSpec,
     UserTerminal,
@@ -102,6 +103,12 @@ class TestSweepSpec:
     )
     def test_rejects_invalid(self, kwargs):
         with pytest.raises(ConfigError):
+            SweepSpec(**kwargs)
+
+    @pytest.mark.parametrize("kwargs", [dict(waist_end=math.inf), dict(waist_start=math.nan),
+                                        dict(waist_end=math.nan), dict(waist_start=-math.inf)])
+    def test_rejects_non_finite_waists(self, kwargs):
+        with pytest.raises(ConfigError, match="both finite"):
             SweepSpec(**kwargs)
 
 
@@ -541,6 +548,50 @@ def test_every_point_channel_matches_a_fresh_build(case):
     assert result is None or len(built) == len(points)
 
 
+@settings(max_examples=30, deadline=None)
+@given(case=sweep_cases(), waist=st.sampled_from([1e-6, 2.5e-6]),
+       mode=st.sampled_from(["off", "on"]))
+def test_point_scene_equals_its_rebuild(case, waist, mode):
+    """A point's scene equals the dataclasses.replace rebuild AP by AP and
+    field by field (warnings too), and so does each seed's scene made from
+    it, although neither runs __init__."""
+    scene, sweep = case
+    point = vcselnet.sweep._configure(scene, waist, mode, vcselnet.sweep._sources(scene, waist))
+    want = configured(scene, waist, mode)
+    assert len(point.aps) == len(want.aps)
+    for got, ref in zip(point.aps, want.aps):
+        assert type(got) is AccessPoint
+        assert vars(got) == vars(ref)
+    assert vars(point) == vars(want)
+    for seed in sweep.seeds or ():
+        base = place_users(scene, len(scene.users), seed)
+        assert vars(base.with_aps(point.aps)) == vars(dataclasses.replace(base, aps=point.aps))
+
+
+@pytest.mark.parametrize("placement", ["on-axis", "random"])
+def test_a_point_validates_no_access_point(compact_scene, monkeypatch, placement):
+    """Only the beams and lens change between points, so no point runs
+    AccessPoint.__post_init__, and Scene.__post_init__ runs only where a
+    random scene's users are placed, once per seed."""
+    calls = {AccessPoint: 0, Scene: 0}
+    for cls in calls:
+        def counting(self, cls=cls, validate=cls.__post_init__):
+            calls[cls] += 1
+            validate(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counting)
+    if placement == "random":
+        scene = place_users(compact_scene, 2, seed=0)
+        sweep = SweepSpec(waist_start=1e-6, waist_end=1.5e-6, steps=2, lens_modes=("off",),
+                          seeds=(0, 1, 2))
+    else:
+        scene = load_scene(GRID_CONFIG)
+        sweep = SweepSpec(waist_start=1e-6, waist_end=8e-6, steps=2)
+    calls.update({AccessPoint: 0, Scene: 0})
+    assert len(run_sweep(scene, sweep).rows) == sweep.steps * len(sweep.lens_modes)
+    assert calls == {AccessPoint: 0, Scene: len(sweep.seeds or ())}
+
+
 @pytest.mark.parametrize("placement", ["on-axis", "random"])
 def test_position_only_work_is_done_once_per_seed(compact_scene, monkeypatch, placement):
     calls = {"link_geometry": 0, "place_users": 0, "build_channel_matrix": 0}
@@ -626,6 +677,16 @@ class TestCli:
     def test_help_exits_0(self, capsys):
         assert main(["--help"]) == 0
         assert "beam waist" in capsys.readouterr().out
+
+    def test_infinite_waist_exits_3_before_any_point(self, tmp_path, config_file, capsys,
+                                                     monkeypatch, recwarn):
+        points = []
+        monkeypatch.setattr(vcselnet.sweep, "_configure", lambda *args: points.append(args))
+        code, out = self.run_cli(tmp_path, config_file, "--waist-end", "inf")
+        assert code == 3
+        assert "both finite, got 3e-06, inf" in capsys.readouterr().err
+        assert not points and not out.exists()
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
     def test_bad_seeds_exit_3(self, tmp_path, config_file, capsys):
         code, _ = self.run_cli(tmp_path, config_file, "--seeds", "a,b")
