@@ -114,8 +114,8 @@ class BeamSpec:
 class LensSpec:
     """Thin micro-lens in front of the source.
 
-    f        focal length, m
-    d1       source-to-lens distance, m
+    f        focal length, m; positive and finite
+    d1       source-to-lens distance, m; >= 0 and finite
     n_refr   lens material refractive index; recorded for documentation, the
              thin-lens transform is fully determined by f and d1
     """
@@ -125,10 +125,12 @@ class LensSpec:
     n_refr: float = 1.5
 
     def __post_init__(self):
-        if not self.f > 0:
-            raise DomainError(f"focal length must be positive, got {self.f!r}")
-        if self.d1 < 0:
-            raise DomainError(f"source-to-lens distance must be >= 0, got {self.d1!r}")
+        if not 0 < self.f < math.inf:
+            raise DomainError(f"focal length must be positive and finite, got {self.f!r}")
+        if not 0 <= self.d1 < math.inf:
+            raise DomainError(
+                f"source-to-lens distance must be >= 0 and finite, got {self.d1!r}"
+            )
         if not self.n_refr > 1:
             raise DomainError(f"refractive index must exceed 1, got {self.n_refr!r}")
 
@@ -224,7 +226,7 @@ def beam_radius(z: float, beam: BeamSpec) -> float:
     return beam.w0 * math.sqrt(1.0 + (z / zr) ** 2)
 
 
-def beam_intensity(r, z: float, beam: BeamSpec):
+def beam_intensity(r, z, beam):
     """Total intensity: mode intensities weighted by their power fractions.
 
     w(z), x = 2 r^2 / w_z^2, exp(-x) and each distinct x**l are shared by all
@@ -232,6 +234,13 @@ def beam_intensity(r, z: float, beam: BeamSpec):
     c = (A_p^l)^2 w0^2 / w_z^2, summed in mode order. Where exp(-x) underflows
     to 0 the intensity is 0, even where x**l * L**2 overflows. r may be a
     scalar or ndarray of non-negative radii; r itself is never written.
+
+    z and beam may also be sequences, one distance and one beam per row of r
+    (its first axis), all beams with the first one's modes. w_z^2 and the c
+    are then found once per distinct (beam object, distance), by the same
+    scalar expressions, and broadcast to its rows, so every row is bit for
+    bit what a call on that row alone gives.
+
     Temporaries live in the thread's scratch buffers (see _scratch_buffer);
     the result is always a new array.
     """
@@ -240,27 +249,41 @@ def beam_intensity(r, z: float, beam: BeamSpec):
     mask = _scratch_buffer("mask", shape, bool)
     if np.less(r_arr, 0, out=mask).any():
         raise DomainError("radial coordinate must be >= 0")
-    w_z = beam_radius(z, beam)
+    per_row = not isinstance(beam, BeamSpec)
+    beams, zs = (beam, z) if per_row else ((beam,), (z,))
+    modes = [(p, l, frac) for p, l, frac in beams[0].modes if frac != 0.0]
+    # Per source: w_z^2, then c of every mode in `modes`.
+    constants: dict = {}
+    for b, d in zip(beams, zs):
+        if (id(b), d) not in constants:
+            if b.modes != beams[0].modes:
+                raise DomainError("beams evaluated together must share their modes")
+            w_z = beam_radius(d, b)
+            constants[id(b), d] = [w_z**2] + [
+                mode_norm_const(p, l, b.w0) ** 2 * b.w0**2 / w_z**2 for p, l, _ in modes
+            ]
+    if per_row:
+        columns = np.array([constants[id(b), d] for b, d in zip(beams, zs)]).T
+        w_z_sq, *cs = columns.reshape(columns.shape[:2] + (1,) * (len(shape) - 1))
+    else:
+        w_z_sq, *cs = constants[id(beam), z]
     # x = 2.0 * r**2 / w_z**2 and decay = exp(-x), one operation at a time.
     x = np.square(r_arr, out=_scratch_buffer("x", shape))
     np.multiply(2.0, x, out=x)
-    np.divide(x, w_z**2, out=x)
+    np.divide(x, w_z_sq, out=x)
     decay = np.negative(x, out=_scratch_buffer("decay", shape))
     np.exp(decay, out=decay)
     # x**0 = 1 and x**1 = x exactly, so only l >= 2 takes the power.
     powers: dict[int, np.ndarray] = {}
-    for _, l, frac in beam.modes:
-        if frac != 0.0 and l >= 2 and l not in powers:
+    for _, l, _ in modes:
+        if l >= 2 and l not in powers:
             powers[l] = np.power(x, l, out=_scratch_buffer(("x**l", len(powers)), shape))
     total = np.empty(shape)
     term = lag_work = None  # the first term is built in total, the rest in term
-    for p, l, frac in beam.modes:
-        if frac == 0.0:
-            continue
+    for (p, l, frac), c in zip(modes, cs):
         out = total if term is None else term
-        c = mode_norm_const(p, l, beam.w0) ** 2 * beam.w0**2 / w_z**2
         if l == 0:
-            out.fill(c)
+            np.copyto(out, c)
         else:
             np.multiply(x if l == 1 else powers[l], c, out=out)
         if p:  # L_0^l = 1: skipping its square is exact

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -51,6 +52,7 @@ _GAIN_FLOOR = 1e-30
 _MAX_DARK_X = 750.0
 # Fewer links than this are not deduplicated (see _distinct).
 _DEDUP_MIN_LINKS = 64
+_POSITION, _BEAM, _LENS = (operator.attrgetter(name) for name in ("position", "beam", "lens"))
 
 
 @dataclass
@@ -141,11 +143,11 @@ def _dark_x(modes) -> float:
     return hi / 100
 
 
-def _disc_capture_fixed(
-    beam: BeamSpec, z: float, rho: np.ndarray, aperture_radius: float, orders: tuple[int, ...]
-) -> list[np.ndarray]:
+def _disc_capture_fixed(beam, z, rho: np.ndarray, aperture_radius: float,
+                        orders: tuple[int, ...]) -> list[np.ndarray]:
     """Fixed-order tensor Gauss-Legendre integrals of the intensity over the
     disc: one array per order in orders, one integral per offset in rho.
+    beam and z are one source's, or one per offset (see beam_intensity).
 
     Detector-centered polar coordinates (s, phi); the distance from the beam
     axis to an integration node is r = sqrt(rho^2 + s^2 + 2 rho s cos phi).
@@ -181,11 +183,14 @@ def _disc_capture_fixed(
     ]
 
 
-def _disc_capture(
-    beam: BeamSpec, z: float, rho: np.ndarray, aperture_radius: float
-) -> np.ndarray:
+def _disc_capture(beam, z, rho: np.ndarray, aperture_radius: float) -> np.ndarray:
     """Adaptive disc capture for every offset in rho, clipped to [0, 1], and
     +0.0 wherever it falls below _GAIN_FLOOR.
+
+    beam and z are one source, or equal-length sequences of sources that
+    share their modes: the result then holds one row of captures per source,
+    and all sources' links run through one pass, each round's nodes in one
+    kernel call. Every link's value is the one its source gives alone.
 
     Offsets whose nearest disc point lies past the beam's tail threshold
     (see _dark_x) capture less than the floor and are never evaluated. For
@@ -196,29 +201,35 @@ def _disc_capture(
     as NaN. A round's nodes are evaluated in chunks of at most _CHUNK_NODES
     (but at least one link).
     """
-    result = np.full(rho.shape, np.nan)
+    merged = not isinstance(beam, BeamSpec)
+    beams, zs = (beam, z) if merged else ((beam,), (z,))
+    result = np.full((len(beams), rho.size), np.nan)
     gap = rho - aperture_radius
-    dark = (gap > 0.0) & (2.0 * gap**2 / beam_radius(z, beam) ** 2 > _dark_x(beam.modes))
-    result[dark] = 0.0
-    active = np.flatnonzero(~dark)
+    for row, b, d in zip(result, beams, zs):
+        row[(gap > 0.0) & (2.0 * gap**2 / beam_radius(d, b) ** 2 > _dark_x(b.modes))] = 0.0
+    active = np.flatnonzero(np.isnan(result))  # links, numbered source-major
+    flat = result.reshape(-1)
     orders: tuple[int, ...] = (_QUAD_START_ORDER, 2 * _QUAD_START_ORDER)
     while active.size and orders[-1] <= _QUAD_MAX_ORDER:
         step = max(1, _CHUNK_NODES // sum(order * order for order in orders))
-        chunks = [
-            _disc_capture_fixed(beam, z, rho[active[i : i + step]], aperture_radius, orders)
-            for i in range(0, active.size, step)
-        ]
+        chunks = []
+        for links in (active[i : i + step] for i in range(0, active.size, step)):
+            offset = links
+            if merged:
+                source, offset = np.divmod(links, rho.size)
+                beam, z = zip(*[(beams[k], zs[k]) for k in source.tolist()])
+            chunks.append(_disc_capture_fixed(beam, z, rho[offset], aperture_radius, orders))
         # The round's last order against the order before it: in the first
         # round its own first order, later the previous round's.
         *earlier, cur = (np.concatenate(values) for values in zip(*chunks))
         if earlier:
             prev = earlier[-1]
         done = np.abs(cur - prev) <= _QUAD_RTOL * np.abs(cur) + 1e-16
-        result[active[done]] = np.clip(cur[done], 0.0, 1.0)
+        flat[active[done]] = np.clip(cur[done], 0.0, 1.0)
         active, prev = active[~done], cur[~done]
         orders = (2 * orders[-1],)
     result[result < _GAIN_FLOOR] = 0.0
-    return result
+    return result if merged else result[0]
 
 
 def _link_source(
@@ -317,6 +328,10 @@ class LinkGeometry(NamedTuple):
     the AP of its first link, its distinct offsets (ascending) and each
     link's index into them. source_ap names, per AP, the first AP whose
     source it shared.
+
+    points lists the AP tuples of the scenes a sweep will build on it, and
+    captures maps each integrated point's index to its batches' captures
+    at their distinct offsets (see build_channel_matrix).
     """
 
     users: tuple
@@ -326,10 +341,14 @@ class LinkGeometry(NamedTuple):
     offsets: np.ndarray
     distances: np.ndarray
     batches: tuple[tuple, ...]
+    points: tuple[tuple, ...]
+    captures: dict
 
 
-def link_geometry(scene: Scene) -> LinkGeometry:
-    """The scene's link geometry and batch plan (see build_channel_matrix)."""
+def link_geometry(scene: Scene, points: tuple[tuple, ...] = ()) -> LinkGeometry:
+    """The scene's link geometry and batch plan (see build_channel_matrix),
+    listing points: the AP tuples of scenes that differ from this one only
+    in their beams and lenses and will be built on it, such as a sweep's."""
     aps, users = scene.aps, scene.users
     zs = [ap.position[2] - scene.room.rx_plane_height for ap in aps]
     apertures = [math.sqrt(user.detector_area / math.pi) for user in users]
@@ -347,10 +366,18 @@ def link_geometry(scene: Scene) -> LinkGeometry:
     fov = np.array([user.fov_half_angle for user in users], dtype=float)
     visible = ~(angles > fov[:, None])
     # Batch keys, computed once per AP and once per user rather than per link.
-    # An AP's key is the first AP with its source (beam, lens, z).
+    # An AP's key is the first AP with its source (beam, lens, z): the APs are
+    # grouped by their beam and lens objects first, so each distinct pair of
+    # objects is hashed by value once, not each AP's.
+    keys = [(id(ap.beam), id(ap.lens), z) for ap, z in zip(aps, zs)]
+    objects: dict = {}  # key -> first AP with those objects
+    for a, key in enumerate(keys):
+        if key not in objects:
+            objects[key] = a
     sources: dict = {}
-    source_ap = tuple(sources.setdefault((ap.beam, ap.lens, z), a)
-                      for a, (ap, z) in enumerate(zip(aps, zs)))
+    first = {key: sources.setdefault((aps[a].beam, aps[a].lens, key[2]), a)
+             for key, a in objects.items()}
+    source_ap = tuple(map(first.__getitem__, keys))
     ap_key = np.array(source_ap)
     discs: dict = {}
     user_key = np.array([discs.setdefault(a, len(discs)) for a in apertures])
@@ -377,7 +404,7 @@ def link_geometry(scene: Scene) -> LinkGeometry:
         batches.append((links, a, zs[a], apertures[u], rho[new], position[group]))
     batches.sort(key=lambda b: b[0][0])  # in the order of each batch's first link
     return LinkGeometry(users, aps, scene.room.rx_plane_height, source_ap, offsets, z_grid,
-                        tuple(batches))
+                        tuple(batches), tuple(points), {})
 
 
 def _check_geometry(scene: Scene, geometry: LinkGeometry) -> None:
@@ -385,24 +412,55 @@ def _check_geometry(scene: Scene, geometry: LinkGeometry) -> None:
     APs, and its APs still share the sources its plan groups them by.
 
     Users and AP positions are compared by identity, which keeps the check
-    cheap: a scene rebuilt with other beams or lenses keeps them.
+    cheap: a scene rebuilt with other beams or lenses keeps them. Each check
+    runs over all APs in one pass of list operations.
     """
     aps = scene.aps
     if (
         scene.users is not geometry.users
         or scene.room.rx_plane_height != geometry.rx_plane_height
         or len(aps) != len(geometry.aps)
-        or any(ap.position is not ref.position for ap, ref in zip(aps, geometry.aps))
+        or not all(map(operator.is_, map(_POSITION, aps), map(_POSITION, geometry.aps)))
     ):
         raise DomainError("link geometry was built for another scene's users or access points")
+    # Lists compare items by identity first: APs given one shared beam and
+    # lens object pass without comparing fields.
+    beams, lenses = list(map(_BEAM, aps)), list(map(_LENS, aps))
+    if (beams == list(map(beams.__getitem__, geometry.source_ap))
+            and lenses == list(map(lenses.__getitem__, geometry.source_ap))):
+        return
     for a, first in enumerate(geometry.source_ap):
-        # Tuples compare items by identity first: APs given one shared beam
-        # and lens object pass without comparing fields.
-        if (aps[a].beam, aps[a].lens) != (aps[first].beam, aps[first].lens):
+        if (beams[a], lenses[a]) != (beams[first], lenses[first]):
             raise DomainError(
                 f"access points {first} and {a} no longer share the source "
                 "their link geometry groups them by"
             )
+
+
+def _integrate_points(geometry: LinkGeometry) -> None:
+    """Integrate every listed point not integrated yet and keep, per point,
+    each batch's captures at its distinct offsets.
+
+    Per batch, the points' sources that share a mode set go through one
+    _disc_capture pass. A point whose link is out of domain there is left
+    out: its own build raises the error.
+    """
+    pending = [p for p in range(len(geometry.points)) if p not in geometry.captures]
+    captures = {p: [None] * len(geometry.batches) for p in pending}
+    for b, (_, a, z, aperture, rho, _) in enumerate(geometry.batches):
+        groups: dict = {}  # id(modes) -> [(point, beam, distance)]
+        for p in pending:
+            ap = geometry.points[p][a]
+            try:
+                eff_beam, z_eff = _link_source(ap.beam, ap.lens, z, float(rho[0]), aperture)
+            except DomainError:
+                continue
+            groups.setdefault(id(eff_beam.modes), []).append((p, eff_beam, z_eff))
+        for members in groups.values():
+            points, beams, zs = zip(*members)
+            for p, values in zip(points, _disc_capture(beams, zs, rho, aperture)):
+                captures[p][b] = values
+    geometry.captures.update(captures)
 
 
 def build_channel_matrix(scene: Scene, geometry: LinkGeometry | None = None) -> ChannelMatrix:
@@ -423,17 +481,29 @@ def build_channel_matrix(scene: Scene, geometry: LinkGeometry | None = None) -> 
     only in its beams and lenses, which lets a sweep do that work once.
     DomainError if it was built for other users or APs, or if APs that
     shared a source there no longer do.
+
+    A scene whose APs are one of the geometry's listed points takes its
+    captures from the merged pass: the first such build integrates every
+    listed point at once, each batch's links of all points in one adaptive
+    pass, and later builds only scatter the captures kept for them. Each
+    build still checks its own links' domain and convergence, so a point's
+    errors are raised by its own call.
     """
     if geometry is None:
         geometry = link_geometry(scene)
     else:
         _check_geometry(scene, geometry)
+    point = next((p for p, aps in enumerate(geometry.points) if aps is scene.aps), None)
+    if point is not None and point not in geometry.captures:
+        _integrate_points(geometry)
+    captures = geometry.captures.get(point)
     gains = np.zeros(geometry.offsets.shape)
     flat = gains.reshape(-1)
-    for links, a, z, aperture, rho, inverse in geometry.batches:
+    for b, (links, a, z, aperture, rho, inverse) in enumerate(geometry.batches):
         ap = scene.aps[a]
         eff_beam, z_eff = _link_source(ap.beam, ap.lens, z, float(rho[0]), aperture)
-        h = _disc_capture(eff_beam, z_eff, rho, aperture)[inverse]
+        values = _disc_capture(eff_beam, z_eff, rho, aperture) if captures is None else captures[b]
+        h = values[inverse]
         if np.isnan(h).any():
             raise _not_converged(z, float(rho[inverse][np.isnan(h)][0]), aperture)
         flat[links] = h

@@ -19,7 +19,7 @@ from typing import Any, Callable, NamedTuple
 import numpy as np
 
 from .beam_optics import BeamSpec, LensSpec
-from .errors import ConfigError, InfeasibleError
+from .errors import ConfigError, DomainError, InfeasibleError
 from .eye_safety import SafetySpec, max_safe_power
 
 _DEFAULT_AP_POSITIONS = ((3.0, 3.0, 3.0), (1.0, 3.0, 3.0), (3.0, 1.0, 3.0), (1.0, 1.0, 3.0))
@@ -390,6 +390,22 @@ _KEYS = (
 _KNOWN_KEYS = frozenset((k.section, k.key) for k in _KEYS)
 
 
+def _spec(default, owner: str, values: dict[str, Any]):
+    """default with the configured values, its DomainError reported as a
+    ConfigError that names the key: the first of the owner's configured keys
+    whose value fails on the defaults by itself."""
+    try:
+        return replace(default, **values)
+    except DomainError as exc:
+        for k in _KEYS:
+            if k.owner == owner and k.field in values:
+                try:
+                    replace(default, **{k.field: values[k.field]})
+                except DomainError as alone:
+                    raise ConfigError(f"{k.section}.{k.key}: {alone}") from exc
+        raise ConfigError(str(exc)) from exc
+
+
 def load_scene(text: str) -> Scene:
     """Build a Scene from config text; unset keys take the documented defaults.
 
@@ -420,8 +436,8 @@ def load_scene(text: str) -> Scene:
                 raise ConfigError(f"{k.section}.{k.key}: {exc}") from exc
 
     room = Room(**fields["room"])
-    beam = replace(_DEFAULT_BEAM, **fields["beam"])
-    lens_design = replace(_DEFAULT_LENS, **fields["lens"])
+    beam = _spec(_DEFAULT_BEAM, "beam", fields["beam"])
+    lens_design = _spec(_DEFAULT_LENS, "lens", fields["lens"])
     ap_fields = fields["ap"]
     lens = lens_design if ap_fields.pop("lens", True) else None
     ap_positions = ap_fields.pop("position", _DEFAULT_AP_POSITIONS)

@@ -107,11 +107,15 @@ def _sources(scene: Scene, waist: float) -> tuple[list[int], list[int]]:
 
     APs share a source where their beams are equal, by value, once set to a
     common waist: at every sweep point, where the lens state is common too.
+    APs are grouped by beam object first, so each distinct object is hashed
+    by value once, not each AP's.
     """
+    objects = {id(ap.beam): ap.beam for ap in scene.aps}
     sources: dict = {}  # beam at `waist` -> source index
     index = {beam: sources.setdefault(replace(beam, w0=waist), len(sources))
-             for beam in dict.fromkeys(ap.beam for ap in scene.aps)}
-    of = [index[ap.beam] for ap in scene.aps]
+             for beam in dict.fromkeys(objects.values())}
+    of_object = {key: index[beam] for key, beam in objects.items()}
+    of = [of_object[id(ap.beam)] for ap in scene.aps]
     return of, [of.index(s) for s in range(len(sources))]
 
 
@@ -179,53 +183,57 @@ def run_sweep(
     # Only random placement depends on the seed: any other scene is evaluated
     # once, and that evaluation stands for every seed. Users and link
     # geometry depend on positions alone, so both are made once per seed.
+    # Each geometry lists the points' APs, so that the first point's channel
+    # build integrates the links of every point at once (see
+    # build_channel_matrix); each point's own build still raises its errors.
+    sources = of, firsts = _sources(scene, sweep.waist_start)
+    points = [(w_idx, waist, mode, _configure(scene, waist, mode, sources))
+              for w_idx, waist in enumerate(float(w) for w in waists) for mode in modes]
+    listed = tuple(point.aps for *_, point in points)
     bases = []
     for seed in seeds if scene.placement == "random" else (None,):
         base = scene if seed is None else place_users(scene, len(scene.users), seed)
-        bases.append((seed, base, link_geometry(base)))
-    sources = of, firsts = _sources(scene, sweep.waist_start)
+        bases.append((seed, base, link_geometry(base, listed)))
     source_of = np.array(of)
     elements = np.array([ap.array_n**2 for ap in scene.aps], dtype=float)  # VCSELs per AP
-    for w_idx, waist in enumerate(float(w) for w in waists):
-        for mode in modes:
-            seed = None
-            try:
-                point = _configure(scene, waist, mode, sources)
-                # One cap per source serves every AP with that source and every seed.
-                source_caps = [
-                    max_safe_power(point.aps[a].beam, point.safety, point.aps[a].lens).p_max
-                    for a in firsts
-                ]
-                p_max = min(source_caps)
-                caps = elements * np.array(source_caps)[source_of]
-                reports = []
-                for seed, base, geometry in bases:
-                    placed = point if base is scene else base.with_aps(point.aps)
-                    h, precoder, report = _evaluate(placed, geometry, caps, rate_model)
-                    if collect_artifacts and not reports:
-                        artifacts[(w_idx, mode)] = (h, precoder)
-                    reports.append(report)
-            except VcselNetError as exc:
-                where = f"waist={waist!r} m, lens={mode}" + (
-                    f", seed={seed}" if seed is not None else ""
-                )
-                raise SweepPointError(f"sweep point failed ({where}): {exc}", exc) from exc
-            sum_rates = np.array([report.sum_rate for report in reports])
-            ees = np.array([report.energy_efficiency for report in reports])
-            min_snrs = np.array([_min_snr_db(report) for report in reports])
-            rows.append(
-                SweepRow(
-                    waist=waist,
-                    lens_mode=mode,
-                    seed_count=len(seeds),
-                    sum_rate=float(sum_rates.mean()),
-                    sum_rate_std=float(sum_rates.std()),
-                    ee=float(ees.mean()),
-                    ee_std=float(ees.std()),
-                    min_user_snr_db=float(min_snrs.mean()),
-                    p_max=p_max,
-                )
+    for w_idx, waist, mode, point in points:
+        seed = None
+        try:
+            # One cap per source serves every AP with that source and every seed.
+            source_caps = [
+                max_safe_power(point.aps[a].beam, point.safety, point.aps[a].lens).p_max
+                for a in firsts
+            ]
+            p_max = min(source_caps)
+            caps = elements * np.array(source_caps)[source_of]
+            reports = []
+            for seed, base, geometry in bases:
+                placed = point if base is scene else base.with_aps(point.aps)
+                h, precoder, report = _evaluate(placed, geometry, caps, rate_model)
+                if collect_artifacts and not reports:
+                    artifacts[(w_idx, mode)] = (h, precoder)
+                reports.append(report)
+        except VcselNetError as exc:
+            where = f"waist={waist!r} m, lens={mode}" + (
+                f", seed={seed}" if seed is not None else ""
             )
+            raise SweepPointError(f"sweep point failed ({where}): {exc}", exc) from exc
+        sum_rates = np.array([report.sum_rate for report in reports])
+        ees = np.array([report.energy_efficiency for report in reports])
+        min_snrs = np.array([_min_snr_db(report) for report in reports])
+        rows.append(
+            SweepRow(
+                waist=waist,
+                lens_mode=mode,
+                seed_count=len(seeds),
+                sum_rate=float(sum_rates.mean()),
+                sum_rate_std=float(sum_rates.std()),
+                ee=float(ees.mean()),
+                ee_std=float(ees.std()),
+                min_user_snr_db=float(min_snrs.mean()),
+                p_max=p_max,
+            )
+        )
 
     metadata = (
         f"schema={SCHEMA_VERSION} placement={scene.placement} rate_model={rate_model} "

@@ -318,6 +318,40 @@ class TestFusedIntensity:
             assert got == pytest.approx(oracle_beam_intensity(r, 2.0, beam), rel=1e-15, abs=0.0)
 
 
+class TestPerRowWidths:
+    """beam_intensity with one (distance, beam) per row, as the channel's
+    merged pass calls it: every row equals a call on that row alone."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        modes=mode_mixes(),
+        sources=st.lists(st.tuples(st.floats(1e-6, 8e-6), st.floats(0.0, 5.0),
+                                   st.sampled_from([850e-9, 940e-9])),
+                         min_size=1, max_size=4),
+        picks=st.lists(st.integers(0, 3), min_size=1, max_size=8),
+        radii=st.lists(st.floats(0.0, 6.0), min_size=4, max_size=4),
+    )
+    def test_rows_match_scalar_calls_bit_for_bit(self, modes, sources, picks, radii):
+        beams = [BeamSpec(w0=w0, wavelength=wl, modes=modes) for w0, _, wl in sources]
+        rows = [k % len(sources) for k in picks]  # sources repeat across rows
+        zs = [sources[k][1] for k in rows]
+        row_beams = [beams[k] for k in rows]
+        r = np.array([np.array(radii) * beam_radius(z, b) for z, b in zip(zs, row_beams)])
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = beam_intensity(r, zs, row_beams)
+            # (rows x 2 x 2): the widths broadcast over every trailing axis.
+            cube = beam_intensity(r.reshape(len(rows), 2, 2), zs, row_beams)
+            for i, (z, b) in enumerate(zip(zs, row_beams)):
+                alone = beam_intensity(r[i], z, b)
+                assert got[i].tobytes() == alone.tobytes()
+                assert cube[i].reshape(-1).tobytes() == alone.tobytes()
+
+    def test_beams_must_share_their_modes(self, multimode_beam, fundamental_beam):
+        r = np.zeros((2, 3))
+        with pytest.raises(DomainError, match="share their modes"):
+            beam_intensity(r, [2.0, 2.0], [multimode_beam, fundamental_beam])
+
+
 def recurrence_with_fresh_temporaries(p, l, x):
     """laguerre's recurrence on an array x, one fresh array per operation."""
     if p == 0:
@@ -570,6 +604,14 @@ class TestLensSpecValidation:
     )
     def test_rejects_invalid(self, kwargs):
         with pytest.raises(DomainError):
+            LensSpec(**kwargs)
+
+    @pytest.mark.parametrize("field", ["f", "d1"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_rejects_non_finite_distances(self, field, value):
+        kwargs = dict(f=1e-4, d1=1e-4)
+        kwargs[field] = value
+        with pytest.raises(DomainError, match="finite"):
             LensSpec(**kwargs)
 
     def test_transformed_beam_guards(self):

@@ -805,3 +805,27 @@ class TestLinkGeometry:
         aps[2] = dataclasses.replace(aps[2], beam=beam)
         with pytest.raises(DomainError, match="access points 0 and 2 no longer share"):
             build_channel_matrix(dataclasses.replace(scene, aps=tuple(aps)), geometry)
+
+    def test_equal_copies_of_a_shared_source_still_share_it(self, scene):
+        # The check compares sources by identity first and by value where
+        # the objects differ: APs holding equal copies still share a source.
+        geometry = link_geometry(scene)
+        aps = tuple(dataclasses.replace(ap, beam=dataclasses.replace(ap.beam, w0=3e-6),
+                                        lens=scene.lens_design)
+                    for ap in scene.aps)
+        assert len({id(ap.beam) for ap in aps}) == len(aps)
+        moved = dataclasses.replace(scene, aps=aps)
+        assert_bit_identical(build_channel_matrix(moved, geometry),
+                             [getattr(build_channel_matrix(moved), name)
+                              for name in ("gains", "distances", "offsets")])
+
+    def test_listed_points_with_other_modes_are_integrated_apart(self, scene):
+        # A batch's listed points go through one pass per mode set.
+        points = [scene, dataclasses.replace(scene, aps=tuple(
+            dataclasses.replace(ap, beam=dataclasses.replace(ap.beam, modes=FUNDAMENTAL_MODE))
+            for ap in scene.aps))]
+        geometry = link_geometry(scene, tuple(point.aps for point in points))
+        for point in reversed(points):
+            h = build_channel_matrix(point, geometry)
+            assert sorted(geometry.captures) == [0, 1]
+            assert h.gains.tobytes() == build_channel_matrix(point).gains.tobytes()

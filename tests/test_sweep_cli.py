@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vcselnet.sweep
+from vcselnet import channel
 from vcselnet import (
     FUNDAMENTAL_MODE,
     AccessPoint,
@@ -20,6 +21,7 @@ from vcselnet import (
     SweepResult,
     SweepSpec,
     UserTerminal,
+    beam_intensity,
     build_channel_matrix,
     emit_outputs,
     link_report,
@@ -30,10 +32,14 @@ from vcselnet import (
     run_sweep,
     zf_precoder,
 )
+from vcselnet.channel import link_geometry
 from vcselnet.cli import main
 from vcselnet.errors import ConfigError, DomainError, SweepPointError, exit_code_for
 
 from conftest import COMPACT_CONFIG, DEFAULT_MPE, GRID_CONFIG
+
+# Nodes per link in the quadrature's first round: orders 16 and 32 side by side.
+FIRST_ROUND_NODES = 16 * 16 + 32 * 32
 
 CONFIG_TEXT = f"""
 [safety]
@@ -623,6 +629,161 @@ def test_position_only_work_is_done_once_per_seed(compact_scene, monkeypatch, pl
     }
 
 
+def test_a_sweep_integrates_all_its_points_in_one_first_round(monkeypatch):
+    """The pinned grid's four points share one batch. The first point's
+    channel build integrates the 8, 1, 1 and 1 lit offsets of all four in
+    one first-round kernel call, where each point made its own before, and
+    every kernel call runs inside one of the sweep's channel builds."""
+    kernel_calls, open_builds = [], []
+
+    def kernel(r, z, beam):
+        kernel_calls.append((r.shape, len(open_builds)))
+        return beam_intensity(r, z, beam)
+
+    def build(scn, geometry):
+        open_builds.append(scn)
+        try:
+            return build_channel_matrix(scn, geometry)
+        finally:
+            open_builds.pop()
+
+    scene = load_scene(GRID_CONFIG)
+    batches = len(link_geometry(scene).batches)
+    monkeypatch.setattr(channel, "beam_intensity", kernel)
+    monkeypatch.setattr(vcselnet.sweep, "build_channel_matrix", build)
+    run_sweep(scene, SweepSpec(waist_start=1e-6, waist_end=8e-6, steps=2))
+    first_rounds = [shape for shape, _ in kernel_calls if shape[1] == FIRST_ROUND_NODES]
+    assert batches == 1
+    assert first_rounds == [(8 + 1 + 1 + 1, FIRST_ROUND_NODES)]
+    assert kernel_calls and all(depth == 1 for _, depth in kernel_calls)
+
+
+def two_source_scene():
+    """The compact room with explicit users, its first AP at 940 nm."""
+    scene = load_scene(COMPACT_CONFIG)
+    aps = (dataclasses.replace(scene.aps[0], beam=dataclasses.replace(scene.aps[0].beam,
+                                                                      wavelength=940e-9)),
+           *scene.aps[1:])
+    sweep = SweepSpec(waist_start=1e-6, waist_end=3e-6, steps=2)
+    return place_users_on_axis(dataclasses.replace(scene, aps=aps), 3), sweep
+
+
+def three_seed_scene():
+    # Lens off: the compact room keeps every random draw zero-forceable.
+    sweep = SweepSpec(waist_start=1e-6, waist_end=1.5e-6, steps=4, lens_modes=("off",),
+                      seeds=(0, 1, 2))
+    return place_users(load_scene(COMPACT_CONFIG), 3, seed=0), sweep
+
+
+@pytest.mark.parametrize("make", [two_source_scene, three_seed_scene])
+def test_merged_channels_equal_fresh_builds(make):
+    """Every (point, seed) channel of a sweep, all taken from the captures of
+    its geometry's first build, equals a fresh build of the point's scene
+    bit for bit."""
+    scene, sweep = make()
+    built = []
+
+    def recording(scn, geometry):
+        built.append((scn, geometry, build_channel_matrix(scn, geometry)))
+        return built[-1][2]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(vcselnet.sweep, "build_channel_matrix", recording)
+        run_sweep(scene, sweep)
+    seeds = len(sweep.seeds or (None,))
+    geometries = {id(geometry): geometry for _, geometry, _ in built}
+    assert len(geometries) == seeds and len(built) == 4 * seeds
+    for geometry in geometries.values():
+        assert sorted(geometry.captures) == list(range(len(geometry.points))) == [0, 1, 2, 3]
+    for scn, _, h in built:
+        want = build_channel_matrix(scn)
+        for name in ("gains", "distances", "offsets"):
+            assert getattr(h, name).tobytes() == getattr(want, name).tobytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=sweep_cases(), order=st.randoms(use_true_random=False))
+def test_listed_points_built_in_any_order_match_fresh_builds(case, order):
+    """Whichever listed point is built first integrates them all; each
+    build then equals a fresh build of its scene bit for bit."""
+    scene, sweep = case
+    seed = (sweep.seeds or (scene.seed,))[0]
+    base = scene if scene.placement != "random" else place_users(scene, len(scene.users), seed)
+    sources = vcselnet.sweep._sources(scene, sweep.waist_start)
+    waists = np.linspace(sweep.waist_start, sweep.waist_end, sweep.steps).tolist()
+    points = [vcselnet.sweep._configure(scene, waist, mode, sources)
+              for waist in waists for mode in sorted(sweep.lens_modes)]
+    geometry = link_geometry(base, tuple(point.aps for point in points))
+    order.shuffle(points)
+    for point in points:
+        placed = point if base is scene else base.with_aps(point.aps)
+        h = build_channel_matrix(placed, geometry)
+        assert len(geometry.captures) == len(points)
+        assert h.gains.tobytes() == build_channel_matrix(placed).gains.tobytes()
+
+
+def coincident_users_config(height=2.999):
+    """Two users at one spot, so every point's precoder fails, 1 mm below
+    the APs: at 1 um the lens puts its relayed waist 2.1 mm past the lens,
+    beyond the receive plane."""
+    return (COMPACT_CONFIG.replace("width_m = 1.0", f"rx_plane_height_m = {height}\nwidth_m = 1.0")
+            + "\n[users]\npositions_m = (0.25, 0.25); (0.25, 0.25)\n")
+
+
+def test_an_earlier_precoder_failure_comes_before_a_later_link_error():
+    scene = load_scene(coincident_users_config())
+    sweep = SweepSpec(waist_start=1e-6, waist_end=2e-6, steps=2)
+    # On its own, the second point (1 um, lens on) fails in its channel.
+    with pytest.raises(SweepPointError, match="lens=on.*does not reach past") as info:
+        run_sweep(scene, dataclasses.replace(sweep, lens_modes=("on",)))
+    assert isinstance(info.value.original, DomainError)
+    # In the whole sweep the first point's channel build integrates both,
+    # and the first point's own precoder failure is raised.
+    with pytest.raises(SweepPointError, match="waist=1e-06 m, lens=off") as info:
+        run_sweep(scene, sweep)
+    assert type(info.value.original).__name__ == "SingularChannelError"
+
+
+def test_an_earlier_precoder_failure_comes_before_a_later_non_convergence(monkeypatch):
+    scene = load_scene(coincident_users_config(height=1.0))
+    noise = np.random.default_rng(0)
+
+    def erratic(r, z, beam):
+        # Fresh noise on the rows of 2 um beams: they never converge.
+        values = beam_intensity(r, z, beam)
+        beams = beam if isinstance(beam, (list, tuple)) else [beam] * len(r)
+        noisy = np.array([b.w0 > 1.5e-6 for b in beams])[:, None]
+        return np.where(noisy, noise.random(values.shape), values)
+
+    monkeypatch.setattr(channel, "beam_intensity", erratic)
+    sweep = SweepSpec(waist_start=1e-6, waist_end=2e-6, steps=2, lens_modes=("off",))
+    with pytest.raises(SweepPointError, match="waist=2e-06 m.*did not converge"):
+        run_sweep(scene, dataclasses.replace(sweep, waist_start=2e-6, waist_end=3e-6))
+    with pytest.raises(SweepPointError, match="waist=1e-06 m, lens=off") as info:
+        run_sweep(scene, sweep)
+    assert type(info.value.original).__name__ == "SingularChannelError"
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=sweep_cases(), copies=st.booleans())
+def test_sources_are_grouped_by_value(case, copies):
+    """_sources and the geometry's source_ap group APs by the values of
+    their beams (and lenses and heights), whether APs share one object or
+    each holds an equal copy."""
+    scene, sweep = case
+    if copies:
+        scene = dataclasses.replace(scene, aps=tuple(
+            dataclasses.replace(ap, beam=dataclasses.replace(ap.beam),
+                                lens=ap.lens and dataclasses.replace(ap.lens))
+            for ap in scene.aps))
+    at_waist = [dataclasses.replace(ap.beam, w0=sweep.waist_start) for ap in scene.aps]
+    of = [list(dict.fromkeys(at_waist)).index(beam) for beam in at_waist]
+    firsts = [of.index(s) for s in range(max(of) + 1)]
+    assert vcselnet.sweep._sources(scene, sweep.waist_start) == (of, firsts)
+    keys = [(ap.beam, ap.lens, ap.position[2]) for ap in scene.aps]
+    assert link_geometry(scene).source_ap == tuple(keys.index(key) for key in keys)
+
+
 def test_every_channel_owns_its_geometry_arrays(compact_scene):
     sweep = SweepSpec(waist_start=1e-6, waist_end=1.5e-6, steps=3, lens_modes=("off",))
     result = run_sweep(place_users_on_axis(compact_scene, 3), sweep, collect_artifacts=True)
@@ -718,6 +879,23 @@ class TestCli:
         code, out = self.run_cli(tmp_path, config)
         assert code == 3
         assert "per_vcsel_power_w" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "section, key, value, message",
+        [
+            ("vcsel", "beam_waist_m", "0", "w0 must be positive and finite, got 0.0"),
+            ("vcsel", "beam_waist_m", "inf", "w0 must be positive and finite, got inf"),
+            ("lens", "focal_length_m", "inf", "focal length must be positive and finite"),
+        ],
+    )
+    def test_invalid_beam_or_lens_exits_3_naming_the_key(self, tmp_path, capsys, section, key,
+                                                          value, message):
+        config = tmp_path / "invalid.ini"
+        config.write_text(CONFIG_TEXT + f"\n[{section}]\n{key} = {value}\n", encoding="utf-8")
+        code, out = self.run_cli(tmp_path, config)
+        assert code == 3
+        assert f"{section}.{key}: {message}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_lens_selection(self, tmp_path, config_file, capsys):
