@@ -9,7 +9,6 @@ mode power (so the full-plane integral of each mode pattern is 1).
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -27,37 +26,6 @@ MAX_RADIAL_INDEX = 12
 # stays finite up to x = 746 for l <= floor(ln(DBL_MAX) / ln(746)) = 107; at
 # l = 108 it overflows to inf where the true intensity is finite and tiny.
 MAX_AZIMUTHAL_INDEX = 107
-
-# Largest array, in elements, a thread keeps for reuse between calls (512 KiB
-# of float64). Temporaries of that size, freed after every kernel call, let
-# the allocator trim the heap and fault the pages back in on the next call;
-# reused buffers skip both. Larger arrays, such as a deep quadrature order's
-# nodes, are allocated per call so that they are not held for the thread's life.
-_SCRATCH_MAX_NODES = 2**16
-_scratch = threading.local()
-
-
-def _scratch_buffer(name, shape: tuple[int, ...], dtype=float) -> np.ndarray:
-    """An uninitialised array of this shape that the calling thread's next
-    request under the same name reuses.
-
-    Each name keeps one flat buffer per thread, grown to the largest request
-    seen up to _SCRATCH_MAX_NODES elements; a larger request gets a fresh
-    array that is not kept. The caller owns the contents only until its next
-    request under that name, so results must never be returned in one.
-    """
-    size = math.prod(shape)
-    if size > _SCRATCH_MAX_NODES:
-        return np.empty(shape, dtype)
-    try:
-        buffers = _scratch.buffers
-    except AttributeError:  # the thread's first request
-        buffers = _scratch.buffers = {}
-    flat = buffers.get(name)
-    if flat is None or flat.size < size:
-        flat = buffers[name] = np.empty(size, dtype)
-    return flat[:size].reshape(shape)
-
 
 # Default transverse mode mix: p in {0, 1} x l in {0, 1, 2, 3}, equal power.
 DEFAULT_MODES: tuple[tuple[int, int, float], ...] = tuple(
@@ -174,29 +142,15 @@ def laguerre(p: int, l: int, x):
             f"radial index {p} exceeds the supported maximum {MAX_RADIAL_INDEX}"
         )
     x_arr = np.asarray(x, dtype=float)
-    acc = _laguerre_into(p, l, x_arr, *(np.empty_like(x_arr) for _ in range(3)))
+    if p == 0:
+        acc = np.ones_like(x_arr)
+    else:
+        prev, acc = 1.0, (1.0 + l) - x_arr
+        for k in range(1, p):
+            prev, acc = acc, ((2 * k + 1 + l) - x_arr) * acc - prev * (k + l)
+            acc /= k + 1
     if np.ndim(x) == 0:
         return float(acc)
-    return acc
-
-
-def _laguerre_into(p: int, l: int, x: np.ndarray, acc, prev, work) -> np.ndarray:
-    """laguerre's recurrence in three caller-owned arrays shaped like x (x
-    itself is only read); returns the one holding L_p^l(x)."""
-    if p == 0:
-        acc.fill(1.0)
-        return acc
-    np.subtract(1.0 + l, x, out=acc)
-    if p > 1:
-        prev.fill(1.0)
-    for k in range(1, p):
-        # ((2k + 1 + l - x) * L_k - (k + l) * L_{k-1}) / (k + 1)
-        np.subtract(2 * k + 1 + l, x, out=work)
-        np.multiply(work, acc, out=work)
-        np.multiply(prev, k + l, out=prev)
-        np.subtract(work, prev, out=work)
-        np.divide(work, k + 1, out=work)
-        prev, acc, work = acc, work, prev
     return acc
 
 
@@ -241,13 +195,11 @@ def beam_intensity(r, z, beam):
     scalar expressions, and broadcast to its rows, so every row is bit for
     bit what a call on that row alone gives.
 
-    Temporaries live in the thread's scratch buffers (see _scratch_buffer);
-    the result is always a new array.
+    The result is always a new array.
     """
     r_arr = np.atleast_1d(np.asarray(r, dtype=float))
     shape = r_arr.shape
-    mask = _scratch_buffer("mask", shape, bool)
-    if np.less(r_arr, 0, out=mask).any():
+    if (r_arr < 0).any():
         raise DomainError("radial coordinate must be >= 0")
     per_row = not isinstance(beam, BeamSpec)
     beams, zs = (beam, z) if per_row else ((beam,), (z,))
@@ -267,36 +219,22 @@ def beam_intensity(r, z, beam):
         w_z_sq, *cs = columns.reshape(columns.shape[:2] + (1,) * (len(shape) - 1))
     else:
         w_z_sq, *cs = constants[id(beam), z]
-    # x = 2.0 * r**2 / w_z**2 and decay = exp(-x), one operation at a time.
-    x = np.square(r_arr, out=_scratch_buffer("x", shape))
-    np.multiply(2.0, x, out=x)
-    np.divide(x, w_z_sq, out=x)
-    decay = np.negative(x, out=_scratch_buffer("decay", shape))
-    np.exp(decay, out=decay)
+    x = 2.0 * np.square(r_arr) / w_z_sq
+    decay = np.exp(-x)
     # x**0 = 1 and x**1 = x exactly, so only l >= 2 takes the power.
-    powers: dict[int, np.ndarray] = {}
-    for _, l, _ in modes:
-        if l >= 2 and l not in powers:
-            powers[l] = np.power(x, l, out=_scratch_buffer(("x**l", len(powers)), shape))
-    total = np.empty(shape)
-    term = lag_work = None  # the first term is built in total, the rest in term
+    powers = {l: np.power(x, l) for l in {l for _, l, _ in modes} if l >= 2}
+    total = None
     for (p, l, frac), c in zip(modes, cs):
-        out = total if term is None else term
-        if l == 0:
-            np.copyto(out, c)
-        else:
-            np.multiply(x if l == 1 else powers[l], c, out=out)
+        term = np.full(shape, c) if l == 0 else (x if l == 1 else powers[l]) * c
         if p:  # L_0^l = 1: skipping its square is exact
-            lag_work = lag_work or [_scratch_buffer(("L", i), shape) for i in range(3)]
-            lag = _laguerre_into(p, l, x, *lag_work)
-            np.multiply(out, np.square(lag, out=lag), out=out)
-        np.multiply(out, decay, out=out)
-        np.multiply(out, frac, out=out)
-        if term is None:
-            term = _scratch_buffer("term", shape)
+            term *= np.square(laguerre(p, l, x))
+        term *= decay
+        term *= frac
+        if total is None:
+            total = term
         else:
             total += term
-    total[np.equal(decay, 0.0, out=mask)] = 0.0
+    total[decay == 0.0] = 0.0
     if np.ndim(r) == 0:
         return float(total[0])
     return total

@@ -1,9 +1,11 @@
 """Line-of-sight optical channel: captured power fractions per (user, AP) link.
 
 Each entry of the channel matrix is the fraction of an AP's emitted power
-landing on a user's detector disc: the beam intensity integrated over the
-disc by 2-D polar quadrature, summed over the source's transverse modes.
-Links arriving outside a receiver's field of view contribute zero. Wall
+landing on a user's detector disc. The beam's intensity, summed over its
+transverse modes, depends only on the distance r from its axis, so the disc
+integral is one radial integral: over r, each circle about the axis weighted
+by the angle of it that lies in the disc (see _radial_capture). Links
+arriving outside a receiver's field of view contribute zero. Wall
 reflections are out of scope.
 
 Every gain below _GAIN_FLOOR (1e-30) is exactly +0.0. Most such links are
@@ -15,7 +17,6 @@ skipped (see _dark_x).
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -24,8 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .beam_optics import (BeamSpec, LensSpec, _scratch_buffer, beam_intensity, beam_radius,
-                          transformed_source)
+from .beam_optics import BeamSpec, LensSpec, beam_intensity, beam_radius, transformed_source
 from .errors import DomainError
 from .scene import Scene
 
@@ -33,9 +33,6 @@ from .scene import Scene
 _QUAD_RTOL = 1e-8
 _QUAD_START_ORDER = 16
 _QUAD_MAX_ORDER = 1024
-# Quadrature nodes evaluated in one array: a single link at the maximum order,
-# so a batch of links never needs more memory than one worst-case link.
-_CHUNK_NODES = _QUAD_MAX_ORDER**2
 # Gains below this are +0.0, whether screened out or computed. At 1 W emitted
 # such a link carries at most 1e-30 A of photocurrent, 24 orders below the
 # default receiver's 1.35 uA thermal-noise current, yet near-zero entries slow
@@ -44,6 +41,10 @@ _CHUNK_NODES = _QUAD_MAX_ORDER**2
 # absolute tolerance moves the ZF scale by up to 8.7e-8 relative, 1e-20 by
 # 2e-11 and 1e-30 by 2.8e-16.
 _GAIN_FLOOR = 1e-30
+# The disc integral stops where the beam's tail T falls to this: the power it
+# drops is 16 orders below the floor, so no gain at or above the floor moves.
+# (Stopping at the floor itself moves gains just above it by up to 1.1 %.)
+_CUT_TAIL = 1e-46
 # exp(-x) is +0.0 in float64 for every x > ~745.13, and beam_intensity is 0
 # wherever exp(-x) is, so every offset past this x captures exactly +0.0
 # whatever the modes: the screen never starts further out. The margin above
@@ -68,12 +69,6 @@ class ChannelMatrix:
     gains: np.ndarray
     distances: np.ndarray
     offsets: np.ndarray
-
-
-@lru_cache(maxsize=16)
-def _gauss_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = np.polynomial.legendre.leggauss(order)
-    return x, w
 
 
 def _tail_polynomial(modes) -> tuple[list[int], int]:
@@ -122,65 +117,103 @@ def _power_outside(x: float, polynomial: tuple[list[int], int]) -> float:
 
 
 @lru_cache(maxsize=64)
-def _dark_x(modes) -> float:
-    """The screen's threshold for a mode set: the least multiple of 0.01 with
-    T(X) <= _GAIN_FLOOR, or _MAX_DARK_X if T is still above the floor there.
+def _dark_x(modes, level: float = _GAIN_FLOOR) -> float:
+    """The least multiple of 0.01 with T(X) <= level for a mode set, or
+    _MAX_DARK_X if T is still above level there.
 
-    No point of a disc of radius a whose centre sits rho > a off the beam
-    axis is closer to the axis than rho - a, so it captures at most
-    T(2 (rho - a)^2 / w_z^2): below the floor wherever that x exceeds this
-    threshold. T falls monotonically, so bisection on the 0.01 grid finds
-    it, once per mode set: 86.12 for DEFAULT_MODES, 69.08 for TEM00.
+    At the default level, the floor, it is the screen's threshold: no point
+    of a disc of radius a whose centre sits rho > a off the beam axis is
+    closer to the axis than rho - a, so it captures at most
+    T(2 (rho - a)^2 / w_z^2), below the floor wherever that x exceeds the
+    threshold: 86.12 for DEFAULT_MODES, 69.08 for TEM00. At _CUT_TAIL it is
+    where the disc integral stops (124.81 and 105.92). T falls
+    monotonically, so bisection on the 0.01 grid finds it, once per mode set
+    and level.
     """
     polynomial = _tail_polynomial(modes)
-    lo, hi = 0, round(_MAX_DARK_X * 100)  # in hundredths; T(lo) > floor throughout
+    lo, hi = 0, round(_MAX_DARK_X * 100)  # in hundredths; T(lo) > level throughout
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if _power_outside(mid / 100, polynomial) <= _GAIN_FLOOR:
+        if _power_outside(mid / 100, polynomial) <= level:
             hi = mid
         else:
             lo = mid
     return hi / 100
 
 
-def _disc_capture_fixed(beam, z, rho: np.ndarray, aperture_radius: float,
-                        orders: tuple[int, ...]) -> list[np.ndarray]:
-    """Fixed-order tensor Gauss-Legendre integrals of the intensity over the
-    disc: one array per order in orders, one integral per offset in rho.
-    beam and z are one source's, or one per offset (see beam_intensity).
+@lru_cache(maxsize=16)
+def _radial_nodes(orders: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    """Unit Gauss-Legendre nodes and weights for both segments of
+    _radial_capture, each segment's orders side by side. For the circles,
+    t = (x + 1) / 2 with weight pi w (2 pi times the half length); for the
+    arcs, -cos theta at theta = pi (x + 1) / 2 with weight pi w sin theta
+    (2 for 2 psi, pi / 2 for dtheta / dx, sin theta for d(-cos theta))."""
+    rules = [np.polynomial.legendre.leggauss(order) for order in orders]
+    t = np.concatenate([0.5 * (x + 1.0) for x, _ in rules])
+    theta = np.concatenate([0.5 * math.pi * (x + 1.0) for x, _ in rules])
+    w = np.concatenate([w for _, w in rules])
+    nodes = t, math.pi * w, -np.cos(theta), math.pi * w * np.sin(theta)
+    for a in nodes:  # shared by every caller through the cache
+        a.flags.writeable = False
+    return nodes
 
-    Detector-centered polar coordinates (s, phi); the distance from the beam
-    axis to an integration node is r = sqrt(rho^2 + s^2 + 2 rho s cos phi).
-    All nodes go to one beam_intensity call as one (links x nodes) array, a
-    link's orders side by side, so a second order costs no second call. Each
-    link is reduced on its own (order x order) plane, so its value depends
-    on neither the batch nor the other orders. The node radii live in the
-    thread's scratch buffer "r".
+
+def _row_sums(a: np.ndarray) -> np.ndarray:
+    """Each row's sum, by halving a power-of-two number of columns: only
+    elementwise adds, so a row's sum does not depend on the other rows."""
+    while a.shape[1] > 1:
+        a = a[:, ::2] + a[:, 1::2]
+    return a[:, 0]
+
+
+def _radial_capture(beam, z, rho: np.ndarray, aperture_radius: float, r_cut: np.ndarray,
+                    orders: tuple[int, ...]) -> list[np.ndarray]:
+    """Fixed-order Gauss-Legendre disc integrals in the beam's own radius r:
+    one array per order in orders, one integral per offset in rho. beam and
+    z are one source's, or one per offset (see beam_intensity); r_cut holds
+    each offset's cut radius, past which the beam carries no power that
+    counts.
+
+    The intensity depends on r alone, so the disc integral is
+    int_0^min(a - rho, r_cut) I(r) 2 pi r dr, where every circle lies in
+    the disc, plus int_|rho - a|^min(rho + a, r_cut) I(r) 2 psi(r) r dr,
+    where its arc of half angle psi = arccos((r^2 + rho^2 - a^2) / (2 r
+    rho)) does. The arcs are taken in s = sqrt(r / hi), hi = min(rho + a,
+    r_cut), as s = mid - half cos theta, which smooths psi's square-root
+    ends. When the beam axis sits near the disc's edge, psi changes on the
+    scale |rho - a| near the axis: the square root spreads that over more
+    nodes than r itself would (by r alone, links within 1e-4 of the edge
+    were 2e-10 off; a logarithm instead lost up to 5e-7 on beams with
+    l >= 3, whose arcs' weight rises as r^(2l+1)). An order takes `order`
+    nodes per segment; all nodes go to one beam_intensity call.
     """
-    # rho^2 as a Python float power: numpy's square may round differently.
-    rho_sq = np.array([r**2 for r in rho.tolist()])[:, None, None]
-    rho = rho[:, None, None]
-    # Columns bounds[k]:bounds[k + 1] of each link's row hold order k's nodes.
-    bounds = list(itertools.accumulate((order * order for order in orders), initial=0))
-    r = _scratch_buffer("r", (rho.size, bounds[-1]))
-    weights = []
-    for order, start, stop in zip(orders, bounds, bounds[1:]):
-        x, w = _gauss_nodes(order)
-        s = 0.5 * aperture_radius * (x + 1.0)
-        phi = math.pi * (x + 1.0)
-        weights.append((0.5 * aperture_radius * w * s, math.pi * w))
-        # r^2 = (rho^2 + s^2) + 2 rho s cos(phi), one operation at a time, in
-        # a view of the order's columns.
-        r_sq = r[:, start:stop].reshape(-1, order, order)
-        np.multiply(2.0 * rho * s[:, None], np.cos(phi)[None, :], out=r_sq)
-        np.add(rho_sq + s[:, None] ** 2, r_sq, out=r_sq)
-    np.sqrt(r, out=r)
-    intensity = beam_intensity(r, z, beam)
-    return [
-        np.array([w_s @ plane @ w_phi
-                  for plane in intensity[:, start:stop].reshape(-1, order, order)])
-        for order, start, stop, (w_s, w_phi) in zip(orders, bounds, bounds[1:], weights)
-    ]
+    a = aperture_radius
+    t, w_t, c, w_c = _radial_nodes(orders)
+    rho, r_cut = rho[:, None], r_cut[:, None]
+    inner = np.clip(a - rho, 0.0, r_cut)
+    lo = np.abs(rho - a)
+    hi = np.maximum(lo, np.minimum(rho + a, r_cut))
+    s_lo = np.sqrt(lo / hi)
+    mid, half = 0.5 * (1.0 + s_lo), 0.5 * (1.0 - s_lo)
+    s = mid + half * c
+    r_in, r_arc = inner * t, hi * (s * s)
+    # An empty arc segment (half = 0, as at rho = 0) has zero weights: any
+    # finite psi will do there.
+    rho_arc = np.where(half > 0.0, rho, 1.0)
+    cos_psi = (r_arc * r_arc + (rho - a) * (rho + a)) / (2.0 * r_arc * rho_arc)
+    psi = np.arccos(np.clip(cos_psi, -1.0, 1.0))
+    r = np.concatenate([r_in, r_arc], axis=1)
+    # dr = 2 hi s ds
+    weights = np.concatenate([inner * w_t * r_in, half * w_c * psi * r_arc * (2.0 * hi * s)],
+                             axis=1)
+    terms = beam_intensity(r, z, beam) * weights
+    sums, start = [], 0
+    for order in orders:
+        arc = start + t.size
+        sums.append(_row_sums(terms[:, start : start + order])
+                    + _row_sums(terms[:, arc : arc + order]))
+        start += order
+    return sums
 
 
 def _disc_capture(beam, z, rho: np.ndarray, aperture_radius: float) -> np.ndarray:
@@ -193,35 +226,34 @@ def _disc_capture(beam, z, rho: np.ndarray, aperture_radius: float) -> np.ndarra
     kernel call. Every link's value is the one its source gives alone.
 
     Offsets whose nearest disc point lies past the beam's tail threshold
-    (see _dark_x) capture less than the floor and are never evaluated. For
-    the rest the order doubles from 16 until a link's value changes by less
-    than 1e-8 relative; converged links drop out. The first round integrates
-    orders 16 and 32 in one kernel call, as the first comparison needs both;
-    each later round one order. Links still open after order 1024 come back
-    as NaN. A round's nodes are evaluated in chunks of at most _CHUNK_NODES
-    (but at least one link).
+    (see _dark_x) capture less than the floor and are never evaluated. The
+    rest are integrated radially (see _radial_capture) out to the radius
+    where the beam's tail falls to _CUT_TAIL. The order doubles from 16
+    until a link's value changes by less than 1e-8 relative; converged links
+    drop out. The first round integrates orders 16 and 32 in one kernel
+    call, as the first comparison needs both; each later round one order.
+    Links still open after order 1024 come back as NaN.
     """
     merged = not isinstance(beam, BeamSpec)
     beams, zs = (beam, z) if merged else ((beam,), (z,))
     result = np.full((len(beams), rho.size), np.nan)
+    r_cut = np.empty(len(beams))
     gap = rho - aperture_radius
-    for row, b, d in zip(result, beams, zs):
-        row[(gap > 0.0) & (2.0 * gap**2 / beam_radius(d, b) ** 2 > _dark_x(b.modes))] = 0.0
+    for i, (row, b, d) in enumerate(zip(result, beams, zs)):
+        w_z = beam_radius(d, b)
+        row[(gap > 0.0) & (2.0 * gap**2 / w_z**2 > _dark_x(b.modes))] = 0.0
+        r_cut[i] = w_z * math.sqrt(0.5 * _dark_x(b.modes, _CUT_TAIL))
     active = np.flatnonzero(np.isnan(result))  # links, numbered source-major
     flat = result.reshape(-1)
     orders: tuple[int, ...] = (_QUAD_START_ORDER, 2 * _QUAD_START_ORDER)
     while active.size and orders[-1] <= _QUAD_MAX_ORDER:
-        step = max(1, _CHUNK_NODES // sum(order * order for order in orders))
-        chunks = []
-        for links in (active[i : i + step] for i in range(0, active.size, step)):
-            offset = links
-            if merged:
-                source, offset = np.divmod(links, rho.size)
-                beam, z = zip(*[(beams[k], zs[k]) for k in source.tolist()])
-            chunks.append(_disc_capture_fixed(beam, z, rho[offset], aperture_radius, orders))
+        source, offset = np.divmod(active, rho.size)
+        if merged:
+            beam, z = zip(*[(beams[k], zs[k]) for k in source.tolist()])
+        *earlier, cur = _radial_capture(beam, z, rho[offset], aperture_radius, r_cut[source],
+                                        orders)
         # The round's last order against the order before it: in the first
         # round its own first order, later the previous round's.
-        *earlier, cur = (np.concatenate(values) for values in zip(*chunks))
         if earlier:
             prev = earlier[-1]
         done = np.abs(cur - prev) <= _QUAD_RTOL * np.abs(cur) + 1e-16
@@ -277,8 +309,9 @@ def captured_fraction(
     disc center from the beam axis, both in meters. With a lens, intensities
     come from the transformed beam whose waist sits d2 past the lens, so the
     effective propagation distance is z - d2 (z <= d2 is out of domain).
-    The quadrature order doubles until the result changes by less than
-    1e-8 relative; the result is clipped to [0, 1], and a fraction below
+    The intensity is integrated radially about the beam axis, and the
+    order doubles until the result changes by less than 1e-8 relative;
+    the result is clipped to [0, 1], and a fraction below
     _GAIN_FLOOR (1e-30) is +0.0. A disc so far off axis that the beam's tail
     bounds its capture below the floor is never integrated.
     """

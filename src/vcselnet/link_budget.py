@@ -57,7 +57,7 @@ def noise_variance(photocurrent: float, elec: ElectricalSpec) -> NoiseBreakdown:
         raise DomainError(f"photocurrent must be >= 0, got {photocurrent!r}")
     thermal, rin_coef, preamp = _noise_constants(elec)
     shot = 2.0 * ELECTRON_CHARGE * photocurrent * elec.rx_bandwidth
-    rin = rin_coef * photocurrent**2
+    rin = rin_coef * (photocurrent * photocurrent)
     return NoiseBreakdown(
         shot=shot, thermal=thermal, rin=rin, preamp=preamp,
         total=shot + thermal + rin + preamp,
@@ -143,9 +143,7 @@ def link_report(
     signal = np.diagonal(currents)
     lit = signal > 0.0
     i_sig = signal[lit]
-    # I^2 as Python float powers, as noise_variance takes them: libm's pow and
-    # numpy's square differ in the last bit for about 1 value in 1,000.
-    i_sq = np.array([i**2 for i in i_sig.tolist()])
+    i_sq = i_sig * i_sig  # as noise_variance squares it
     thermal, rin_coef, preamp = _noise_constants(elec)
     noise = 2.0 * ELECTRON_CHARGE * i_sig * elec.rx_bandwidth + thermal + rin_coef * i_sq + preamp
     sinr = np.zeros(n)

@@ -95,7 +95,7 @@ def oracle_link_report(scene, h, precoder, rate_model="shannon"):
         if i_sig > 0.0:
             interference = user.responsivity * np.delete(received[u, :], u)
             noise = noise_variance(i_sig, scene.electrical).total
-            sinr = i_sig**2 / (noise + float(np.sum(interference**2)))
+            sinr = i_sig * i_sig / (noise + float(np.sum(interference**2)))
         else:
             i_sig = max(i_sig, 0.0)
             sinr = 0.0

@@ -21,8 +21,7 @@ from vcselnet import (
     rayleigh_range,
     transformed_source,
 )
-from vcselnet import beam_optics
-from vcselnet.beam_optics import _SCRATCH_MAX_NODES, MAX_AZIMUTHAL_INDEX, _scratch_buffer
+from vcselnet.beam_optics import MAX_AZIMUTHAL_INDEX
 from vcselnet.errors import DomainError
 
 from conftest import one_mode, oracle_beam_intensity
@@ -350,105 +349,6 @@ class TestPerRowWidths:
         r = np.zeros((2, 3))
         with pytest.raises(DomainError, match="share their modes"):
             beam_intensity(r, [2.0, 2.0], [multimode_beam, fundamental_beam])
-
-
-def recurrence_with_fresh_temporaries(p, l, x):
-    """laguerre's recurrence on an array x, one fresh array per operation."""
-    if p == 0:
-        return np.ones_like(x)
-    prev, acc = 1.0, (1.0 + l) - x
-    for k in range(1, p):
-        prev, acc = acc, ((2 * k + 1 + l - x) * acc - (k + l) * prev) / (k + 1)
-    return acc
-
-
-def fused_intensity_with_fresh_temporaries(r, z, beam):
-    """beam_intensity as it was before its temporaries moved to scratch
-    buffers: every temporary a fresh array."""
-    r_arr = np.atleast_1d(np.asarray(r, dtype=float))
-    w_z = beam_radius(z, beam)
-    x = 2.0 * r_arr**2 / w_z**2
-    decay = np.exp(-x)
-    total, term = None, np.empty_like(x)
-    for p, l, frac in beam.modes:
-        if frac == 0.0:
-            continue
-        c = mode_norm_const(p, l, beam.w0) ** 2 * beam.w0**2 / w_z**2
-        if l == 0:
-            term.fill(c)
-        elif l == 1:
-            np.multiply(x, c, out=term)
-        else:
-            np.multiply(np.power(x, l, out=term), c, out=term)
-        if p:
-            lag = recurrence_with_fresh_temporaries(p, l, x)
-            np.multiply(term, np.square(lag, out=lag), out=term)
-        np.multiply(term, decay, out=term)
-        np.multiply(term, frac, out=term)
-        if total is None:
-            total, term = term, np.empty_like(x)
-        else:
-            total += term
-    total[decay == 0.0] = 0.0
-    if np.ndim(r) == 0:
-        return float(total[0])
-    return total
-
-
-class TestScratchBuffers:
-    # p >= 2 and l >= 4 modes, two modes sharing each of l = 4 and l = 2.
-    DEEP = BeamSpec(w0=3e-6, wavelength=850e-9,
-                    modes=((0, 4, 0.25), (3, 4, 0.25), (2, 2, 0.25), (5, 2, 0.25)))
-
-    def test_results_never_share_scratch(self, multimode_beam):
-        rng = np.random.default_rng(5)
-        big = rng.uniform(0.0, 0.3, (2, _SCRATCH_MAX_NODES // 2 + 7))  # above the cap
-        calls = [
-            (rng.uniform(0.0, 0.3, (3, 16, 16)), 2.0, self.DEEP),
-            (rng.uniform(0.0, 0.3, 40), 1.5, multimode_beam),
-            (0.07, 2.0, self.DEEP),
-            (big, 2.0, multimode_beam),
-            (rng.uniform(0.0, 0.3, (5, 32, 32)), 2.5, self.DEEP),
-        ]
-        results = []
-        for r, z, beam in calls:
-            got = beam_intensity(r, z, beam)
-            want = fused_intensity_with_fresh_temporaries(r, z, beam)
-            if np.ndim(r) == 0:
-                assert type(got) is float and got == want
-            else:
-                assert got.tobytes() == want.tobytes()
-            results.append((got, want))
-        # Every later call, of another shape and beam, left the earlier results alone.
-        for got, want in results:
-            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
-        arrays = [got for got, _ in results if isinstance(got, np.ndarray)]
-        buffers = list(beam_optics._scratch.buffers.values())
-        for i, got in enumerate(arrays):
-            assert not any(np.shares_memory(got, b) for b in buffers)
-            assert not any(np.shares_memory(got, other) for other in arrays[i + 1:])
-
-    def test_laguerre_keeps_its_recurrence_bits(self):
-        x = np.random.default_rng(9).uniform(0.0, 40.0, 500)
-        for p in range(MAX_RADIAL_INDEX + 1):
-            for l in (0, 1, 4, 30):
-                want = recurrence_with_fresh_temporaries(p, l, x)
-                assert laguerre(p, l, x).tobytes() == want.tobytes()
-
-    def test_buffers_are_reused_and_capped(self):
-        first = _scratch_buffer("probe", (4, 8))
-        again = _scratch_buffer("probe", (2, 3))
-        assert again.shape == (2, 3) and np.shares_memory(first, again)
-        grown = _scratch_buffer("probe", (_SCRATCH_MAX_NODES,))
-        assert _scratch_buffer("probe", (4, 8)).base is grown.base
-        over = _scratch_buffer("probe", (_SCRATCH_MAX_NODES + 1,))
-        assert over.shape == (_SCRATCH_MAX_NODES + 1,)
-        assert not np.shares_memory(over, grown)
-        assert not np.shares_memory(over, _scratch_buffer("probe", (_SCRATCH_MAX_NODES + 1,)))
-        # A kernel call above the cap keeps none of its arrays either.
-        beam_intensity(np.linspace(0.0, 0.3, 2 * _SCRATCH_MAX_NODES), 2.0, self.DEEP)
-        sizes = [b.size for b in beam_optics._scratch.buffers.values()]
-        assert sizes and max(sizes) <= _SCRATCH_MAX_NODES
 
 
 class TestBeamSpecValidation:

@@ -9,10 +9,11 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
-from scipy.special import eval_genlaguerre, gammaincc, genlaguerre
+from scipy.special import eval_genlaguerre, gammaincc, genlaguerre, i0e
+from scipy.stats import ncx2
 
 from vcselnet import (
     DEFAULT_MODES,
@@ -30,82 +31,26 @@ from vcselnet import (
     transformed_source,
 )
 from vcselnet import channel
-from vcselnet.channel import _DEDUP_MIN_LINKS, _disc_capture_fixed, _distinct, link_geometry
+from vcselnet.channel import _DEDUP_MIN_LINKS, _distinct, link_geometry
 from vcselnet.errors import DomainError
 from vcselnet.scene import place_users
 from vcselnet.sweep import SweepSpec, _configure, _sources, run_sweep
 
-from conftest import COMPACT_CONFIG, oracle_beam_intensity
+from conftest import COMPACT_CONFIG
 
 # 2 cm^2 detector disc radius.
 APERTURE = math.sqrt(2e-4 / math.pi)
 # Every gain below this is exactly +0.0 (channel._GAIN_FLOOR).
 GAIN_FLOOR = 1e-30
 # Nodes per link in the quadrature's first round: orders 16 and 32 side by
-# side in one beam_intensity call, whose radii arrive as (links x nodes).
-FIRST_ROUND_NODES = 16 * 16 + 32 * 32
+# side in one beam_intensity call, each with one node per order on each of
+# its two radial segments; the radii arrive as (links x nodes).
+FIRST_ROUND_NODES = 2 * (16 + 32)
 
 
-def floored(gain):
-    """An oracle gain as the channel reports it: +0.0 below the floor."""
-    return gain if gain >= GAIN_FLOOR else 0.0
-
-
-# Per-link scalar reference: one adaptive quadrature per link and per order,
-# on one (order x order) grid at a time. The batched kernel must reproduce it
-# bit for bit.
-def oracle_disc_capture_fixed(beam, z, rho, aperture_radius, order):
-    x, w = np.polynomial.legendre.leggauss(order)
-    s = 0.5 * aperture_radius * (x + 1.0)
-    w_s = 0.5 * aperture_radius * w * s
-    phi = math.pi * (x + 1.0)
-    w_phi = math.pi * w
-    r = np.sqrt(
-        rho**2
-        + s[:, None] ** 2
-        + 2.0 * rho * s[:, None] * np.cos(phi)[None, :]
-    )
-    intensity = oracle_beam_intensity(r, z, beam)
-    return float(w_s @ intensity @ w_phi)
-
-
-def oracle_captured_fraction(beam, lens, z, rho, aperture_radius):
-    eff_beam, waist_offset = transformed_source(beam, lens)
-    z_eff = z - waist_offset
-    prev = oracle_disc_capture_fixed(eff_beam, z_eff, rho, aperture_radius, 16)
-    order = 16
-    while order < 1024:
-        order *= 2
-        cur = oracle_disc_capture_fixed(eff_beam, z_eff, rho, aperture_radius, order)
-        if abs(cur - prev) <= 1e-8 * abs(cur) + 1e-16:
-            return min(max(cur, 0.0), 1.0)
-        prev = cur
-    raise AssertionError(f"oracle quadrature did not converge (z={z!r}, rho={rho!r})")
-
-
-def oracle_channel(scene):
-    gains = np.zeros((len(scene.users), len(scene.aps)))
-    distances = np.zeros_like(gains)
-    offsets = np.zeros_like(gains)
-    for u, user in enumerate(scene.users):
-        aperture = math.sqrt(user.detector_area / math.pi)
-        for a, ap in enumerate(scene.aps):
-            z = ap.position[2] - scene.room.rx_plane_height
-            rho = math.hypot(
-                user.position[0] - ap.position[0], user.position[1] - ap.position[1]
-            )
-            distances[u, a] = z
-            offsets[u, a] = rho
-            if math.atan2(rho, z) > user.fov_half_angle:
-                continue
-            gains[u, a] = floored(oracle_captured_fraction(ap.beam, ap.lens, z, rho, aperture))
-    return gains, distances, offsets
-
-
-def assert_bit_identical(h, oracle):
-    for got, want in zip((h.gains, h.distances, h.offsets), oracle):
-        assert got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
+def cut_radius(beam, z):
+    """Where the channel's disc integral stops: the beam's tail is 1e-46 past it."""
+    return beam_radius(z, beam) * math.sqrt(0.5 * channel._dark_x(beam.modes, channel._CUT_TAIL))
 
 
 def independent_intensity(beam, r, z):
@@ -122,6 +67,76 @@ def independent_intensity(beam, r, z):
             a2 * (beam.w0**2 / w**2) * x**l * eval_genlaguerre(p, l, x) ** 2 * math.exp(-x)
         )
     return total
+
+
+def quad_captured_fraction(beam, lens, z, rho, aperture_radius):
+    """Disc capture by scipy's adaptive quadrature over the distance r from
+    the beam axis. The circle of radius r about the axis lies in the disc
+    for r <= a - rho, and crosses it in an arc of angle 2 psi,
+    psi = arccos((r^2 + rho^2 - a^2) / (2 r rho)), for |rho - a| < r < rho + a.
+    Break points at multiples of the beam radius keep a beam much narrower
+    than the disc from slipping between quad's samples, and at decades
+    past |rho - a| resolve the arc angle when the beam axis sits near the
+    disc's edge."""
+    eff_beam, waist_offset = transformed_source(beam, lens)
+    z = z - waist_offset
+    a = aperture_radius
+    zr = math.pi * eff_beam.w0**2 / eff_beam.wavelength
+    w = eff_beam.w0 * math.sqrt(1.0 + (z / zr) ** 2)
+
+    def arc(r):  # 2 psi by the half-angle form, which cancels nothing when rho << a
+        d, far = rho - a, rho + a
+        return 4.0 * math.atan2(math.sqrt(max(0.0, (far - r) * (r - d))),
+                                math.sqrt(max(0.0, (r + d) * (r + far))))
+
+    pieces = [(abs(rho - a), rho + a, arc)]
+    if rho < a:
+        pieces.append((0.0, a - rho, lambda r: 2.0 * math.pi))
+    total = 0.0
+    for lo, hi, angle in pieces:
+        points = sorted(p for p in [k * w for k in (0.25, 0.5, 1.0, 2.0, 3.0, 4.0, 6.0, 9.0)]
+                        + [lo * 10.0**k for k in range(1, 12)] if lo < p < hi)
+        value, _ = integrate.quad(lambda r: independent_intensity(eff_beam, r, z) * angle(r) * r,
+                                  lo, hi, points=points or None, epsabs=1e-45, epsrel=1e-12,
+                                  limit=500)
+        total += value
+    return total
+
+
+def assert_capture(got, want, rel):
+    """got, a floored gain, is want within rel, or +0.0 where want lies
+    below the floor (either, within rel of it)."""
+    if want < GAIN_FLOOR * (1.0 - rel):
+        assert got == 0.0
+    elif got != 0.0 or want > GAIN_FLOOR * (1.0 + rel):
+        assert got == pytest.approx(want, rel=rel, abs=0.0)
+
+
+def per_link_channel(scene):
+    """The channel one link at a time: its distance, offset and arrival
+    angle by math, and its gain by captured_fraction."""
+    gains = np.zeros((len(scene.users), len(scene.aps)))
+    distances = np.zeros_like(gains)
+    offsets = np.zeros_like(gains)
+    for u, user in enumerate(scene.users):
+        aperture = math.sqrt(user.detector_area / math.pi)
+        for a, ap in enumerate(scene.aps):
+            z = ap.position[2] - scene.room.rx_plane_height
+            rho = math.hypot(
+                user.position[0] - ap.position[0], user.position[1] - ap.position[1]
+            )
+            distances[u, a] = z
+            offsets[u, a] = rho
+            if math.atan2(rho, z) > user.fov_half_angle:
+                continue
+            gains[u, a] = captured_fraction(ap.beam, ap.lens, z, rho, aperture)
+    return gains, distances, offsets
+
+
+def assert_bit_identical(h, oracle):
+    for got, want in zip((h.gains, h.distances, h.offsets), oracle):
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 class TestCapturedFraction:
@@ -234,15 +249,16 @@ class TestCapturedFraction:
 
     def test_fixed_order_quadrature_has_converged(self, multimode_beam):
         rho = np.array([1.0])
-        a, b = _disc_capture_fixed(multimode_beam, 2.0, rho, APERTURE, (256, 512))
+        r_cut = np.array([cut_radius(multimode_beam, 2.0)])
+        a, b = channel._radial_capture(multimode_beam, 2.0, rho, APERTURE, r_cut, (256, 512))
         assert a[0] == pytest.approx(b[0], rel=1e-10)
 
     @pytest.mark.parametrize("rho", [0.0, 0.05, 0.3, 1.0])
-    def test_matches_scalar_oracle_bit_for_bit(self, multimode_beam, table_lens, rho):
+    def test_matches_radial_quad_oracle(self, multimode_beam, table_lens, rho):
         for lens in (None, table_lens):
             got = captured_fraction(multimode_beam, lens, 2.0, rho, APERTURE)
-            want = oracle_captured_fraction(multimode_beam, lens, 2.0, rho, APERTURE)
-            assert got == floored(want)
+            want = quad_captured_fraction(multimode_beam, lens, 2.0, rho, APERTURE)
+            assert_capture(got, want, rel=1e-9)
 
     def test_non_convergence_names_the_link(self, multimode_beam, monkeypatch):
         # Beyond r = 2.5 m every node draws fresh noise, so no two orders
@@ -291,9 +307,10 @@ class TestDarkLinks:
     def test_gains_match_the_oracle_on_both_sides_of_the_bound(self, multimode_beam):
         assert channel._dark_x(multimode_beam.modes) == self.X_STAR
         rhos = self.offsets(multimode_beam)
-        raw = [oracle_captured_fraction(multimode_beam, None, 2.0, rho, APERTURE) for rho in rhos]
+        raw = [quad_captured_fraction(multimode_beam, None, 2.0, rho, APERTURE) for rho in rhos]
         got = [captured_fraction(multimode_beam, None, 2.0, rho, APERTURE) for rho in rhos]
-        assert [g.hex() for g in got] == [floored(w).hex() for w in raw]
+        for g, w in zip(got, raw):
+            assert_capture(g, w, rel=1e-9)
         assert got[self.XS.index(75.0)] > GAIN_FLOOR
         # Integrated, nonzero, and floored.
         assert 0.0 < raw[self.XS.index(80.0)] < GAIN_FLOOR
@@ -326,7 +343,7 @@ class TestDarkLinks:
         h = build_channel_matrix(scene)
         assert sum(n for n, nodes in planes if nodes == FIRST_ROUND_NODES) == lit
         monkeypatch.undo()
-        assert_bit_identical(h, oracle_channel(scene))
+        assert_bit_identical(h, per_link_channel(scene))
 
 
 def scipy_power_outside(p, l, x):
@@ -381,6 +398,18 @@ class TestTailBound:
                  for x in (x_star - 0.01, x_star)]
         assert tails[1] <= GAIN_FLOOR < tails[0]
 
+    @pytest.mark.parametrize("modes, x_cut",
+                             [(DEFAULT_MODES, 124.81), (FUNDAMENTAL_MODE, 105.92)])
+    def test_cut_is_the_cut_tail_rounded_up(self, modes, x_cut):
+        # The disc integral stops where T falls to 1e-46, 16 orders below the floor.
+        level = channel._CUT_TAIL
+        assert level == 1e-46
+        assert channel._dark_x(modes, level) == x_cut
+        assert power_outside(x_cut, modes) <= level < power_outside(x_cut - 0.01, modes)
+        tails = [sum(f * scipy_power_outside(p, l, x) for p, l, f in modes)
+                 for x in (x_cut - 0.01, x_cut)]
+        assert tails[1] <= level < tails[0]
+
     def test_threshold_is_capped_where_exp_underflows(self, monkeypatch):
         channel._dark_x.cache_clear()
         monkeypatch.setattr(channel, "_MAX_DARK_X", 50.0)
@@ -410,8 +439,8 @@ class TestTailBound:
         channel._dark_x.cache_clear()
         run_sweep(scene, SweepSpec(waist_start=1e-6, waist_end=8e-6, steps=3))
         info = channel._dark_x.cache_info()
-        assert info.misses == 2
-        assert info.hits >= 6 * 2 - 2  # six points, at least one batch per mode set
+        assert info.misses == 2 * 2  # the screen's level and the cut's, per mode set
+        assert info.hits >= 2 * (6 * 2 - 2)  # six points, at least one batch per mode set
 
     def test_first_call_is_cheap(self):
         costs = []
@@ -482,6 +511,90 @@ def test_screened_links_capture_less_than_the_floor(modes, w0, z, aperture, past
         epsrel=1e-6,
     )
     assert 0.0 <= oracle <= GAIN_FLOOR
+
+
+def marcum_captured_fraction(beam, z, rho, aperture_radius):
+    """A TEM00 beam's capture by a disc from Marcum's Q function. The beam's
+    intensity is a 2-D normal density of variance w^2 / 4 per axis about its
+    axis, so in units of w / 2 the distance r from the disc's centre follows
+    the Rice density r exp(-(r^2 + alpha^2) / 2) I0(alpha r), alpha =
+    2 rho / w, and the capture is 1 - Q1(alpha, beta) = ncx2.cdf(beta^2, 2,
+    alpha^2), beta = 2 a / w. That integral is taken by quad, in the depth
+    t = beta - r below the disc's edge: with delta = 2 (rho - a) / w formed
+    directly, (r - alpha)^2 = (t + delta)^2 keeps its digits where beta and
+    alpha are large and close. ncx2.cdf loses about 1e-12 of its value deep
+    in its lower tail."""
+    zr = math.pi * beam.w0**2 / beam.wavelength
+    w = beam.w0 * math.sqrt(1.0 + (z / zr) ** 2)
+    a = aperture_radius
+    alpha, beta, delta = 2.0 * rho / w, 2.0 * a / w, 2.0 * (rho - a) / w
+    if alpha == 0.0:
+        return -math.expm1(-0.5 * beta * beta)
+
+    def rice(t):  # i0e(x) = exp(-x) I0(x) keeps the product finite
+        return (beta - t) * math.exp(-0.5 * (t + delta) ** 2) * i0e(alpha * (beta - t))
+
+    points = sorted(k - delta for k in (-10.0, -3.0, 0.0, 3.0, 10.0) if 0.0 < k - delta < beta)
+    value, _ = integrate.quad(rice, 0.0, beta, points=points or None, epsabs=1e-45, epsrel=1e-13,
+                              limit=500)
+    return value
+
+
+LINKS = dict(
+    w0=st.floats(1e-6, 5e-4),
+    z=st.floats(0.01, 5.0),
+    aperture=st.floats(3e-4, 5e-2),
+    rho_over_a=st.floats(1e-3, 10.0),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(**LINKS)
+@example(w0=1e-4, z=2.0, aperture=5e-3, rho_over_a=0.0)
+@example(w0=1e-4, z=2.0, aperture=5e-3, rho_over_a=1.0)
+@example(w0=5e-4, z=0.01, aperture=5e-2, rho_over_a=0.0)
+@example(w0=5e-4, z=0.01, aperture=5e-2, rho_over_a=1.0)
+@example(w0=1e-6, z=5.0, aperture=3e-4, rho_over_a=10.0)
+@example(w0=1e-6, z=0.01, aperture=1e-2, rho_over_a=0.99999)  # beam axis near the disc's edge
+@example(w0=1e-6, z=0.01, aperture=1e-2, rho_over_a=1.00001)
+@example(w0=1e-4, z=2.0, aperture=5e-3, rho_over_a=7.125)  # 2e-30, just above the floor
+def test_fundamental_links_match_marcum_q(w0, z, aperture, rho_over_a):
+    """TEM00 links from beams 10^4 times wider than the disc down to 1 % of
+    its radius, on axis, off axis and at the disc's edge, within 1e-12 of
+    Marcum's Q function."""
+    beam = BeamSpec(w0=w0, wavelength=850e-9, modes=FUNDAMENTAL_MODE)
+    rho = rho_over_a * aperture
+    got = captured_fraction(beam, None, z, rho, aperture)
+    assert_capture(got, marcum_captured_fraction(beam, z, rho, aperture), rel=1e-12)
+
+
+@pytest.mark.parametrize("w_over_a, rho_over_a", [(0.013, 0.5), (0.017, 1.02)])
+def test_a_beam_narrower_than_the_disc_is_captured(w_over_a, rho_over_a):
+    """A beam 1-2 % of the disc's radius, inside the disc and just past its
+    edge, where a detector-centred 2-D quadrature's nodes straddle it and
+    report ~0: 1.0 and 9.2e-3 by Marcum's Q function."""
+    beam = BeamSpec(w0=1e-4, wavelength=850e-9, modes=FUNDAMENTAL_MODE)
+    aperture = 1e-2
+    w = w_over_a * aperture
+    z = math.pi * beam.w0**2 / beam.wavelength * math.sqrt((w / beam.w0) ** 2 - 1.0)
+    rho = rho_over_a * aperture
+    want = ncx2.cdf(4.0 * aperture**2 / w**2, 2, 4.0 * rho**2 / w**2)
+    assert want > 9e-3
+    assert captured_fraction(beam, None, z, rho, aperture) == pytest.approx(want, rel=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(modes=mode_sets(), **LINKS)
+@example(modes=DEFAULT_MODES, w0=5e-6, z=2.0, aperture=APERTURE, rho_over_a=0.0)
+@example(modes=DEFAULT_MODES, w0=5e-4, z=0.01, aperture=5e-2, rho_over_a=1.0)
+@example(modes=((3, 6, 1.0),), w0=2e-4, z=0.3, aperture=5e-2, rho_over_a=0.5)
+@example(modes=((2, 6, 1.0),), w0=2.5e-6, z=0.8, aperture=3.5e-3, rho_over_a=1.0 + 1e-15)
+def test_multimode_links_match_radial_quad(modes, w0, z, aperture, rho_over_a):
+    """Mixed LG modes against scipy's adaptive radial quadrature."""
+    beam = BeamSpec(w0=w0, wavelength=850e-9, modes=modes)
+    rho = rho_over_a * aperture
+    got = captured_fraction(beam, None, z, rho, aperture)
+    assert_capture(got, quad_captured_fraction(beam, None, z, rho, aperture), rel=1e-9)
 
 
 def _swap_halves(bits):
@@ -575,36 +688,6 @@ class TestChannelMatrix:
         off = h.gains - np.diag(np.diag(h.gains))
         assert np.all(off == 0.0)
 
-    def test_batch_spanning_several_chunks(self, multimode_beam, monkeypatch):
-        # Two links per first-round chunk; from order 64 on every chunk holds one link.
-        monkeypatch.setattr(channel, "_CHUNK_NODES", 2 * FIRST_ROUND_NODES)
-        sizes = []
-
-        def recording(r, z, beam):
-            sizes.append(r.shape)
-            return beam_intensity(r, z, beam)
-
-        monkeypatch.setattr(channel, "beam_intensity", recording)
-        rho = [0.0, 0.02, 0.05, 0.1, 0.2, 0.3, 0.5]
-        aps = tuple(
-            AccessPoint(position=(x, 0.0, 3.0), beam=multimode_beam) for x in rho
-        )
-        scene = SimpleNamespace(
-            room=SimpleNamespace(rx_plane_height=1.0),
-            aps=aps,
-            users=(UserTerminal(position=(0.0, 0.0)),),
-        )
-        h = build_channel_matrix(scene)
-        assert max(n for n, _ in sizes) > 1
-        assert sum(nodes == FIRST_ROUND_NODES for _, nodes in sizes) > 1
-        for n, nodes in sizes:
-            assert n * nodes <= max(2 * FIRST_ROUND_NODES, nodes)
-        monkeypatch.undo()
-        for a, offset in enumerate(rho):
-            alone = captured_fraction(multimode_beam, None, 2.0, offset, APERTURE)
-            assert h.gains[0, a] == alone
-        assert_bit_identical(h, oracle_channel(scene))
-
 
 @settings(max_examples=25, deadline=None)
 @given(
@@ -616,23 +699,18 @@ class TestChannelMatrix:
 )
 def test_merged_first_round_matches_separate_orders(modes, w0, z, aperture, rho):
     """Orders 16 and 32 in one kernel call give, bit for bit, what each order
-    gives alone and what the per-link oracle gives; the adaptive capture is
-    the same whether its first round is one chunk or split over several."""
+    gives alone; the adaptive capture of the offsets together gives each
+    offset's own captured_fraction, and the radial quad oracle's value."""
     beam = BeamSpec(w0, 850e-9, modes)
     offsets = np.array(rho)
-    merged = _disc_capture_fixed(beam, z, offsets, aperture, (16, 32))
+    r_cut = np.full(offsets.size, cut_radius(beam, z))
+    merged = channel._radial_capture(beam, z, offsets, aperture, r_cut, (16, 32))
     for order, got in zip((16, 32), merged):
-        (alone,) = _disc_capture_fixed(beam, z, offsets, aperture, (order,))
+        (alone,) = channel._radial_capture(beam, z, offsets, aperture, r_cut, (order,))
         assert got.tobytes() == alone.tobytes()
-        assert got.tolist() == [oracle_disc_capture_fixed(beam, z, x, aperture, order) for x in rho]
     whole = channel._disc_capture(beam, z, offsets, aperture)
-    # One link per first-round chunk.
-    with mock.patch.object(channel, "_CHUNK_NODES", FIRST_ROUND_NODES):
-        split = channel._disc_capture(beam, z, offsets, aperture)
-    assert split.tobytes() == whole.tobytes()
-    assert split.tolist() == [
-        floored(oracle_captured_fraction(beam, None, z, x, aperture)) for x in rho
-    ]
+    assert whole.tolist() == [captured_fraction(beam, None, z, x, aperture) for x in rho]
+    assert_capture(whole[0], quad_captured_fraction(beam, None, z, rho[0], aperture), rel=1e-9)
 
 
 GRID = st.sampled_from([0.0, 0.25, 0.3, 0.5, 1.0, 2.0])
@@ -678,7 +756,7 @@ def scenes(draw, counts=st.integers(1, 5), heights=st.sampled_from([2.5, 3.0])):
 @settings(max_examples=40, deadline=None)
 @given(scene=scenes())
 def test_batched_channel_matches_scalar_oracle(scene):
-    assert_bit_identical(build_channel_matrix(scene), oracle_channel(scene))
+    assert_bit_identical(build_channel_matrix(scene), per_link_channel(scene))
 
 
 def at_waist(scene, waist, lens):
@@ -701,11 +779,12 @@ def test_reused_geometry_matches_scalar_oracle(scene, waist, lens_on):
     lens = LensSpec(f=127e-6, d1=133e-6) if lens_on else None
     moved = at_waist(scene, waist, lens)
     h = build_channel_matrix(moved, link_geometry(scene))
-    assert_bit_identical(h, oracle_channel(moved))
+    assert_bit_identical(h, per_link_channel(moved))
 
 
 def test_concurrent_builds_match_serial_builds(compact_scene):
-    """Each thread integrates in scratch buffers of its own (beam_optics._scratch)."""
+    """Builds on four threads at once give the serial bytes: the kernel
+    keeps no state between calls."""
     scene = place_users(compact_scene, 4, seed=3)
     design = scene.lens_design
     points = [(1e-6, None), (8e-6, None), (3e-6, design), (8e-6, design)]

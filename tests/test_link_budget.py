@@ -303,8 +303,10 @@ def test_link_report_matches_per_user_oracle_bit_for_bit(case, rate_model):
 
 def test_signal_powers_are_squared_as_noise_variance_squares_them():
     """Users whose photocurrent squares differently by Python's ** (libm's
-    pow) and numpy's square, which happens for about 1 value in 1,000 here,
-    next to eight that square alike: link_report stays bit-identical."""
+    pow) and by x * x, which happens for about 1 value in 1,000 here, next
+    to eight that square alike: link_report squares each as noise_variance
+    does, by x * x, which rounds correctly on every host, and stays
+    bit-identical to the per-user oracle."""
     values = np.random.default_rng(0).uniform(1e-4, 1e-3, 20_000)
     apart = np.square(values) != np.array([v**2 for v in values.tolist()])
     currents = np.concatenate([values[apart][:8], values[:8]])
@@ -316,6 +318,11 @@ def test_signal_powers_are_squared_as_noise_variance_squares_them():
     precoder = Precoder(g=g, beta=1.0, g0=g)
     got = link_report(scene, h, precoder)
     assert [link.photocurrent for link in got.per_user] == currents.tolist()
+    elec = scene.electrical
+    rin_coef = 10.0 ** (elec.rin_db_per_hz / 10.0) * elec.rx_bandwidth
+    assert [noise_variance(i, elec).rin for i in currents.tolist()] == [
+        rin_coef * (i * i) for i in currents.tolist()
+    ]
     assert report_bits(got) == report_bits(oracle_link_report(scene, h, precoder))
 
 

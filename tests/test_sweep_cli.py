@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import hashlib
 import itertools
@@ -38,8 +39,9 @@ from vcselnet.errors import ConfigError, DomainError, SweepPointError, exit_code
 
 from conftest import COMPACT_CONFIG, DEFAULT_MPE, GRID_CONFIG
 
-# Nodes per link in the quadrature's first round: orders 16 and 32 side by side.
-FIRST_ROUND_NODES = 16 * 16 + 32 * 32
+# Nodes per link in the quadrature's first round: orders 16 and 32 side by side,
+# each with one node per order on each of its two radial segments.
+FIRST_ROUND_NODES = 2 * (16 + 32)
 
 CONFIG_TEXT = f"""
 [safety]
@@ -402,12 +404,7 @@ def test_grid_sweep_bytes_are_pinned(tmp_path):
     passes through the precoder's SVD; the three diagonal channels are
     inverted entry by entry, which gives the bytes the SVD gave them.
     Another LAPACK build may round that SVD differently, and then the digest
-    must be taken again from code that predates any change under test. The
-    same holds for
-    the host libm's pow: the channel squares each offset (rho**2) and the
-    link budget each signal photocurrent (I**2) with Python's float power,
-    which calls pow, and a pow rounded otherwise moves gains and SINRs by
-    an ulp.
+    must be taken again from code that predates any change under test.
     """
     sweep = SweepSpec(waist_start=1e-6, waist_end=8e-6, steps=2)
     result = run_sweep(load_scene(GRID_CONFIG), sweep, collect_artifacts=True)
@@ -415,13 +412,13 @@ def test_grid_sweep_bytes_are_pinned(tmp_path):
     gains = {key: hashlib.sha256(h.gains.tobytes()).hexdigest()
              for key, (h, _) in result.artifacts.items()}
     assert gains == {
-        (0, "off"): "f2a5854d68b17eb9f35eaf236cf188bbd38dde4654b1aaf050e7a0afb5e47ef0",
-        (0, "on"): "2fdd6f04c4850ef5002c01f46db6829f24e49c53bf817896357764b546698856",
+        (0, "off"): "038ee49491e9e2ad7c6e6dda0b2c9a90b4097bad5b4b93067b7099158058b445",
+        (0, "on"): "eed359c204b3502dffe978ff72bb3cad53f7bafd2c51cb9ae675055176bfb168",
         (1, "off"): "e5418c5d3249b1f554f637837d683350ec411e12e3f839e8bb797f6773b5035c",
         (1, "on"): "7a2d039328a9a97cb5f61a6ef2cade2b78b3b2b264dfa0d0764a82183c163eab",
     }
     results = hashlib.sha256((tmp_path / "results.csv").read_bytes()).hexdigest()
-    assert results == "47a2a1b9947582c6348ec9789d2601d974339b80bb16c0627de9e1ad255a0c80"
+    assert results == "3df5def378891deafa3254d53457b67b6f7d1d7132f562d0f043e95de500aee7"
 
 
 def test_grid_sweep_factorizes_only_the_coupled_point(svd_calls):
@@ -446,8 +443,7 @@ def test_compact_random_sweep_bytes_are_pinned(tmp_path, capsys):
     The digests are those of placing every seed's users and building its
     link geometry again at every point: doing both once per seed leaves
     every byte as it is. The precoder and results files also pass through
-    the SVD, and every file through the host libm's pow (see
-    test_grid_sweep_bytes_are_pinned).
+    the SVD (see test_grid_sweep_bytes_are_pinned).
     """
     config = tmp_path / "random.ini"
     config.write_text(COMPACT_CONFIG + "\n[users]\nplacement = random\ncount = 3\n",
@@ -456,17 +452,17 @@ def test_compact_random_sweep_bytes_are_pinned(tmp_path, capsys):
     assert main(["--config", str(config), "--out", str(out), *COMPACT_RANDOM_ARGS]) == 0
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
     assert digests == {
-        "channel_w00_off.csv": "05fed0ca993d22227d75f8e81751678bb033d0a30b0ab2f6f30619f3deb32296",
-        "channel_w01_off.csv": "05b626c15beff40a538b70399408a6f1eb812460a54dcf2a56ba47f57b69df24",
-        "channel_w02_off.csv": "e368142150092b3a1a05046f6f9ce7b9eca7366c6f7dc7c6126c6665932a9dd8",
+        "channel_w00_off.csv": "3277f5ef88989ee344b0782406af3fc8bb9c13514de2cbbd540b6662a7ae1980",
+        "channel_w01_off.csv": "5419bf40b58a11a9887b3559c9499d4bd2ccaa68e8058a7ecca4ef06b6fcc36d",
+        "channel_w02_off.csv": "c1f9c9e41a3b1b8f43d647d7010000971df59bf8e9b6332d1a22cec39b9567df",
         "fig_energy_efficiency.lens_off.csv":
-            "982a28829659e717d79eebc4cab404e27af1a28ddd3b813811e3653a42e37522",
+            "a611c7d0fe752e1963e501753b92710a729f1df9af779515070687f6a86c76f8",
         "fig_sum_rate.lens_off.csv":
-            "cd154c5c317a0f5c7d3e01a6e701667ef3b342494212be7befda1e13ac8d2c31",
-        "precoder_w00_off.csv": "305457885cb9221eb3730825b659b55fdc32d5d1d9bea4a3c1acbeaf332480f0",
-        "precoder_w01_off.csv": "ee6f35430c93ac222990ea913e97b5490ec9fd26b7a79ea5ea6ea64e2687414e",
-        "precoder_w02_off.csv": "da0921b7ac19947957d661b649c789b30aef2d9c12dd9afc255fcce79d0b3e75",
-        "results.csv": "60fc61e78e88c77c3281fd1c7760c55b38138de9142388beb10a109c42b0ae06",
+            "2090e8b32921d81dbce506c69dbc553e8b6464b32d2b40e2c86c4c8fac38504f",
+        "precoder_w00_off.csv": "e9c936e59f40089a6eeb7d1f380c80ccf1062e836dae2d4cadff6b4f8d2987ba",
+        "precoder_w01_off.csv": "77ceaf200d4609571408f4154182d72fe50cd14355b15417450973be2b063ba4",
+        "precoder_w02_off.csv": "07ef698d00dba614f50a90f1d8f96e711ae246d34e85f64d060b1834a55f0732",
+        "results.csv": "3fb5203ab8a037f861263712777440dde2f63f86a470ddbfb1072942748212a9",
     }
 
 
@@ -871,6 +867,24 @@ class TestCli:
         err = capsys.readouterr().err
         assert "waist=3e-06 m" in err and "user 3's channel row is 2.98e-12 times" in err
         assert "users 0 and 1" not in err
+
+    def test_narrow_beams_near_the_receive_plane_are_served(self, tmp_path, capsys):
+        # 1 cm below the APs the beams are 10-200 um wide, 1-3 % of the 8 mm
+        # detector radius, and user 0 sits 4 mm off its AP's axis: a
+        # detector-centred 2-D quadrature's nodes straddled such beams and
+        # left user 0 with an all-zero channel row (exit 4 at 7.33e-5 m).
+        config = tmp_path / "near.ini"
+        config.write_text(CONFIG_TEXT + "\n[room]\nrx_plane_height_m = 2.99\n\n[users]\n"
+                          "positions_m = (3.004, 3.0); (1.0, 3.0); (3.0, 1.0); (1.0, 1.0)\n",
+                          encoding="utf-8")
+        out = tmp_path / "out"
+        code = main(["--config", str(config), "--out", str(out), "--waist-start", "1e-5",
+                     "--waist-end", "2e-4", "--steps", "4", "--lens", "off"])
+        assert code == 0, capsys.readouterr().err
+        with open(out / "results.csv", encoding="utf-8") as f:
+            rows = list(csv.DictReader(line for line in f if not line.startswith("#")))
+        assert len(rows) == 4
+        assert all(math.isfinite(float(row["min_user_snr_db"])) for row in rows)
 
     def test_fixed_transmit_power_exits_3(self, tmp_path, capsys):
         config = tmp_path / "fixed.ini"
