@@ -114,12 +114,23 @@ class UserLink:
 
 @dataclass(frozen=True)
 class LinkReport:
-    """Network-level link budget summary."""
+    """Network-level link budget summary.
 
-    per_user: tuple[UserLink, ...]
+    snr, rate and photocurrent hold one entry per user, in user order:
+    SINR, bit/s and A. per_user regroups them into one UserLink per user.
+    """
+
+    snr: tuple[float, ...]
+    rate: tuple[float, ...]
+    photocurrent: tuple[float, ...]
     sum_rate: float
     consumed_power: float
     energy_efficiency: float
+
+    @property
+    def per_user(self) -> tuple[UserLink, ...]:
+        """One UserLink per user, built on each read."""
+        return tuple(map(UserLink, self.snr, self.rate, self.photocurrent))
 
 
 def link_report(
@@ -132,7 +143,9 @@ def link_report(
     in one pass over the off-diagonal of that matrix, row by row. Noise and
     SINR follow for all users with a positive signal in array passes, in
     noise_variance's order of operations. Any other user has SINR 0, and a
-    negative photocurrent is reported as 0.
+    negative photocurrent is reported as 0. Rates are user_rate's, the
+    Shannon ones evaluated inline with math.log2 (np.log2 may round
+    differently), and the sum rate is their sum in user order.
     """
     elec = scene.electrical
     responsivity = np.array([user.responsivity for user in scene.users])
@@ -149,14 +162,18 @@ def link_report(
     sinr = np.zeros(n)
     sinr[lit] = i_sq / (noise + interference[lit])
     photocurrent = np.where(signal < 0.0, 0.0, signal)  # max(i, 0.0): keeps -0.0 and NaN
-    users = [
-        UserLink(snr=snr, rate=user_rate(snr, elec, rate_model), photocurrent=i)
-        for snr, i in zip(sinr.tolist(), photocurrent.tolist())
-    ]
-    total_rate = sum(link.rate for link in users)
+    snr = sinr.tolist()
+    if rate_model == "shannon":  # user_rate's formula; SINR >= 0 by construction
+        be = elec.rx_bandwidth
+        rates = [be * math.log2(1.0 + x) for x in snr]
+    else:
+        rates = [user_rate(x, elec, rate_model) for x in snr]
+    total_rate = sum(rates)
     consumed = consumed_power(scene)
     return LinkReport(
-        per_user=tuple(users),
+        snr=tuple(snr),
+        rate=tuple(rates),
+        photocurrent=tuple(photocurrent.tolist()),
         sum_rate=total_rate,
         consumed_power=consumed,
         energy_efficiency=total_rate / consumed,

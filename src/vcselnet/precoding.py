@@ -6,17 +6,27 @@ non-negative, so an AP's emitted power for unit-power streams is the L1 norm
 of its row of the precoder; the whole precoder is scaled by the largest beta
 keeping every AP within its cap. After scaling, diag(H G) = beta.
 
-A channel in which every user is reached by exactly one AP, and every AP
-reaches at most one user (a scaled partial permutation, as in a grid whose
-beams are too narrow to reach a neighbour's user), is inverted entry by
-entry without an SVD: its singular values are the |h|, and its
-pseudo-inverse holds 1/h at the transposed positions. Its bytes are those
-of the SVD path wherever LAPACK's gesdd factors the channel exactly, as it
-does for up to 25 users whose APs ascend with the user index, and for some
-larger channels, such as the 8 x 8 grid's at 1 and 8 um. Elsewhere gesdd
-rounds a Householder reflector or its divide-and-conquer scaling, and the
-two paths differ by at most an ulp, the short-cut never the farther from
-1/h. Any other channel is factorized by an SVD.
+G0 comes from one of three paths, the cheapest that applies:
+
+- A channel in which every user is reached by exactly one AP, and every AP
+  reaches at most one user (a scaled partial permutation, as in a grid whose
+  beams are too narrow to reach a neighbour's user), is inverted entry by
+  entry: its singular values are the |h|, and its pseudo-inverse holds 1/h
+  at the transposed positions. Its bytes are those of the SVD path wherever
+  LAPACK's gesdd factors the channel exactly, as it does for up to 25 users
+  whose APs ascend with the user index, and for some larger channels, such
+  as the 8 x 8 grid's at 1 and 8 um. Elsewhere gesdd rounds a Householder
+  reflector or its divide-and-conquer scaling, and the two paths differ by
+  at most an ulp, the short-cut never the farther from 1/h.
+- Any other square channel (as many users as APs) in which every AP
+  reaches a user is inverted by one LU factorization, np.linalg.inv, whose
+  result is kept only when the Frobenius condition number it implies,
+  |H|_F |inv|_F, is at most _MAX_INV_COND. Since the 2-norm condition
+  number never exceeds the Frobenius one, a channel kept here is one the
+  SVD rank check accepts.
+- Every other channel, and a square one the screen turns away (singular to
+  LU, too ill-conditioned, or with a norm that over- or underflows), is
+  factorized by an SVD, which decides the rank.
 """
 
 from __future__ import annotations
@@ -29,6 +39,13 @@ from .errors import DomainError, InfeasibleError, SingularChannelError
 
 # Relative singular-value cutoff below which the channel counts as rank deficient.
 RANK_RTOL = 1e-10
+
+# The largest Frobenius condition number at which an LU inverse is used
+# instead of the SVD. The inverse computed at that condition is off by about
+# n cond eps relative (7e-7 for 64 users), so the 100-fold margin below
+# 1 / RANK_RTOL keeps every channel it admits inside the SVD's full-rank
+# range.
+_MAX_INV_COND = 1e-2 / RANK_RTOL
 
 
 @dataclass
@@ -76,6 +93,20 @@ def _rank_deficiency(h: np.ndarray) -> SingularChannelError:
     )
 
 
+def _screened_inverse(mat: np.ndarray) -> np.ndarray | None:
+    """The LU inverse of a square channel, or None where LU finds it singular
+    or |H|_F |inv|_F exceeds _MAX_INV_COND. The squared norms are compared,
+    as vdot's sums of squares (BLAS, which flags no overflow); one that
+    overflows or underflows makes the product inf or NaN, which the screen
+    turns away (Python floats give NaN for 0 * inf without a warning)."""
+    try:
+        inv = np.linalg.inv(mat)
+    except np.linalg.LinAlgError:
+        return None
+    cond_sq = float(np.vdot(mat, mat)) * float(np.vdot(inv, inv))
+    return inv if cond_sq <= _MAX_INV_COND * _MAX_INV_COND else None
+
+
 def zf_precoder(h, per_ap_power_cap) -> Precoder:
     """Build the cap-respecting zero-forcing precoder for channel matrix h.
 
@@ -92,7 +123,12 @@ def zf_precoder(h, per_ap_power_cap) -> Precoder:
     columns) skips the SVD: G0 holds 1/h at each transposed nonzero. That is
     also what the Newton-Schulz step below makes of it, since for
     inv = fl(1/h), h * inv rounds to 1 or 1 - 2**-53, and 2 - h * inv then
-    rounds to exactly 1.
+    rounds to exactly 1. Any other square channel whose LU inverse passes
+    the condition screen (see the module docstring) skips the SVD too, and
+    its inverse takes the same Newton-Schulz step as the SVD's; the two
+    paths' G0 differ by about cond * eps relative, as any two stable
+    inverses do. A channel the screen turns away goes to the SVD, which
+    raises any rank error.
     """
     gains = getattr(h, "gains", h)
     mat = np.asarray(gains, dtype=float)
@@ -120,7 +156,8 @@ def zf_precoder(h, per_ap_power_cap) -> Precoder:
 
     # With no zero row, n_users nonzeros are one per row; n_users nonzero
     # columns put them in distinct columns.
-    if np.count_nonzero(mat) == n_users and np.count_nonzero(mat.any(axis=0)) == n_users:
+    lit_aps = np.count_nonzero(mat.any(axis=0))
+    if np.count_nonzero(mat) == n_users and lit_aps == n_users:
         users, aps = np.nonzero(mat)
         h_nz = mat[users, aps]
         s = np.abs(h_nz)  # the singular values, unsorted
@@ -129,15 +166,20 @@ def zf_precoder(h, per_ap_power_cap) -> Precoder:
         g0 = np.zeros((n_aps, n_users))
         g0[aps, users] = 1.0 / h_nz
     else:
-        # One rank-revealing factorization serves both the rank check and the
-        # pseudo-inverse.
-        u_mat, s, vt = np.linalg.svd(mat, full_matrices=False)
-        if s[-1] <= RANK_RTOL * s[0]:
-            raise _rank_deficiency(mat)
-        g0 = (vt.T / s) @ u_mat.T  # (aps x users) right pseudo-inverse
+        # A square channel with an AP that reaches no user is singular, which
+        # LU would only confirm.
+        g0 = _screened_inverse(mat) if lit_aps == n_users == n_aps else None
+        if g0 is None:
+            # One rank-revealing factorization serves both the rank check and
+            # the pseudo-inverse.
+            u_mat, s, vt = np.linalg.svd(mat, full_matrices=False)
+            if s[-1] <= RANK_RTOL * s[0]:
+                raise _rank_deficiency(mat)
+            g0 = (vt.T / s) @ u_mat.T  # (aps x users) right pseudo-inverse
         # One Newton-Schulz step squares the inversion residual, pushing
-        # |H g0 - I| from the raw SVD's ~cond*eps down to product-evaluation
-        # noise. Exact inputs (e.g. identity channels) pass through unchanged.
+        # |H g0 - I| from the raw inverse's ~cond*eps down to
+        # product-evaluation noise. Exact inputs (e.g. identity channels)
+        # pass through unchanged.
         g0 = g0 @ (2.0 * np.eye(n_users) - mat @ g0)
 
     caps = np.broadcast_to(caps, (n_aps,))

@@ -145,7 +145,7 @@ def _evaluate(
 
 
 def _min_snr_db(report: LinkReport) -> float:
-    snr = min(link.snr for link in report.per_user)
+    snr = min(report.snr)
     return 10.0 * math.log10(snr) if snr > 0 else -math.inf
 
 

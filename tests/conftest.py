@@ -86,8 +86,8 @@ def oracle_beam_intensity(r, z, beam):
 
 def oracle_link_report(scene, h, precoder, rate_model="shannon"):
     """Reference link budget: one user at a time, its interference from the
-    other streams' currents by np.delete and np.sum. link_report must
-    reproduce it bit for bit."""
+    other streams' currents by np.delete and np.sum, and its rate from
+    user_rate. link_report must reproduce it bit for bit."""
     received = np.asarray(h.gains) @ precoder.g
     users = []
     for u, user in enumerate(scene.users):
@@ -104,7 +104,9 @@ def oracle_link_report(scene, h, precoder, rate_model="shannon"):
     total_rate = sum(link.rate for link in users)
     consumed = consumed_power(scene)
     return LinkReport(
-        per_user=tuple(users),
+        snr=tuple(link.snr for link in users),
+        rate=tuple(link.rate for link in users),
+        photocurrent=tuple(link.photocurrent for link in users),
         sum_rate=total_rate,
         consumed_power=consumed,
         energy_efficiency=total_rate / consumed,
@@ -158,4 +160,18 @@ def svd_calls(monkeypatch):
         return svd(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    return calls
+
+
+@pytest.fixture
+def inv_calls(monkeypatch):
+    """Every matrix passed to np.linalg.inv while the test runs, in order."""
+    calls = []
+    inv = np.linalg.inv
+
+    def counting_inv(a, *args, **kwargs):
+        calls.append(np.array(a))
+        return inv(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "inv", counting_inv)
     return calls

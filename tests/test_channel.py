@@ -3,7 +3,6 @@ import math
 import subprocess
 import sys
 import threading
-import time
 from types import SimpleNamespace
 from unittest import mock
 
@@ -442,14 +441,27 @@ class TestTailBound:
         assert info.misses == 2 * 2  # the screen's level and the cut's, per mode set
         assert info.hits >= 2 * (6 * 2 - 2)  # six points, at least one batch per mode set
 
-    def test_first_call_is_cheap(self):
-        costs = []
-        for _ in range(5):
+    def test_first_call_is_cheap(self, monkeypatch):
+        # An uncached call, at either level, builds the exact tail
+        # polynomial once and bisects the 0.01 grid up to _MAX_DARK_X: one
+        # T(X) per halving.
+        calls = []
+        tail_polynomial, tail = channel._tail_polynomial, channel._power_outside
+        monkeypatch.setattr(channel, "_tail_polynomial",
+                            lambda modes: calls.append("polynomial") or tail_polynomial(modes))
+        monkeypatch.setattr(channel, "_power_outside",
+                            lambda x, polynomial: calls.append("tail") or tail(x, polynomial))
+        halvings = math.ceil(math.log2(channel._MAX_DARK_X * 100))
+        assert halvings == 17
+        for level in (GAIN_FLOOR, channel._CUT_TAIL):
+            calls.clear()
             channel._dark_x.cache_clear()
-            start = time.perf_counter()
-            channel._dark_x(DEFAULT_MODES)
-            costs.append(time.perf_counter() - start)
-        assert min(costs) <= 2e-4
+            try:
+                channel._dark_x(DEFAULT_MODES, level)
+            finally:
+                channel._dark_x.cache_clear()
+            assert calls.count("polynomial") == 1
+            assert 0 < calls.count("tail") <= halvings
 
     def test_runtime_imports_no_exact_or_scipy_arithmetic(self, tmp_path):
         config = tmp_path / "scene.ini"

@@ -14,6 +14,7 @@ from vcselnet import (
     ElectricalSpec,
     Precoder,
     SweepSpec,
+    UserLink,
     UserTerminal,
     build_channel_matrix,
     consumed_power,
@@ -287,18 +288,54 @@ def link_budgets(draw):
 
 
 def report_bits(report):
-    values = [v for link in report.per_user for v in (link.snr, link.rate, link.photocurrent)]
+    """Every float of a report as hex: its per-user snr, rate and
+    photocurrent arrays and its totals. Checks on the way that the per_user
+    view holds the same values, user by user, field by field."""
+    view = [(link.snr, link.rate, link.photocurrent) for link in report.per_user]
+    assert all(type(link) is UserLink for link in report.per_user)
+    arrays = list(zip(report.snr, report.rate, report.photocurrent))
+    assert [[float(v).hex() for v in user] for user in view] == [
+        [float(v).hex() for v in user] for user in arrays]
+    values = [*report.snr, *report.rate, *report.photocurrent]
     values += [report.sum_rate, report.consumed_power, report.energy_efficiency]
     return [float(v).hex() for v in values]
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=120, deadline=None)
 @given(case=link_budgets(), rate_model=st.sampled_from(["shannon", "ook"]))
 def test_link_report_matches_per_user_oracle_bit_for_bit(case, rate_model):
     scene, h, precoder = case
     got = link_report(scene, h, precoder, rate_model)
     want = oracle_link_report(scene, h, precoder, rate_model)
+    n = len(scene.users)
+    assert len(got.snr) == len(got.rate) == len(got.photocurrent) == len(got.per_user) == n
     assert report_bits(got) == report_bits(want)
+
+
+def test_an_unknown_rate_model_is_refused():
+    with pytest.raises(DomainError, match="unknown rate model"):
+        link_report(default_scene(), *identity_link(), rate_model="pam")
+
+
+def test_a_sweep_builds_no_user_link(scene_with_mpe, monkeypatch):
+    """run_sweep reads each report's arrays; a UserLink is built only when
+    per_user is read, one per user on each read."""
+    built = []
+    init = UserLink.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(UserLink, "__init__", counting_init)
+    sweep = SweepSpec(waist_start=1e-6, waist_end=8e-6, steps=2)
+    artifacts = run_sweep(scene_with_mpe, sweep, collect_artifacts=True).artifacts
+    assert len(artifacts) == 4
+    assert built == []
+    h, precoder = artifacts[0, "off"]
+    report = link_report(scene_with_mpe, h, precoder)
+    assert built == []
+    assert len(report.per_user) == len(built) == len(scene_with_mpe.users)
 
 
 def test_signal_powers_are_squared_as_noise_variance_squares_them():

@@ -11,12 +11,24 @@ in a benchmark run.
 import collections
 import dataclasses
 import importlib
+import math
 import sys
 from pathlib import Path
 
 import pytest
 
-from vcselnet import AccessPoint, ChannelMatrix, SweepSpec, load_scene
+import numpy as np
+
+from vcselnet import (
+    AccessPoint,
+    ChannelMatrix,
+    SweepSpec,
+    build_channel_matrix,
+    link_report,
+    load_scene,
+    max_safe_power,
+    zf_precoder,
+)
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -71,3 +83,21 @@ def test_a_traced_sweep_reports_every_layer_per_point(perfbench):
     metrics = tracing.layer_metrics(tracer, ops=1)
     assert metrics["channel.calls"] == metrics["precoding.calls"] == points
     assert metrics["channel.links"] == points * len(scene.aps) * len(scene.users)
+
+
+def test_random_seeds_reads_a_link_report(perfbench, scene_with_mpe):
+    """RandomSeeds.outcome reads a report's per_user[i].snr, sum_rate and
+    energy_efficiency; per_user is built on read, so a change to it must
+    fail here rather than in a benchmark run."""
+    workloads = importlib.import_module("workloads")
+    scene = scene_with_mpe
+    caps = np.array([ap.array_n**2 * max_safe_power(ap.beam, scene.safety, ap.lens).p_max
+                     for ap in scene.aps])
+    h = build_channel_matrix(scene)
+    precoder = zf_precoder(h, caps)
+    report = link_report(scene, h, precoder, "shannon")
+    outcome, _ = workloads.RandomSeeds.outcome(h, precoder, report)
+    snr = min(report.per_user[i].snr for i in range(len(scene.users)))
+    assert snr > 0
+    assert outcome == ["ok", report.sum_rate, report.energy_efficiency,
+                       10.0 * math.log10(snr), precoder.beta]

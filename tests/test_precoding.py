@@ -1,3 +1,5 @@
+import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -12,7 +14,7 @@ from vcselnet import (
     zf_precoder,
 )
 from vcselnet.errors import DomainError, InfeasibleError, SingularChannelError
-from vcselnet.precoding import RANK_RTOL
+from vcselnet.precoding import _MAX_INV_COND, RANK_RTOL, _rank_deficiency
 
 
 def random_channel(rng, n_users, n_aps, log10_cond):
@@ -225,10 +227,12 @@ class TestResidualInterference:
 
 
 def oracle_svd_precoder(h, cap):
-    """The SVD path written out: svd, (vt.T / s) @ u.T, one Newton-Schulz
-    step, then the cap scale. Returns (g0, g, beta)."""
+    """The SVD path written out: svd, the rank check, (vt.T / s) @ u.T, one
+    Newton-Schulz step, then the cap scale. Returns (g0, g, beta), or raises
+    the rank check's SingularChannelError."""
     u, s, vt = np.linalg.svd(h, full_matrices=False)
-    assert s[-1] > RANK_RTOL * s[0]
+    if s[-1] <= RANK_RTOL * s[0]:
+        raise _rank_deficiency(h)
     g0 = (vt.T / s) @ u.T
     g0 = g0 @ (2.0 * np.eye(h.shape[0]) - h @ g0)
     caps = np.broadcast_to(np.asarray(cap, dtype=float), (h.shape[1],))
@@ -328,3 +332,113 @@ class TestScaledPermutations:
         assert pre.g0.tobytes() == g0.tobytes()
         assert pre.g.tobytes() == g.tobytes()
         assert pre.beta == beta
+
+
+@st.composite
+def prescribed_square_channels(draw):
+    """(h, kappa_2, kappa_F): 2 to 16 users and as many APs, h = U diag(s) V
+    with random orthogonal U and V and singular values s spanning
+    kappa_2 = 1 to 1e12 (half the draws within a decade of the screen's
+    1e8 and the rank cutoff's 1e10), the inner ones log-uniform between,
+    times a random overall scale. kappa_F is |h|_F |h^-1|_F of the
+    prescribed s."""
+    n = draw(st.integers(2, 16))
+    log_kappa = draw(st.one_of(st.floats(0.0, 12.0), st.floats(7.0, 11.0)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    inner = rng.uniform(-log_kappa, 0.0, n - 2)
+    s = 10.0 ** np.concatenate([[0.0], np.sort(inner)[::-1], [-log_kappa]])
+    qa, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    qb, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    scale = 10.0 ** draw(st.floats(-8.0, 2.0))
+    h = scale * (qa * s) @ qb
+    kappa_f = math.sqrt(np.sum(s * s) * np.sum(1.0 / (s * s)))
+    return h, 10.0**log_kappa, kappa_f
+
+
+class TestSquareScreen:
+    """Square channels that are not scaled permutations: one LU inverse,
+    kept where its Frobenius condition number is at most 1e8, else the
+    SVD."""
+
+    def test_the_screen_sits_a_hundredfold_inside_the_rank_cutoff(self):
+        assert _MAX_INV_COND == 1e8 == 1e-2 / RANK_RTOL
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=prescribed_square_channels(), cap=st.floats(1e-3, 1e3))
+    def test_matches_the_svd_path_or_raises_as_it_does(self, case, cap):
+        """The two paths' g0 differ by the rounding of two backward-stable
+        inverses, ~kappa_2 eps relative: within 1e-12 up to kappa_2 = 1e3,
+        and 1e-15 kappa_2 beyond. Channels well inside the screen take no
+        SVD, those past it exactly one; the screen never admits a channel
+        the SVD's rank check rejects (kappa_2 >= 1e10)."""
+        h, kappa_2, kappa_f = case
+        svd_calls = []
+        svd = np.linalg.svd
+
+        def counting_svd(a, *args, **kwargs):
+            svd_calls.append(a)
+            return svd(a, *args, **kwargs)
+
+        try:
+            g0, _, beta = oracle_svd_precoder(h, cap)
+        except SingularChannelError as exc:
+            want = exc
+        else:
+            want = None
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(np.linalg, "svd", counting_svd)
+            if want is not None:
+                with pytest.raises(SingularChannelError) as exc_info:
+                    zf_precoder(h, cap)
+                assert exc_info.value.pair == want.pair
+                assert str(exc_info.value) == str(want)
+            else:
+                pre = zf_precoder(h, cap)
+        if kappa_f <= 1e8 * (1.0 - 1e-5):
+            assert svd_calls == []
+        elif kappa_f > 1e8 * (1.0 + 1e-5):
+            assert len(svd_calls) == 1
+        if want is None:
+            tol = 1e-15 * max(kappa_2, 1e3)
+            assert np.linalg.norm(pre.g0 - g0) <= tol * np.linalg.norm(g0)
+            assert pre.beta == pytest.approx(beta, rel=tol)
+            assert np.array_equal(pre.g, pre.beta * pre.g0)
+
+    @pytest.mark.parametrize("n, pair", [(3, (0, 2)), (8, (0, 7))])
+    def test_two_equal_rows_name_the_pair(self, svd_calls, n, pair):
+        """Equal first and last rows: at n = 3 LU finds the channel singular,
+        at n = 8 its inverse fails the screen; both go to the SVD, which
+        names the pair."""
+        h = np.random.default_rng(3).uniform(0.1, 1.0, (n, n))
+        h[n - 1] = h[0]
+        with pytest.raises(SingularChannelError) as exc_info:
+            zf_precoder(h, 1.0)
+        assert exc_info.value.pair == pair
+        assert str(exc_info.value) == (
+            f"channel matrix is rank deficient: rows of users {pair[0]} and {pair[1]} "
+            "are (near-)linearly dependent")
+        assert len(svd_calls) == 1
+
+    def test_an_inverse_with_a_non_finite_norm_goes_to_the_svd(self, svd_calls):
+        # |h|_F squares to +0.0 and |h^-1|_F to inf: the screen reads NaN,
+        # and says nothing.
+        h = 1e-170 * np.array([[2.0, 1.0], [1.0, 3.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pre = zf_precoder(h, 1.0)
+        assert len(svd_calls) == 1
+        g0, g, beta = oracle_svd_precoder(h, 1.0)
+        assert pre.g0.tobytes() == g0.tobytes()
+        assert pre.beta == beta
+
+    def test_an_ap_reaching_no_user_skips_the_inverse(self, svd_calls, inv_calls):
+        # AP 2 reaches nobody, so the square channel is singular: the SVD
+        # alone decides, and names the weak user as it always has.
+        h = np.array([[0.5, 0.2, 0.0], [0.1, 0.4, 0.0], [0.3, 0.3, 0.0]])
+        with pytest.raises(SingularChannelError) as exc_info:
+            zf_precoder(h, 1.0)
+        assert inv_calls == [] and len(svd_calls) == 1
+        with pytest.raises(SingularChannelError) as want:
+            oracle_svd_precoder(h, 1.0)
+        assert str(exc_info.value) == str(want.value)
+        assert exc_info.value.pair == want.value.pair

@@ -400,11 +400,13 @@ def test_grid_sweep_bytes_are_pinned(tmp_path):
     1e-30 to +0.0, and of the per-user SINR loop
     (conftest.oracle_link_report): skipping links past the beam's tail
     threshold and exact zeros, and summing interference in one pass, leave
-    every byte as it is. Of results.csv's four rows only (0, off) still
-    passes through the precoder's SVD; the three diagonal channels are
-    inverted entry by entry, which gives the bytes the SVD gave them.
-    Another LAPACK build may round that SVD differently, and then the digest
-    must be taken again from code that predates any change under test.
+    every byte as it is. Of results.csv's four rows only (0, off) couples
+    users; its 64 x 64 channel (condition number ~10) is inverted by one LU
+    factorization, which moved that row by at most 8.0e-16 relative from
+    the SVD's. The three diagonal channels are inverted entry by entry,
+    which gives the bytes the SVD gave them. Another LAPACK build may round
+    that LU inverse differently, and then the digest must be taken again
+    from code that predates any change under test.
     """
     sweep = SweepSpec(waist_start=1e-6, waist_end=8e-6, steps=2)
     result = run_sweep(load_scene(GRID_CONFIG), sweep, collect_artifacts=True)
@@ -418,17 +420,20 @@ def test_grid_sweep_bytes_are_pinned(tmp_path):
         (1, "on"): "7a2d039328a9a97cb5f61a6ef2cade2b78b3b2b264dfa0d0764a82183c163eab",
     }
     results = hashlib.sha256((tmp_path / "results.csv").read_bytes()).hexdigest()
-    assert results == "3df5def378891deafa3254d53457b67b6f7d1d7132f562d0f043e95de500aee7"
+    assert results == "b921c7be58fed81410ffe487cadc371031d9ccf7cfe340a369a2cef3e801af03"
 
 
-def test_grid_sweep_factorizes_only_the_coupled_point(svd_calls):
-    """Of the pinned grid's four channels only 1 um lens off couples users;
-    the other three are diagonal and are inverted without an SVD."""
+def test_grid_sweep_factorizes_only_the_coupled_point(svd_calls, inv_calls):
+    """Of the pinned grid's four channels only 1 um lens off couples users.
+    Its square channel passes the precoder's condition screen, so it is
+    inverted by one LU factorization; the other three are diagonal and are
+    inverted entry by entry. No point takes an SVD."""
     sweep = SweepSpec(waist_start=1e-6, waist_end=8e-6, steps=2)
     result = run_sweep(load_scene(GRID_CONFIG), sweep, collect_artifacts=True)
     assert set(result.artifacts) == {(0, "off"), (0, "on"), (1, "off"), (1, "on")}
-    assert len(svd_calls) == 1
-    assert np.array_equal(svd_calls[0], result.artifacts[(0, "off")][0].gains)
+    assert svd_calls == []
+    assert len(inv_calls) == 1
+    assert np.array_equal(inv_calls[0], result.artifacts[(0, "off")][0].gains)
 
 
 # Three random users in the compact room, three seeds, lens off, both dumps.
@@ -443,7 +448,8 @@ def test_compact_random_sweep_bytes_are_pinned(tmp_path, capsys):
     The digests are those of placing every seed's users and building its
     link geometry again at every point: doing both once per seed leaves
     every byte as it is. The precoder and results files also pass through
-    the SVD (see test_grid_sweep_bytes_are_pinned).
+    the SVD: three users on four APs are not square (see
+    test_grid_sweep_bytes_are_pinned).
     """
     config = tmp_path / "random.ini"
     config.write_text(COMPACT_CONFIG + "\n[users]\nplacement = random\ncount = 3\n",
