@@ -8,6 +8,12 @@ by the angle of it that lies in the disc (see _radial_capture). Links
 arriving outside a receiver's field of view contribute zero. Wall
 reflections are out of scope.
 
+A build follows a plan made from positions alone (link_geometry): the one
+drop from the ceiling to the receive plane, every link's offset, and the
+visible links batched by receiver aperture with each batch's distinct
+offsets. The build groups its own APs into sources, (beam, lens) pairs
+equal by value, and integrates each source once per distinct offset.
+
 Every gain below _GAIN_FLOOR (1e-30) is exactly +0.0. Most such links are
 never integrated: the beam's closed-form tail T(X), the fraction of its power
 outside x = 2 r^2 / w_z^2 = X, bounds what a disc can capture, and an offset
@@ -353,26 +359,24 @@ class LinkGeometry(NamedTuple):
     """What a channel build computes from positions alone, reusable while
     only the beams and lenses change.
 
-    users, aps and rx_plane_height are those of the scene it was built from.
-    batches is the plan: links grouped by each AP's source (beam, lens, z)
-    and each user's aperture as given, so it holds for any scene whose APs
-    that shared a source still do. Each batch is (links, ap, z, aperture,
-    rho, inverse): the links' flat indices into the (users x aps) matrix,
-    the AP of its first link, its distinct offsets (ascending) and each
-    link's index into them. source_ap names, per AP, the first AP whose
-    source it shared.
+    users, aps and rx_plane_height are those of the scene it was built from,
+    and z is the drop from the ceiling to the receive plane. batches is the
+    plan: the visible links grouped by their user's aperture. Each batch is
+    (links, link_aps, aperture, rho, inverse): the links' flat indices into
+    the (users x aps) matrix, each link's AP, the batch's distinct offsets
+    (ascending) and each link's index into them. Which APs share a source
+    is left to each build.
 
     points lists the AP tuples of the scenes a sweep will build on it, and
-    captures maps each integrated point's index to its batches' captures
-    at their distinct offsets (see build_channel_matrix).
+    captures maps each integrated point's index to what _integrate returned
+    for it (see build_channel_matrix).
     """
 
     users: tuple
     aps: tuple
     rx_plane_height: float
-    source_ap: tuple[int, ...]
+    z: float
     offsets: np.ndarray
-    distances: np.ndarray
     batches: tuple[tuple, ...]
     points: tuple[tuple, ...]
     captures: dict
@@ -381,72 +385,48 @@ class LinkGeometry(NamedTuple):
 def link_geometry(scene: Scene, points: tuple[tuple, ...] = ()) -> LinkGeometry:
     """The scene's link geometry and batch plan (see build_channel_matrix),
     listing points: the AP tuples of scenes that differ from this one only
-    in their beams and lenses and will be built on it, such as a sweep's."""
+    in their beams and lenses and will be built on it, such as a sweep's.
+
+    Every AP sits at the ceiling (see Scene), so every link drops the same
+    z. math.hypot runs once per distinct (dx, dy) and math.atan2 once per
+    distinct offset: numpy's forms can differ by an ulp.
+    """
     aps, users = scene.aps, scene.users
-    zs = [ap.position[2] - scene.room.rx_plane_height for ap in aps]
-    apertures = [math.sqrt(user.detector_area / math.pi) for user in users]
+    z = aps[0].position[2] - scene.room.rx_plane_height
     ap_xy = np.array([ap.position[:2] for ap in aps], dtype=float)
     user_xy = np.array([user.position for user in users], dtype=float)
     dx = user_xy[:, None, 0] - ap_xy[None, :, 0]
     dy = user_xy[:, None, 1] - ap_xy[None, :, 1]
-    # math.hypot once per distinct (dx, dy) and math.atan2 once per distinct
-    # (rho, z): numpy's forms can differ by an ulp.
     step_x, step_y, step_of = _distinct(dx, dy)
-    offsets = np.array([math.hypot(x, y) for x, y in zip(step_x, step_y)])[step_of]
-    z_grid = np.broadcast_to(np.array(zs, dtype=float), dx.shape)
-    geometry_rho, geometry_z, geometry_of = _distinct(offsets, z_grid)
-    angles = np.array([math.atan2(r, z) for r, z in zip(geometry_rho, geometry_z)])[geometry_of]
+    distinct, step_offset = np.unique([math.hypot(x, y) for x, y in zip(step_x, step_y)],
+                                      return_inverse=True)
+    offset_of = step_offset[step_of]  # each link's index into the sorted distinct offsets
+    angles = np.array([math.atan2(rho, z) for rho in distinct.tolist()])
     fov = np.array([user.fov_half_angle for user in users], dtype=float)
-    visible = ~(angles > fov[:, None])
-    # Batch keys, computed once per AP and once per user rather than per link.
-    # An AP's key is the first AP with its source (beam, lens, z): the APs are
-    # grouped by their beam and lens objects first, so each distinct pair of
-    # objects is hashed by value once, not each AP's.
-    keys = [(id(ap.beam), id(ap.lens), z) for ap, z in zip(aps, zs)]
-    objects: dict = {}  # key -> first AP with those objects
-    for a, key in enumerate(keys):
-        if key not in objects:
-            objects[key] = a
-    sources: dict = {}
-    first = {key: sources.setdefault((aps[a].beam, aps[a].lens, key[2]), a)
-             for key, a in objects.items()}
-    source_ap = tuple(map(first.__getitem__, keys))
-    ap_key = np.array(source_ap)
-    discs: dict = {}
-    user_key = np.array([discs.setdefault(a, len(discs)) for a in apertures])
-    batch = ap_key[None, :] * len(discs) + user_key[:, None]
-
-    # A batch's distinct offsets are those of the (offset, distance) groups its
-    # links fall in: sort the few groups, not the links. Equal neighbours are
-    # merged (groups are per link below _DEDUP_MIN_LINKS), so rho and inverse
-    # are those np.unique(offsets.flat[links], return_inverse=True) returns.
-    group_rho = np.array(geometry_rho)
-    position = np.empty(group_rho.size, dtype=np.intp)  # group -> index into its batch's rho
+    visible = ~(angles[offset_of] > fov[:, None])
+    discs: dict = {}  # aperture -> index, in the order of each one's first user
+    user_disc = np.array([discs.setdefault(math.sqrt(user.detector_area / math.pi), len(discs))
+                          for user in users])
     batches = []
-    for key in np.flatnonzero(np.bincount(batch[visible])):
-        links = np.flatnonzero(visible & (batch == key))
-        u, a = divmod(int(links[0]), len(aps))
-        group = geometry_of.flat[links]
-        present = np.flatnonzero(np.bincount(group))
-        present = present[np.argsort(group_rho[present])]
-        rho = group_rho[present]
-        new = np.empty(rho.size, dtype=bool)
-        new[0] = True
-        new[1:] = rho[1:] != rho[:-1]
-        position[present] = np.cumsum(new) - 1
-        batches.append((links, a, zs[a], apertures[u], rho[new], position[group]))
-    batches.sort(key=lambda b: b[0][0])  # in the order of each batch's first link
-    return LinkGeometry(users, aps, scene.room.rx_plane_height, source_ap, offsets, z_grid,
+    for d, aperture in enumerate(discs):
+        links = np.flatnonzero(visible & (user_disc == d)[:, None])
+        if links.size:
+            # The distinct offsets are sorted, so a batch's are those its links
+            # use, and each keeps its rank among them.
+            index = offset_of.flat[links]
+            present = np.bincount(index, minlength=distinct.size) > 0
+            batches.append((links, links % len(aps), aperture, distinct[present],
+                            (np.cumsum(present) - 1)[index]))
+    return LinkGeometry(users, aps, scene.room.rx_plane_height, z, distinct[offset_of],
                         tuple(batches), tuple(points), {})
 
 
 def _check_geometry(scene: Scene, geometry: LinkGeometry) -> None:
-    """Raise DomainError unless geometry was built for this scene's users and
-    APs, and its APs still share the sources its plan groups them by.
+    """Raise DomainError unless geometry was built for this scene's users, AP
+    positions and receive plane.
 
     Users and AP positions are compared by identity, which keeps the check
-    cheap: a scene rebuilt with other beams or lenses keeps them. Each check
-    runs over all APs in one pass of list operations.
+    cheap: a scene rebuilt with other beams or lenses keeps them.
     """
     aps = scene.aps
     if (
@@ -456,44 +436,51 @@ def _check_geometry(scene: Scene, geometry: LinkGeometry) -> None:
         or not all(map(operator.is_, map(_POSITION, aps), map(_POSITION, geometry.aps)))
     ):
         raise DomainError("link geometry was built for another scene's users or access points")
-    # Lists compare items by identity first: APs given one shared beam and
-    # lens object pass without comparing fields.
+
+
+def _distinct_sources(aps: tuple) -> tuple[list[tuple], np.ndarray]:
+    """The distinct (beam, lens) pairs of aps, by value, and each AP's index
+    into them. APs are grouped by their beam and lens objects first, so each
+    distinct pair of objects is hashed by value once, not each AP's."""
     beams, lenses = list(map(_BEAM, aps)), list(map(_LENS, aps))
-    if (beams == list(map(beams.__getitem__, geometry.source_ap))
-            and lenses == list(map(lenses.__getitem__, geometry.source_ap))):
-        return
-    for a, first in enumerate(geometry.source_ap):
-        if (beams[a], lenses[a]) != (beams[first], lenses[first]):
-            raise DomainError(
-                f"access points {first} and {a} no longer share the source "
-                "their link geometry groups them by"
-            )
+    keys = list(zip(map(id, beams), map(id, lenses)))
+    sources: dict = {}  # (beam, lens) -> index
+    index = {key: sources.setdefault(pair, len(sources))
+             for key, pair in dict(zip(keys, zip(beams, lenses))).items()}
+    return list(sources), np.array(list(map(index.__getitem__, keys)))
 
 
-def _integrate_points(geometry: LinkGeometry) -> None:
-    """Integrate every listed point not integrated yet and keep, per point,
-    each batch's captures at its distinct offsets.
+def _integrate(geometry: LinkGeometry, points: list[tuple]) -> list[tuple]:
+    """Each point's (source_of, captures): its APs' indices into its
+    sources (see _distinct_sources) and, per batch, one row per source of
+    captures at the batch's distinct offsets.
 
-    Per batch, the points' sources that share a mode set go through one
-    _disc_capture pass. A point whose link is out of domain there is left
-    out: its own build raises the error.
+    Per batch, the sources of all points that share a mode set go through
+    one _disc_capture pass. A source whose links are out of domain keeps a
+    row of NaN: the build that reads it raises the error.
     """
-    pending = [p for p in range(len(geometry.points)) if p not in geometry.captures]
-    captures = {p: [None] * len(geometry.batches) for p in pending}
-    for b, (_, a, z, aperture, rho, _) in enumerate(geometry.batches):
-        groups: dict = {}  # id(modes) -> [(point, beam, distance)]
-        for p in pending:
-            ap = geometry.points[p][a]
-            try:
-                eff_beam, z_eff = _link_source(ap.beam, ap.lens, z, float(rho[0]), aperture)
-            except DomainError:
-                continue
-            groups.setdefault(id(eff_beam.modes), []).append((p, eff_beam, z_eff))
-        for members in groups.values():
-            points, beams, zs = zip(*members)
-            for p, values in zip(points, _disc_capture(beams, zs, rho, aperture)):
-                captures[p][b] = values
-    geometry.captures.update(captures)
+    grouped = [_distinct_sources(aps) for aps in points]
+    results = [(source_of, []) for _, source_of in grouped]
+    for _, _, aperture, rho, _ in geometry.batches:
+        sets: dict = {}  # id(modes) -> [(row, beam, distance)]
+        for (pairs, _), (_, captures) in zip(grouped, results):
+            values = np.full((len(pairs), rho.size), np.nan)
+            captures.append(values)
+            for row, (beam, lens) in zip(values, pairs):
+                try:
+                    eff_beam, z_eff = _link_source(beam, lens, geometry.z, float(rho[0]),
+                                                   aperture)
+                except DomainError:
+                    continue
+                sets.setdefault(id(eff_beam.modes), []).append((row, eff_beam, z_eff))
+        for members in sets.values():
+            rows, beams, zs = zip(*members)
+            # One source takes the single-source form, which costs less per call.
+            captured = (_disc_capture(beams, zs, rho, aperture) if len(rows) > 1
+                        else (_disc_capture(beams[0], zs[0], rho, aperture),))
+            for row, got in zip(rows, captured):
+                row[:] = got
+    return results
 
 
 def build_channel_matrix(scene: Scene, geometry: LinkGeometry | None = None) -> ChannelMatrix:
@@ -506,41 +493,51 @@ def build_channel_matrix(scene: Scene, geometry: LinkGeometry | None = None) -> 
     disc lies in the receive plane, perpendicular to the beam axis, so the
     integral over it is already the captured power: no incidence cosine.
 
-    Links sharing (beam, lens, z, aperture) form one batch, and each distinct
-    offset in a batch is integrated once, unless the beam's tail screens it
-    out; every gain equals captured_fraction of its link bit for bit, so
-    gains below 1e-30 are +0.0. The offsets, angles and batches come from
-    geometry when given: link_geometry of a scene that differs from this one
-    only in its beams and lenses, which lets a sweep do that work once.
-    DomainError if it was built for other users or APs, or if APs that
-    shared a source there no longer do.
+    Links sharing a user aperture form one batch, and each source (beam,
+    lens) integrates each distinct offset in a batch once, unless the beam's
+    tail screens it out; every gain equals captured_fraction of its link bit
+    for bit, so gains below 1e-30 are +0.0. The offsets, angles and batches
+    come from geometry when given: link_geometry of a scene that differs from
+    this one only in its beams and lenses, which lets a sweep do that work
+    once. DomainError if it was built for other users, AP positions or
+    receive plane.
 
     A scene whose APs are one of the geometry's listed points takes its
     captures from the merged pass: the first such build integrates every
     listed point at once, each batch's links of all points in one adaptive
-    pass, and later builds only scatter the captures kept for them. Each
-    build still checks its own links' domain and convergence, so a point's
-    errors are raised by its own call.
+    pass, and later builds only scatter the captures kept for them. Any
+    other scene is integrated as a pass of its own. A build whose links are
+    out of domain raises that DomainError, and one whose links did not
+    converge raises after that check, so a point's errors are raised by its
+    own call.
     """
     if geometry is None:
         geometry = link_geometry(scene)
     else:
         _check_geometry(scene, geometry)
     point = next((p for p, aps in enumerate(geometry.points) if aps is scene.aps), None)
-    if point is not None and point not in geometry.captures:
-        _integrate_points(geometry)
-    captures = geometry.captures.get(point)
+    if point is None:
+        ((source_of, captures),) = _integrate(geometry, [scene.aps])
+    else:
+        if point not in geometry.captures:
+            pending = [p for p in range(len(geometry.points)) if p not in geometry.captures]
+            geometry.captures.update(zip(pending, _integrate(
+                geometry, [geometry.points[p] for p in pending])))
+        source_of, captures = geometry.captures[point]
     gains = np.zeros(geometry.offsets.shape)
     flat = gains.reshape(-1)
-    for b, (links, a, z, aperture, rho, inverse) in enumerate(geometry.batches):
-        ap = scene.aps[a]
-        eff_beam, z_eff = _link_source(ap.beam, ap.lens, z, float(rho[0]), aperture)
-        values = _disc_capture(eff_beam, z_eff, rho, aperture) if captures is None else captures[b]
-        h = values[inverse]
-        if np.isnan(h).any():
-            raise _not_converged(z, float(rho[inverse][np.isnan(h)][0]), aperture)
-        flat[links] = h
+    for (links, link_aps, _, _, inverse), values in zip(geometry.batches, captures):
+        flat[links] = values[source_of[link_aps], inverse]
+    failed = np.flatnonzero(np.isnan(flat)).tolist()
+    if failed:
+        n_aps = len(scene.aps)
+        apertures = [math.sqrt(user.detector_area / math.pi) for user in scene.users]
+        rho = geometry.offsets.reshape(-1)
+        for k in failed:
+            u, a = divmod(k, n_aps)
+            _link_source(scene.aps[a].beam, scene.aps[a].lens, geometry.z, float(rho[k]),
+                         apertures[u])
+        raise _not_converged(geometry.z, float(rho[failed[0]]), apertures[failed[0] // n_aps])
     # A geometry can serve many calls: each matrix gets arrays of its own.
-    return ChannelMatrix(
-        gains=gains, distances=geometry.distances.copy(), offsets=geometry.offsets.copy()
-    )
+    return ChannelMatrix(gains=gains, distances=np.full(gains.shape, geometry.z),
+                         offsets=geometry.offsets.copy())

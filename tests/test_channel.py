@@ -732,19 +732,21 @@ GRID = st.sampled_from([0.0, 0.25, 0.3, 0.5, 1.0, 2.0])
 def scenes(draw, counts=st.integers(1, 5), heights=st.sampled_from([2.5, 3.0])):
     """Random stand-in scenes: the fields build_channel_matrix reads.
 
-    Scene pins every AP to the ceiling, so a namespace carries the mixed
-    AP heights. Positions come from a small grid so users coincide with APs
-    and with each other, and links repeat their geometry. Offsets up to
-    2*sqrt(2) m give links past the tail threshold (channel._dark_x), which
-    are never integrated, and integrated links whose gains fall below the
-    floor, with the lens off as well as on: about half the scenes hold the
-    first kind and a third the second. counts draws the number of APs and of users, heights
-    each AP's height above the floor (the receive plane is at 1 m).
+    Like Scene, which pins every AP to the ceiling, a scene puts all its
+    APs at one height. Positions come from a small grid so users coincide
+    with APs and with each other, and links repeat their geometry. Offsets
+    up to 2*sqrt(2) m give links past the tail threshold (channel._dark_x),
+    which are never integrated, and integrated links whose gains fall below
+    the floor, with the lens off as well as on: about half the scenes hold
+    the first kind and a third the second. counts draws the number of APs
+    and of users, heights the APs' one height above the floor (the receive
+    plane is at 1 m).
     """
     lens = LensSpec(f=127e-6, d1=133e-6)
+    height = draw(heights)
     aps = tuple(
         AccessPoint(
-            position=(draw(GRID), draw(GRID), draw(heights)),
+            position=(draw(GRID), draw(GRID), height),
             beam=BeamSpec(
                 w0=draw(st.sampled_from([1e-6, 5e-6, 8e-6])),
                 wavelength=850e-9,
@@ -839,12 +841,11 @@ def assert_plan(geometry):
 @settings(max_examples=40, deadline=None)
 @given(scene=scenes(counts=st.integers(8, 12), heights=st.sampled_from([2.5, 2.9])))
 def test_batch_plan_is_the_unique_plan(scene):
-    """From 64 links on, where _distinct sorts, each batch's offsets come from
-    its (offset, distance) groups: strictly ascending, giving every link its
-    own offset back, and equal to what np.unique makes of the links.
-
-    A 1.9 m drop has low bits set, so _distinct's sort key, which folds them
-    into the offset's high bits, numbers the groups out of offset order."""
+    """From 64 links on, where _distinct sorts the (dx, dy) steps, each
+    batch's offsets are the scene's distinct offsets that its links use:
+    strictly ascending, giving every link its own offset back, and equal to
+    what np.unique makes of the links. _distinct numbers the steps out of
+    offset order, so the plan's own sort is what puts them in order."""
     geometry = link_geometry(scene)
     assert geometry.offsets.size >= _DEDUP_MIN_LINKS
     assert_plan(geometry)
@@ -871,7 +872,6 @@ class TestLinkGeometry:
         assert_bit_identical(h, [getattr(build_channel_matrix(point), name)
                                  for name in ("gains", "distances", "offsets")])
         assert not np.shares_memory(h.offsets, geometry.offsets)
-        assert not np.shares_memory(h.distances, geometry.distances)
 
     def test_another_scene_is_refused(self, scene):
         geometry = link_geometry(scene)
@@ -888,23 +888,28 @@ class TestLinkGeometry:
             with pytest.raises(DomainError, match="another scene"):
                 build_channel_matrix(other, geometry)
 
-    def test_aps_that_no_longer_share_a_source_are_refused(self, scene):
-        # All four APs shared one source; the plan integrates them as one batch.
+    def test_aps_that_no_longer_share_a_source_are_served(self, scene):
+        # All four APs shared one source when the geometry was built; the
+        # geometry holds positions alone, and each build groups its sources.
         geometry = link_geometry(scene)
         aps = list(scene.aps)
         beam = dataclasses.replace(aps[2].beam, wavelength=940e-9)
         aps[2] = dataclasses.replace(aps[2], beam=beam)
-        with pytest.raises(DomainError, match="access points 0 and 2 no longer share"):
-            build_channel_matrix(dataclasses.replace(scene, aps=tuple(aps)), geometry)
+        moved = dataclasses.replace(scene, aps=tuple(aps))
+        assert len(channel._distinct_sources(moved.aps)[0]) == 2
+        assert_bit_identical(build_channel_matrix(moved, geometry),
+                             [getattr(build_channel_matrix(moved), name)
+                              for name in ("gains", "distances", "offsets")])
 
     def test_equal_copies_of_a_shared_source_still_share_it(self, scene):
-        # The check compares sources by identity first and by value where
-        # the objects differ: APs holding equal copies still share a source.
+        # A build groups sources by identity first and by value where the
+        # objects differ: APs holding equal copies still share a source.
         geometry = link_geometry(scene)
         aps = tuple(dataclasses.replace(ap, beam=dataclasses.replace(ap.beam, w0=3e-6),
                                         lens=scene.lens_design)
                     for ap in scene.aps)
         assert len({id(ap.beam) for ap in aps}) == len(aps)
+        assert channel._distinct_sources(aps)[1].tolist() == [0] * len(aps)
         moved = dataclasses.replace(scene, aps=aps)
         assert_bit_identical(build_channel_matrix(moved, geometry),
                              [getattr(build_channel_matrix(moved), name)

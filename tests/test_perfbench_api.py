@@ -56,6 +56,20 @@ def test_benchmark_modules_import_and_find_their_layers(perfbench):
     assert {"distances", "offsets"} <= field_names(ChannelMatrix)
 
 
+def test_a_channel_carries_its_distances_for_the_tracer(scene_with_mpe):
+    """perfbench's tracer stacks a channel's distances with its offsets to
+    count distinct link geometries: each is an array of the channel's own,
+    shaped like its gains, and every distance is the drop to the receive
+    plane."""
+    scene = scene_with_mpe
+    h = build_channel_matrix(scene)
+    drop = scene.aps[0].position[2] - scene.room.rx_plane_height
+    assert h.distances.shape == h.offsets.shape == h.gains.shape
+    assert h.distances.flags.owndata and h.distances.flags.writeable
+    assert np.all(h.distances == drop)
+    assert not np.shares_memory(h.distances, build_channel_matrix(scene).distances)
+
+
 def test_a_traced_sweep_reports_every_layer_per_point(perfbench):
     """The benchmark's tracer, installed as it installs it, sees each point's
     layers in run_sweep: one channel, precoding and link_budget span per

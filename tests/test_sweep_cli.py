@@ -670,6 +670,38 @@ def two_source_scene():
     return place_users_on_axis(dataclasses.replace(scene, aps=aps), 3), sweep
 
 
+def test_a_two_source_sweep_integrates_every_source_in_one_first_round(monkeypatch):
+    """Both sources of all four points share a mode set: the first build
+    integrates them in one first-round kernel call, as many rows as the
+    four fresh builds' first rounds together, and every point equals its
+    fresh build bit for bit."""
+    scene, sweep = two_source_scene()
+    first_rounds, built = [], []
+
+    def kernel(r, z, beam):
+        if r.shape[1] == FIRST_ROUND_NODES:
+            first_rounds.append(r.shape[0])
+        return beam_intensity(r, z, beam)
+
+    def recording(scn, geometry):
+        built.append((scn, build_channel_matrix(scn, geometry)))
+        return built[-1][1]
+
+    monkeypatch.setattr(channel, "beam_intensity", kernel)
+    monkeypatch.setattr(vcselnet.sweep, "build_channel_matrix", recording)
+    run_sweep(scene, sweep)
+    merged = first_rounds[:]
+    first_rounds.clear()
+    assert len(merged) == 1 and len(built) == 4
+    assert all(len(channel._distinct_sources(scn.aps)[0]) == 2 for scn, _ in built)
+    for scn, h in built:
+        want = build_channel_matrix(scn)
+        for name in ("gains", "distances", "offsets"):
+            assert getattr(h, name).tobytes() == getattr(want, name).tobytes()
+    assert len(first_rounds) == len(built)
+    assert merged == [sum(first_rounds)]
+
+
 def three_seed_scene():
     # Lens off: the compact room keeps every random draw zero-forceable.
     sweep = SweepSpec(waist_start=1e-6, waist_end=1.5e-6, steps=4, lens_modes=("off",),
@@ -732,6 +764,22 @@ def coincident_users_config(height=2.999):
             + "\n[users]\npositions_m = (0.25, 0.25); (0.25, 0.25)\n")
 
 
+def test_an_out_of_domain_source_beside_another_raises_its_domain_error():
+    """1 mm below the APs, the lens relays a 1 um waist 2.1 mm past itself
+    and a 5 um waist 0.14 mm: the first source is out of domain, the second
+    is not. A listed build and an unlisted one both name the first."""
+    scene = load_scene(coincident_users_config())
+    narrow = dataclasses.replace(scene.aps[0].beam, w0=1e-6)
+    aps = tuple(dataclasses.replace(ap, beam=narrow if a == 0 else ap.beam,
+                                    lens=scene.lens_design)
+                for a, ap in enumerate(scene.aps))
+    scene = dataclasses.replace(scene, aps=aps)
+    assert len(channel._distinct_sources(aps)[0]) == 2
+    for geometry in (link_geometry(scene, (aps,)), link_geometry(scene), None):
+        with pytest.raises(DomainError, match="does not reach past"):
+            build_channel_matrix(scene, geometry)
+
+
 def test_an_earlier_precoder_failure_comes_before_a_later_link_error():
     scene = load_scene(coincident_users_config())
     sweep = SweepSpec(waist_start=1e-6, waist_end=2e-6, steps=2)
@@ -769,9 +817,9 @@ def test_an_earlier_precoder_failure_comes_before_a_later_non_convergence(monkey
 @settings(max_examples=30, deadline=None)
 @given(case=sweep_cases(), copies=st.booleans())
 def test_sources_are_grouped_by_value(case, copies):
-    """_sources and the geometry's source_ap group APs by the values of
-    their beams (and lenses and heights), whether APs share one object or
-    each holds an equal copy."""
+    """sweep._sources, and the grouping each channel build makes, group APs
+    by the values of their beams (and lenses), whether APs share one object
+    or each holds an equal copy."""
     scene, sweep = case
     if copies:
         scene = dataclasses.replace(scene, aps=tuple(
@@ -782,8 +830,10 @@ def test_sources_are_grouped_by_value(case, copies):
     of = [list(dict.fromkeys(at_waist)).index(beam) for beam in at_waist]
     firsts = [of.index(s) for s in range(max(of) + 1)]
     assert vcselnet.sweep._sources(scene, sweep.waist_start) == (of, firsts)
-    keys = [(ap.beam, ap.lens, ap.position[2]) for ap in scene.aps]
-    assert link_geometry(scene).source_ap == tuple(keys.index(key) for key in keys)
+    keys = [(ap.beam, ap.lens) for ap in scene.aps]
+    pairs, source_of = channel._distinct_sources(scene.aps)
+    assert pairs == list(dict.fromkeys(keys))
+    assert source_of.tolist() == [pairs.index(key) for key in keys]
 
 
 def test_every_channel_owns_its_geometry_arrays(compact_scene):
