@@ -3,7 +3,9 @@
 Free-space propagation follows the standard Gaussian beam relations; transverse
 mode patterns are Laguerre-Gaussian with radial index p and azimuthal index l.
 All lengths are in meters, angles in radians, intensities in W/m^2 per watt of
-mode power (so the full-plane integral of each mode pattern is 1).
+mode power (so the full-plane integral of each mode pattern is 1). An intensity
+is mode_sum at x = 2 r^2 / w_z^2 with mode_constants of one (beam, z); the
+channel calls mode_sum itself, with one row of constants per link.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from .errors import DomainError
 # cancel to a value near 1), so laguerre uses the three-term recurrence.
 MAX_RADIAL_INDEX = 12
 
-# Azimuthal index guard: beam_intensity forms x**l before it multiplies by the
+# Azimuthal index guard: mode_sum forms x**l before it multiplies by the
 # normalization and exp(-x), and exp(-x) > 0 for every x below ~745.13. x**l
 # stays finite up to x = 746 for l <= floor(ln(DBL_MAX) / ln(746)) = 107; at
 # l = 108 it overflows to inf where the true intensity is finite and tiny.
@@ -174,58 +176,37 @@ def rayleigh_range(beam: BeamSpec) -> float:
 
 def beam_radius(z: float, beam: BeamSpec) -> float:
     """1/e^2 beam radius w(z) = w0 sqrt(1 + (z/z_r)^2), m. Requires z >= 0."""
-    if z < 0:
+    if not z >= 0:
         raise DomainError(f"propagation distance must be >= 0, got {z!r}")
     zr = rayleigh_range(beam)
     return beam.w0 * math.sqrt(1.0 + (z / zr) ** 2)
 
 
-def beam_intensity(r, z, beam):
-    """Total intensity: mode intensities weighted by their power fractions.
+def mode_constants(z: float, beam: BeamSpec) -> list[float]:
+    """[w_z^2, c...] for beam at distance z: its squared radius there, then
+    c = (A_p^l)^2 w0^2 / w_z^2 for each mode with a nonzero power fraction,
+    in mode order, as mode_sum takes them."""
+    w_z = beam_radius(z, beam)
+    return [w_z**2] + [mode_norm_const(p, l, beam.w0) ** 2 * beam.w0**2 / w_z**2
+                       for p, l, frac in beam.modes if frac != 0.0]
 
-    w(z), x = 2 r^2 / w_z^2, exp(-x) and each distinct x**l are shared by all
-    modes; each mode adds frac * (((c * x**l) * L_p^l(x)**2) * exp(-x)),
-    c = (A_p^l)^2 w0^2 / w_z^2, summed in mode order. Where exp(-x) underflows
-    to 0 the intensity is 0, even where x**l * L**2 overflows. r may be a
-    scalar or ndarray of non-negative radii; r itself is never written.
 
-    z and beam may also be sequences, one distance and one beam per row of r
-    (its first axis), all beams with the first one's modes. w_z^2 and the c
-    are then found once per distinct (beam object, distance), by the same
-    scalar expressions, and broadcast to its rows, so every row is bit for
-    bit what a call on that row alone gives.
+def mode_sum(x: np.ndarray, modes, cs) -> np.ndarray:
+    """Intensity at x = 2 r^2 / w_z^2, as a new array: each mode of modes
+    with a nonzero power fraction adds frac * (((c * x**l) * L_p^l(x)**2) *
+    exp(-x)), in mode order, with its c from cs (see mode_constants). A c may
+    be a scalar or an array that broadcasts against x, such as one c per row.
 
-    The result is always a new array.
+    exp(-x) and each distinct x**l are shared by all modes. Where exp(-x)
+    underflows to 0 the intensity is 0, even where x**l * L**2 overflows.
     """
-    r_arr = np.atleast_1d(np.asarray(r, dtype=float))
-    shape = r_arr.shape
-    if (r_arr < 0).any():
-        raise DomainError("radial coordinate must be >= 0")
-    per_row = not isinstance(beam, BeamSpec)
-    beams, zs = (beam, z) if per_row else ((beam,), (z,))
-    modes = [(p, l, frac) for p, l, frac in beams[0].modes if frac != 0.0]
-    # Per source: w_z^2, then c of every mode in `modes`.
-    constants: dict = {}
-    for b, d in zip(beams, zs):
-        if (id(b), d) not in constants:
-            if b.modes != beams[0].modes:
-                raise DomainError("beams evaluated together must share their modes")
-            w_z = beam_radius(d, b)
-            constants[id(b), d] = [w_z**2] + [
-                mode_norm_const(p, l, b.w0) ** 2 * b.w0**2 / w_z**2 for p, l, _ in modes
-            ]
-    if per_row:
-        columns = np.array([constants[id(b), d] for b, d in zip(beams, zs)]).T
-        w_z_sq, *cs = columns.reshape(columns.shape[:2] + (1,) * (len(shape) - 1))
-    else:
-        w_z_sq, *cs = constants[id(beam), z]
-    x = 2.0 * np.square(r_arr) / w_z_sq
+    modes = [(p, l, frac) for p, l, frac in modes if frac != 0.0]
     decay = np.exp(-x)
     # x**0 = 1 and x**1 = x exactly, so only l >= 2 takes the power.
     powers = {l: np.power(x, l) for l in {l for _, l, _ in modes} if l >= 2}
     total = None
     for (p, l, frac), c in zip(modes, cs):
-        term = np.full(shape, c) if l == 0 else (x if l == 1 else powers[l]) * c
+        term = np.full(x.shape, c) if l == 0 else (x if l == 1 else powers[l]) * c
         if p:  # L_0^l = 1: skipping its square is exact
             term *= np.square(laguerre(p, l, x))
         term *= decay
@@ -235,6 +216,20 @@ def beam_intensity(r, z, beam):
         else:
             total += term
     total[decay == 0.0] = 0.0
+    return total
+
+
+def beam_intensity(r, z, beam):
+    """Total intensity: mode intensities weighted by their power fractions,
+    mode_sum at x = 2 r^2 / w_z^2 with the constants of (z, beam). r may be
+    a scalar or ndarray of non-negative radii; r itself is never written, and
+    an array result is always a new array.
+    """
+    r_arr = np.atleast_1d(np.asarray(r, dtype=float))
+    if not (r_arr >= 0).all():
+        raise DomainError("radial coordinate must be >= 0")
+    w_z_sq, *cs = mode_constants(z, beam)
+    total = mode_sum(2.0 * np.square(r_arr) / w_z_sq, beam.modes, cs)
     if np.ndim(r) == 0:
         return float(total[0])
     return total

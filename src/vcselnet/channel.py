@@ -12,7 +12,8 @@ A build follows a plan made from positions alone (link_geometry): the one
 drop from the ceiling to the receive plane, every link's offset, and the
 visible links batched by receiver aperture with each batch's distinct
 offsets. The build groups its own APs into sources, (beam, lens) pairs
-equal by value, and integrates each source once per distinct offset.
+equal by value (distinct_sources), and integrates each source once per
+distinct offset, reading the source's beam constants from one table row.
 
 Every gain below _GAIN_FLOOR (1e-30) is exactly +0.0. Most such links are
 never integrated: the beam's closed-form tail T(X), the fraction of its power
@@ -31,7 +32,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .beam_optics import BeamSpec, LensSpec, beam_intensity, beam_radius, transformed_source
+from .beam_optics import (BeamSpec, LensSpec, beam_radius, mode_constants, mode_sum,
+                          transformed_source)
 from .errors import DomainError
 from .scene import Scene
 
@@ -51,7 +53,7 @@ _GAIN_FLOOR = 1e-30
 # drops is 16 orders below the floor, so no gain at or above the floor moves.
 # (Stopping at the floor itself moves gains just above it by up to 1.1 %.)
 _CUT_TAIL = 1e-46
-# exp(-x) is +0.0 in float64 for every x > ~745.13, and beam_intensity is 0
+# exp(-x) is +0.0 in float64 for every x > ~745.13, and mode_sum is 0
 # wherever exp(-x) is, so every offset past this x captures exactly +0.0
 # whatever the modes: the screen never starts further out. The margin above
 # 745.13 covers the rounding of the node radii. (The widest mode BeamSpec
@@ -172,13 +174,13 @@ def _row_sums(a: np.ndarray) -> np.ndarray:
     return a[:, 0]
 
 
-def _radial_capture(beam, z, rho: np.ndarray, aperture_radius: float, r_cut: np.ndarray,
-                    orders: tuple[int, ...]) -> list[np.ndarray]:
+def _radial_capture(modes, consts: np.ndarray, rho: np.ndarray, aperture_radius: float,
+                    r_cut: np.ndarray, orders: tuple[int, ...]) -> list[np.ndarray]:
     """Fixed-order Gauss-Legendre disc integrals in the beam's own radius r:
-    one array per order in orders, one integral per offset in rho. beam and
-    z are one source's, or one per offset (see beam_intensity); r_cut holds
-    each offset's cut radius, past which the beam carries no power that
-    counts.
+    one array per order in orders, one integral per offset in rho. Each
+    offset has its own row of consts, [w_z^2, c...] of its source (see
+    mode_constants), and its own cut radius in r_cut, past which the beam
+    carries no power that counts; every source has the mode set modes.
 
     The intensity depends on r alone, so the disc integral is
     int_0^min(a - rho, r_cut) I(r) 2 pi r dr, where every circle lies in
@@ -191,7 +193,7 @@ def _radial_capture(beam, z, rho: np.ndarray, aperture_radius: float, r_cut: np.
     nodes than r itself would (by r alone, links within 1e-4 of the edge
     were 2e-10 off; a logarithm instead lost up to 5e-7 on beams with
     l >= 3, whose arcs' weight rises as r^(2l+1)). An order takes `order`
-    nodes per segment; all nodes go to one beam_intensity call.
+    nodes per segment; all nodes go to one mode_sum call.
     """
     a = aperture_radius
     t, w_t, c, w_c = _radial_nodes(orders)
@@ -212,7 +214,8 @@ def _radial_capture(beam, z, rho: np.ndarray, aperture_radius: float, r_cut: np.
     # dr = 2 hi s ds
     weights = np.concatenate([inner * w_t * r_in, half * w_c * psi * r_arc * (2.0 * hi * s)],
                              axis=1)
-    terms = beam_intensity(r, z, beam) * weights
+    w_z_sq, *cs = consts.T[:, :, None]
+    terms = mode_sum(2.0 * np.square(r) / w_z_sq, modes, cs) * weights
     sums, start = [], 0
     for order in orders:
         arc = start + t.size
@@ -222,14 +225,15 @@ def _radial_capture(beam, z, rho: np.ndarray, aperture_radius: float, r_cut: np.
     return sums
 
 
-def _disc_capture(beam, z, rho: np.ndarray, aperture_radius: float) -> np.ndarray:
-    """Adaptive disc capture for every offset in rho, clipped to [0, 1], and
-    +0.0 wherever it falls below _GAIN_FLOOR.
+def _disc_capture(sources: list[tuple], rho: np.ndarray, aperture_radius: float) -> np.ndarray:
+    """Adaptive disc capture: one row per (beam, distance) source, all with
+    the first one's modes, and one column per offset in rho; each value
+    clipped to [0, 1], and +0.0 wherever it falls below _GAIN_FLOOR.
 
-    beam and z are one source, or equal-length sequences of sources that
-    share their modes: the result then holds one row of captures per source,
-    and all sources' links run through one pass, each round's nodes in one
-    kernel call. Every link's value is the one its source gives alone.
+    Each source's mode_constants fill one row of a (sources x (1 + modes))
+    table. All sources' links run through one pass, each round's nodes in
+    one mode_sum call, every link reading its source's row of the table by
+    index. Every link's value is the one its source gives alone.
 
     Offsets whose nearest disc point lies past the beam's tail threshold
     (see _dark_x) capture less than the floor and are never evaluated. The
@@ -240,24 +244,22 @@ def _disc_capture(beam, z, rho: np.ndarray, aperture_radius: float) -> np.ndarra
     call, as the first comparison needs both; each later round one order.
     Links still open after order 1024 come back as NaN.
     """
-    merged = not isinstance(beam, BeamSpec)
-    beams, zs = (beam, z) if merged else ((beam,), (z,))
-    result = np.full((len(beams), rho.size), np.nan)
-    r_cut = np.empty(len(beams))
+    modes = sources[0][0].modes
+    result = np.full((len(sources), rho.size), np.nan)
+    consts = np.array([mode_constants(z, beam) for beam, z in sources])
+    r_cut = np.empty(len(sources))
     gap = rho - aperture_radius
-    for i, (row, b, d) in enumerate(zip(result, beams, zs)):
-        w_z = beam_radius(d, b)
-        row[(gap > 0.0) & (2.0 * gap**2 / w_z**2 > _dark_x(b.modes))] = 0.0
-        r_cut[i] = w_z * math.sqrt(0.5 * _dark_x(b.modes, _CUT_TAIL))
+    for i, (beam, z) in enumerate(sources):
+        w_z = beam_radius(z, beam)
+        result[i, (gap > 0.0) & (2.0 * gap**2 / w_z**2 > _dark_x(modes))] = 0.0
+        r_cut[i] = w_z * math.sqrt(0.5 * _dark_x(modes, _CUT_TAIL))
     active = np.flatnonzero(np.isnan(result))  # links, numbered source-major
     flat = result.reshape(-1)
     orders: tuple[int, ...] = (_QUAD_START_ORDER, 2 * _QUAD_START_ORDER)
     while active.size and orders[-1] <= _QUAD_MAX_ORDER:
         source, offset = np.divmod(active, rho.size)
-        if merged:
-            beam, z = zip(*[(beams[k], zs[k]) for k in source.tolist()])
-        *earlier, cur = _radial_capture(beam, z, rho[offset], aperture_radius, r_cut[source],
-                                        orders)
+        *earlier, cur = _radial_capture(modes, consts[source], rho[offset], aperture_radius,
+                                        r_cut[source], orders)
         # The round's last order against the order before it: in the first
         # round its own first order, later the previous round's.
         if earlier:
@@ -267,24 +269,16 @@ def _disc_capture(beam, z, rho: np.ndarray, aperture_radius: float) -> np.ndarra
         active, prev = active[~done], cur[~done]
         orders = (2 * orders[-1],)
     result[result < _GAIN_FLOOR] = 0.0
-    return result if merged else result[0]
+    return result
 
 
-def _link_source(
-    beam: BeamSpec, lens: LensSpec | None, z: float, rho: float, aperture_radius: float
-) -> tuple[BeamSpec, float]:
-    """Check a link's domain; return the beam and distance the quadrature sees.
-
-    With a lens, intensities come from the transformed beam whose waist sits
-    d2 past the lens, so the effective propagation distance is z - d2.
-    """
-    if not z > 0:
-        raise DomainError(f"link distance must be positive, got {z!r}")
-    if rho < 0:
-        raise DomainError(f"lateral offset must be >= 0, got {rho!r}")
-    if not aperture_radius > 0:
-        raise DomainError(f"aperture radius must be positive, got {aperture_radius!r}")
-
+def _source(beam: BeamSpec, lens: LensSpec | None, z: float) -> tuple[BeamSpec, float]:
+    """The beam and distance the quadrature sees for a source whose links
+    drop z, or DomainError if z is out of domain. With a lens, intensities
+    come from the transformed beam whose waist sits d2 past the lens, so the
+    effective propagation distance is z - d2."""
+    if not 0 < z < math.inf:
+        raise DomainError(f"link distance must be positive and finite, got {z!r}")
     eff_beam, waist_offset = transformed_source(beam, lens)
     z_eff = z - waist_offset
     if lens is not None and z_eff <= 0:
@@ -293,6 +287,18 @@ def _link_source(
             f"{waist_offset!r} m behind the lens"
         )
     return eff_beam, z_eff
+
+
+def _link_source(
+    beam: BeamSpec, lens: LensSpec | None, z: float, rho: float, aperture_radius: float
+) -> tuple[BeamSpec, float]:
+    """_source for one link, once its offset and aperture are checked: z,
+    rho and the aperture must all be finite."""
+    if not 0 <= rho < math.inf:
+        raise DomainError(f"lateral offset must be >= 0 and finite, got {rho!r}")
+    if not 0 < aperture_radius < math.inf:
+        raise DomainError(f"aperture radius must be positive and finite, got {aperture_radius!r}")
+    return _source(beam, lens, z)
 
 
 def _not_converged(z: float, rho: float, aperture_radius: float) -> DomainError:
@@ -321,8 +327,8 @@ def captured_fraction(
     _GAIN_FLOOR (1e-30) is +0.0. A disc so far off axis that the beam's tail
     bounds its capture below the floor is never integrated.
     """
-    eff_beam, z_eff = _link_source(beam, lens, z, rho, aperture_radius)
-    h = float(_disc_capture(eff_beam, z_eff, np.array([float(rho)]), aperture_radius)[0])
+    source = _link_source(beam, lens, z, rho, aperture_radius)
+    h = float(_disc_capture([source], np.array([float(rho)]), aperture_radius)[0, 0])
     if math.isnan(h):
         raise _not_converged(z, rho, aperture_radius)
     return h
@@ -438,7 +444,7 @@ def _check_geometry(scene: Scene, geometry: LinkGeometry) -> None:
         raise DomainError("link geometry was built for another scene's users or access points")
 
 
-def _distinct_sources(aps: tuple) -> tuple[list[tuple], np.ndarray]:
+def distinct_sources(aps: tuple) -> tuple[list[tuple], np.ndarray]:
     """The distinct (beam, lens) pairs of aps, by value, and each AP's index
     into them. APs are grouped by their beam and lens objects first, so each
     distinct pair of objects is hashed by value once, not each AP's."""
@@ -452,34 +458,30 @@ def _distinct_sources(aps: tuple) -> tuple[list[tuple], np.ndarray]:
 
 def _integrate(geometry: LinkGeometry, points: list[tuple]) -> list[tuple]:
     """Each point's (source_of, captures): its APs' indices into its
-    sources (see _distinct_sources) and, per batch, one row per source of
+    sources (see distinct_sources) and, per batch, one row per source of
     captures at the batch's distinct offsets.
 
-    Per batch, the sources of all points that share a mode set go through
-    one _disc_capture pass. A source whose links are out of domain keeps a
-    row of NaN: the build that reads it raises the error.
+    Each point's sources are checked and transformed once (_source). Per
+    batch, the sources of all points that share a mode set go through one
+    _disc_capture pass. A source out of domain keeps rows of NaN: the build
+    that reads them raises the error.
     """
-    grouped = [_distinct_sources(aps) for aps in points]
-    results = [(source_of, []) for _, source_of in grouped]
-    for _, _, aperture, rho, _ in geometry.batches:
-        sets: dict = {}  # id(modes) -> [(row, beam, distance)]
-        for (pairs, _), (_, captures) in zip(grouped, results):
-            values = np.full((len(pairs), rho.size), np.nan)
-            captures.append(values)
-            for row, (beam, lens) in zip(values, pairs):
-                try:
-                    eff_beam, z_eff = _link_source(beam, lens, geometry.z, float(rho[0]),
-                                                   aperture)
-                except DomainError:
-                    continue
-                sets.setdefault(id(eff_beam.modes), []).append((row, eff_beam, z_eff))
+    results, sets = [], {}  # id(modes) -> [(captures, row, (beam, distance))]
+    for aps in points:
+        pairs, source_of = distinct_sources(aps)
+        captures = [np.full((len(pairs), rho.size), np.nan) for *_, rho, _ in geometry.batches]
+        results.append((source_of, captures))
+        for row, (beam, lens) in enumerate(pairs):
+            try:
+                source = _source(beam, lens, geometry.z)
+            except DomainError:
+                continue
+            sets.setdefault(id(source[0].modes), []).append((captures, row, source))
+    for b, (_, _, aperture, rho, _) in enumerate(geometry.batches):
         for members in sets.values():
-            rows, beams, zs = zip(*members)
-            # One source takes the single-source form, which costs less per call.
-            captured = (_disc_capture(beams, zs, rho, aperture) if len(rows) > 1
-                        else (_disc_capture(beams[0], zs[0], rho, aperture),))
-            for row, got in zip(rows, captured):
-                row[:] = got
+            captured = _disc_capture([source for *_, source in members], rho, aperture)
+            for (captures, row, _), got in zip(members, captured):
+                captures[b][row] = got
     return results
 
 
@@ -531,13 +533,11 @@ def build_channel_matrix(scene: Scene, geometry: LinkGeometry | None = None) -> 
     failed = np.flatnonzero(np.isnan(flat)).tolist()
     if failed:
         n_aps = len(scene.aps)
-        apertures = [math.sqrt(user.detector_area / math.pi) for user in scene.users]
-        rho = geometry.offsets.reshape(-1)
         for k in failed:
-            u, a = divmod(k, n_aps)
-            _link_source(scene.aps[a].beam, scene.aps[a].lens, geometry.z, float(rho[k]),
-                         apertures[u])
-        raise _not_converged(geometry.z, float(rho[failed[0]]), apertures[failed[0] // n_aps])
+            _source(scene.aps[k % n_aps].beam, scene.aps[k % n_aps].lens, geometry.z)
+        user = scene.users[failed[0] // n_aps]
+        raise _not_converged(geometry.z, float(geometry.offsets.flat[failed[0]]),
+                             math.sqrt(user.detector_area / math.pi))
     # A geometry can serve many calls: each matrix gets arrays of its own.
     return ChannelMatrix(gains=gains, distances=np.full(gains.shape, geometry.z),
                          offsets=geometry.offsets.copy())

@@ -36,12 +36,13 @@ class SafetySpec:
     mhp_floor: float = 0.1
 
     def __post_init__(self):
-        if self.mpe is not None and not self.mpe > 0:
-            raise ConfigError(f"mpe must be positive, got {self.mpe!r}")
-        if not self.pupil_radius > 0:
-            raise ConfigError(f"pupil_radius must be positive, got {self.pupil_radius!r}")
-        if not self.mhp_floor > 0:
-            raise ConfigError(f"mhp_floor must be positive, got {self.mhp_floor!r}")
+        if self.mpe is not None and not 0 < self.mpe < math.inf:
+            raise ConfigError(f"mpe must be positive and finite, got {self.mpe!r}")
+        if not 0 < self.pupil_radius < math.inf:
+            raise ConfigError(
+                f"pupil_radius must be positive and finite, got {self.pupil_radius!r}")
+        if not 0 < self.mhp_floor < math.inf:
+            raise ConfigError(f"mhp_floor must be positive and finite, got {self.mhp_floor!r}")
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,13 @@ _DEFAULT_BEAM = BeamSpec(5e-6, 850e-9)
 _DEFAULT_LENS = LensSpec(127e-6, 133e-6)
 
 
+def _require_positive(owner, *names: str) -> None:
+    """ConfigError unless each named field of owner is positive and finite."""
+    for name in names:
+        if not 0 < getattr(owner, name) < math.inf:
+            raise ConfigError(f"{name} must be positive and finite, got {getattr(owner, name)!r}")
+
+
 @dataclass(frozen=True)
 class Room:
     """Rectangular room; the receive plane is horizontal at rx_plane_height."""
@@ -38,12 +45,10 @@ class Room:
     rx_plane_height: float = 1.0
 
     def __post_init__(self):
-        for name in ("width", "length", "height", "rx_plane_height"):
-            if not getattr(self, name) > 0:
-                raise ConfigError(f"room.{name} must be positive, got {getattr(self, name)!r}")
+        _require_positive(self, "width", "length", "height", "rx_plane_height")
         if self.rx_plane_height >= self.height:
             raise ConfigError(
-                f"room.rx_plane_height {self.rx_plane_height!r} must lie below the "
+                f"rx_plane_height {self.rx_plane_height!r} must lie below the "
                 f"ceiling height {self.height!r}"
             )
 
@@ -69,12 +74,9 @@ class AccessPoint:
             raise ConfigError(f"access point position must be (x, y, z), got {self.position!r}")
         if self.array_n < 1:
             raise ConfigError(f"array_n must be >= 1, got {self.array_n!r}")
-        if not self.pitch > 0:
-            raise ConfigError(f"pitch must be positive, got {self.pitch!r}")
-        if self.per_vcsel_power is not None and not self.per_vcsel_power > 0:
-            raise ConfigError(
-                f"per_vcsel_power must be positive, got {self.per_vcsel_power!r}"
-            )
+        _require_positive(self, "pitch")
+        if self.per_vcsel_power is not None:
+            _require_positive(self, "per_vcsel_power")
 
     def with_source(self, beam: BeamSpec, lens: LensSpec | None) -> AccessPoint:
         """This AP with another beam and lens: dataclasses.replace's copy,
@@ -97,8 +99,7 @@ class UserTerminal:
     def __post_init__(self):
         if len(self.position) != 2:
             raise ConfigError(f"user position must be (x, y), got {self.position!r}")
-        if not self.detector_area > 0:
-            raise ConfigError(f"detector_area must be positive, got {self.detector_area!r}")
+        _require_positive(self, "detector_area")
         if not 0.0 < self.responsivity <= 1.2:
             raise ConfigError(
                 f"responsivity must lie in (0, 1.2] A/W, got {self.responsivity!r}"
@@ -141,32 +142,17 @@ class ElectricalSpec:
     fec_limit: float = 1e-3
 
     def __post_init__(self):
-        positive = (
-            "rx_bandwidth",
-            "optical_bandwidth",
-            "load_resistance",
-            "noise_figure_db",
-            "preamp_noise_density",
-            "temperature",
-            "bias_current",
-            "drive_voltage",
-        )
-        for name in positive:
-            if not getattr(self, name) > 0:
-                raise ConfigError(
-                    f"electrical.{name} must be positive, got {getattr(self, name)!r}"
-                )
-        if not self.rin_db_per_hz < 0:
+        _require_positive(self, "rx_bandwidth", "optical_bandwidth", "load_resistance",
+                          "noise_figure_db", "preamp_noise_density", "temperature",
+                          "bias_current", "drive_voltage")
+        if not -math.inf < self.rin_db_per_hz < 0:
             raise ConfigError(
-                f"electrical.rin_db_per_hz must be negative, got {self.rin_db_per_hz!r}"
+                f"rin_db_per_hz must be negative and finite, got {self.rin_db_per_hz!r}"
             )
-        if self.per_vcsel_consumption is not None and not self.per_vcsel_consumption > 0:
-            raise ConfigError(
-                "electrical.per_vcsel_consumption must be positive, "
-                f"got {self.per_vcsel_consumption!r}"
-            )
+        if self.per_vcsel_consumption is not None:
+            _require_positive(self, "per_vcsel_consumption")
         if not 0.0 < self.fec_limit < 1.0:
-            raise ConfigError(f"electrical.fec_limit must lie in (0, 1), got {self.fec_limit!r}")
+            raise ConfigError(f"fec_limit must lie in (0, 1), got {self.fec_limit!r}")
 
 
 @dataclass(frozen=True)
@@ -390,18 +376,18 @@ _KEYS = (
 _KNOWN_KEYS = frozenset((k.section, k.key) for k in _KEYS)
 
 
-def _spec(default, owner: str, values: dict[str, Any]):
-    """default with the configured values, its DomainError reported as a
-    ConfigError that names the key: the first of the owner's configured keys
-    whose value fails on the defaults by itself."""
+def _spec(default, owner: str, values: dict[str, Any], parser: configparser.ConfigParser):
+    """default with the configured values, its error reported as a
+    ConfigError that names the key: the first of the owner's keys set in
+    parser whose value fails on the defaults by itself."""
     try:
         return replace(default, **values)
-    except DomainError as exc:
+    except (ConfigError, DomainError) as exc:
         for k in _KEYS:
-            if k.owner == owner and k.field in values:
+            if k.owner == owner and k.field in values and parser.get(k.section, k.key, fallback=""):
                 try:
                     replace(default, **{k.field: values[k.field]})
-                except DomainError as alone:
+                except (ConfigError, DomainError) as alone:
                     raise ConfigError(f"{k.section}.{k.key}: {alone}") from exc
         raise ConfigError(str(exc)) from exc
 
@@ -435,17 +421,16 @@ def load_scene(text: str) -> Scene:
             except ValueError as exc:
                 raise ConfigError(f"{k.section}.{k.key}: {exc}") from exc
 
-    room = Room(**fields["room"])
-    beam = _spec(_DEFAULT_BEAM, "beam", fields["beam"])
-    lens_design = _spec(_DEFAULT_LENS, "lens", fields["lens"])
+    room = _spec(Room(), "room", fields["room"], parser)
+    beam = _spec(_DEFAULT_BEAM, "beam", fields["beam"], parser)
+    lens_design = _spec(_DEFAULT_LENS, "lens", fields["lens"], parser)
     ap_fields = fields["ap"]
     lens = lens_design if ap_fields.pop("lens", True) else None
     ap_positions = ap_fields.pop("position", _DEFAULT_AP_POSITIONS)
-    aps = tuple(
-        AccessPoint(position=pos, beam=beam, lens=lens, **ap_fields) for pos in ap_positions
-    )
-    electrical = ElectricalSpec(**fields["electrical"])
-    safety = SafetySpec(**fields["safety"])
+    template = _spec(AccessPoint(_DEFAULT_AP_POSITIONS[0], beam, lens), "ap", ap_fields, parser)
+    aps = tuple(replace(template, position=pos) for pos in ap_positions)
+    electrical = _spec(ElectricalSpec(), "electrical", fields["electrical"], parser)
+    safety = _spec(SafetySpec(), "safety", fields["safety"], parser)
 
     warnings: list[str] = []
     if safety.mpe is not None:
@@ -465,7 +450,7 @@ def load_scene(text: str) -> Scene:
     scene = Scene(
         room=room,
         aps=aps,
-        users=(UserTerminal(position=(0.0, 0.0), **fields["user"]),),
+        users=(_spec(UserTerminal((0.0, 0.0)), "user", fields["user"], parser),),
         electrical=electrical,
         safety=safety,
         lens_design=lens_design,

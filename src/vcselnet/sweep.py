@@ -4,8 +4,10 @@ A sweep re-evaluates the whole pipeline (eye-safe cap, channel, precoder,
 link budget) on a waist grid, optionally for both lens modes, on the
 scene's own users; a randomly placed scene is redrawn once per replicate
 seed. Transmit power at every point is the per-VCSEL eye-safe cap, so the
-exposure limit must be configured and no fixed power may be. Output files
-are deterministic byte-for-byte for identical inputs.
+exposure limit must be configured and no fixed power may be. Every point
+sets one waist and one lens state on all APs, so all points share the first
+point's grouping of APs into sources, and a cap is computed once per source.
+Output files are deterministic byte-for-byte for identical inputs.
 """
 
 from __future__ import annotations
@@ -16,7 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import ChannelMatrix, LinkGeometry, build_channel_matrix, link_geometry
+from .channel import (ChannelMatrix, LinkGeometry, build_channel_matrix, distinct_sources,
+                      link_geometry)
 from .errors import ConfigError, DomainError, SweepPointError, VcselNetError
 from .eye_safety import max_safe_power
 from .link_budget import LinkReport, link_report
@@ -102,38 +105,18 @@ class SweepResult:
     artifacts: dict[tuple[int, str], tuple[ChannelMatrix, Precoder]]
 
 
-def _sources(scene: Scene, waist: float) -> tuple[list[int], list[int]]:
-    """Each AP's source index, and the first AP of each source.
-
-    APs share a source where their beams are equal, by value, once set to a
-    common waist: at every sweep point, where the lens state is common too.
-    APs are grouped by beam object first, so each distinct object is hashed
-    by value once, not each AP's.
-    """
-    objects = {id(ap.beam): ap.beam for ap in scene.aps}
-    sources: dict = {}  # beam at `waist` -> source index
-    index = {beam: sources.setdefault(replace(beam, w0=waist), len(sources))
-             for beam in dict.fromkeys(objects.values())}
-    of_object = {key: index[beam] for key, beam in objects.items()}
-    of = [of_object[id(ap.beam)] for ap in scene.aps]
-    return of, [of.index(s) for s in range(len(sources))]
-
-
-def _configure(
-    scene: Scene, waist: float, lens_mode: str, sources: tuple[list[int], list[int]]
-) -> Scene:
+def _configure(scene: Scene, waist: float, lens_mode: str) -> Scene:
     """Scene copy with every AP at the given waist and lens state.
 
-    sources is _sources of the scene's APs. One beam is rebuilt per source,
-    and APs that shared it share the rebuilt beam. Only the beams and the
-    lens change, so the APs and the scene are copied without re-validation
-    (AccessPoint.with_source, Scene.with_aps); each compares equal to its
-    dataclasses.replace rebuild.
+    One beam is rebuilt per distinct beam object, and APs that shared it
+    share the rebuilt beam. Only the beams and the lens change, so the APs
+    and the scene are copied without re-validation (AccessPoint.with_source,
+    Scene.with_aps); each compares equal to its dataclasses.replace rebuild.
     """
-    of, firsts = sources
-    beams = [replace(scene.aps[a].beam, w0=waist) for a in firsts]
+    beams = {id(ap.beam): ap.beam for ap in scene.aps}
+    rebuilt = {key: replace(beam, w0=waist) for key, beam in beams.items()}
     lens = scene.lens_design if lens_mode == "on" else None
-    return scene.with_aps(tuple(ap.with_source(beams[s], lens) for ap, s in zip(scene.aps, of)))
+    return scene.with_aps(tuple(ap.with_source(rebuilt[id(ap.beam)], lens) for ap in scene.aps))
 
 
 def _evaluate(
@@ -186,15 +169,15 @@ def run_sweep(
     # Each geometry lists the points' APs, so that the first point's channel
     # build integrates the links of every point at once (see
     # build_channel_matrix); each point's own build still raises its errors.
-    sources = of, firsts = _sources(scene, sweep.waist_start)
-    points = [(w_idx, waist, mode, _configure(scene, waist, mode, sources))
+    points = [(w_idx, waist, mode, _configure(scene, waist, mode))
               for w_idx, waist in enumerate(float(w) for w in waists) for mode in modes]
     listed = tuple(point.aps for *_, point in points)
+    _, source_of = distinct_sources(listed[0])
+    firsts = np.unique(source_of, return_index=True)[1].tolist()
     bases = []
     for seed in seeds if scene.placement == "random" else (None,):
         base = scene if seed is None else place_users(scene, len(scene.users), seed)
         bases.append((seed, base, link_geometry(base, listed)))
-    source_of = np.array(of)
     elements = np.array([ap.array_n**2 for ap in scene.aps], dtype=float)  # VCSELs per AP
     for w_idx, waist, mode, point in points:
         seed = None

@@ -21,7 +21,7 @@ from vcselnet import (
     rayleigh_range,
     transformed_source,
 )
-from vcselnet.beam_optics import MAX_AZIMUTHAL_INDEX
+from vcselnet.beam_optics import MAX_AZIMUTHAL_INDEX, mode_constants, mode_sum
 from vcselnet.errors import DomainError
 
 from conftest import one_mode, oracle_beam_intensity
@@ -219,6 +219,16 @@ class TestIntensity:
         with pytest.raises(DomainError):
             beam_intensity(-1e-6, 1.0, fundamental_beam)
 
+    def test_rejects_nan_radius_and_distance(self, fundamental_beam):
+        with pytest.raises(DomainError, match="radial coordinate"):
+            beam_intensity(math.nan, 1.0, fundamental_beam)
+        with pytest.raises(DomainError, match="radial coordinate"):
+            beam_intensity(np.array([0.0, math.nan]), 1.0, fundamental_beam)
+        with pytest.raises(DomainError, match="propagation distance must be >= 0, got nan"):
+            beam_intensity(0.01, math.nan, fundamental_beam)
+        with pytest.raises(DomainError, match="propagation distance must be >= 0, got nan"):
+            beam_radius(math.nan, fundamental_beam)
+
     def test_array_radius(self, fundamental_beam):
         r = np.array([0.0, 1e-3, 5e-3])
         vals = beam_intensity(r, 2.0, fundamental_beam)
@@ -318,8 +328,8 @@ class TestFusedIntensity:
 
 
 class TestPerRowWidths:
-    """beam_intensity with one (distance, beam) per row, as the channel's
-    merged pass calls it: every row equals a call on that row alone."""
+    """mode_sum with one row of constants per row of x, as the channel's
+    merged pass calls it: every row equals beam_intensity on that row alone."""
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -336,19 +346,17 @@ class TestPerRowWidths:
         zs = [sources[k][1] for k in rows]
         row_beams = [beams[k] for k in rows]
         r = np.array([np.array(radii) * beam_radius(z, b) for z, b in zip(zs, row_beams)])
+        table = np.array([mode_constants(z, b) for z, b in zip(zs, row_beams)])
+        w_z_sq, *cs = table.T[:, :, None]  # one (rows x 1) column per constant
         with np.errstate(over="ignore", invalid="ignore"):
-            got = beam_intensity(r, zs, row_beams)
-            # (rows x 2 x 2): the widths broadcast over every trailing axis.
-            cube = beam_intensity(r.reshape(len(rows), 2, 2), zs, row_beams)
+            got = mode_sum(2.0 * np.square(r) / w_z_sq, modes, cs)
+            # (rows x 2 x 2): constants that broadcast over every trailing axis.
+            cube = mode_sum(2.0 * np.square(r.reshape(len(rows), 2, 2)) / w_z_sq[:, :, None],
+                            modes, [c[:, :, None] for c in cs])
             for i, (z, b) in enumerate(zip(zs, row_beams)):
                 alone = beam_intensity(r[i], z, b)
                 assert got[i].tobytes() == alone.tobytes()
                 assert cube[i].reshape(-1).tobytes() == alone.tobytes()
-
-    def test_beams_must_share_their_modes(self, multimode_beam, fundamental_beam):
-        r = np.zeros((2, 3))
-        with pytest.raises(DomainError, match="share their modes"):
-            beam_intensity(r, [2.0, 2.0], [multimode_beam, fundamental_beam])
 
 
 class TestBeamSpecValidation:

@@ -21,7 +21,6 @@ from vcselnet import (
     BeamSpec,
     LensSpec,
     UserTerminal,
-    beam_intensity,
     beam_radius,
     build_channel_matrix,
     captured_fraction,
@@ -30,10 +29,11 @@ from vcselnet import (
     transformed_source,
 )
 from vcselnet import channel
+from vcselnet.beam_optics import mode_constants, mode_sum
 from vcselnet.channel import _DEDUP_MIN_LINKS, _distinct, link_geometry
 from vcselnet.errors import DomainError
 from vcselnet.scene import place_users
-from vcselnet.sweep import SweepSpec, _configure, _sources, run_sweep
+from vcselnet.sweep import SweepSpec, _configure, run_sweep
 
 from conftest import COMPACT_CONFIG
 
@@ -42,14 +42,19 @@ APERTURE = math.sqrt(2e-4 / math.pi)
 # Every gain below this is exactly +0.0 (channel._GAIN_FLOOR).
 GAIN_FLOOR = 1e-30
 # Nodes per link in the quadrature's first round: orders 16 and 32 side by
-# side in one beam_intensity call, each with one node per order on each of
-# its two radial segments; the radii arrive as (links x nodes).
+# side in one mode_sum call, each with one node per order on each of its two
+# radial segments; x arrives as (links x nodes).
 FIRST_ROUND_NODES = 2 * (16 + 32)
 
 
 def cut_radius(beam, z):
     """Where the channel's disc integral stops: the beam's tail is 1e-46 past it."""
     return beam_radius(z, beam) * math.sqrt(0.5 * channel._dark_x(beam.modes, channel._CUT_TAIL))
+
+
+def source_table(beam, z, rows=1):
+    """_radial_capture's constants table for rows links of one (beam, z)."""
+    return np.array([mode_constants(z, beam)] * rows)
 
 
 def independent_intensity(beam, r, z):
@@ -237,6 +242,25 @@ class TestCapturedFraction:
         with pytest.raises(DomainError):
             captured_fraction(fundamental_beam, None, **kwargs)
 
+    @pytest.mark.parametrize(
+        "z, rho, aperture, named",
+        [
+            (2.0, math.nan, 8e-3, "lateral offset"),
+            (2.0, math.inf, 8e-3, "lateral offset"),
+            (2.0, 0.0, math.inf, "aperture radius"),
+            (2.0, 0.0, math.nan, "aperture radius"),
+            (math.nan, 0.0, 8e-3, "link distance"),
+            (math.inf, 0.0, 8e-3, "link distance"),
+        ],
+    )
+    def test_non_finite_arguments_are_refused_by_name(self, multimode_beam, table_lens, z, rho,
+                                                      aperture, named, monkeypatch):
+        # Refused before any quadrature: a NaN offset once ran to order 1024.
+        monkeypatch.setattr(channel, "_disc_capture", None)
+        for lens in (None, table_lens):
+            with pytest.raises(DomainError, match=f"{named} must be .* finite, got"):
+                captured_fraction(multimode_beam, lens, z, rho, aperture)
+
     def test_lens_requires_distance_past_transformed_waist(
         self, fundamental_beam, table_lens
     ):
@@ -249,7 +273,8 @@ class TestCapturedFraction:
     def test_fixed_order_quadrature_has_converged(self, multimode_beam):
         rho = np.array([1.0])
         r_cut = np.array([cut_radius(multimode_beam, 2.0)])
-        a, b = channel._radial_capture(multimode_beam, 2.0, rho, APERTURE, r_cut, (256, 512))
+        a, b = channel._radial_capture(multimode_beam.modes, source_table(multimode_beam, 2.0),
+                                       rho, APERTURE, r_cut, (256, 512))
         assert a[0] == pytest.approx(b[0], rel=1e-10)
 
     @pytest.mark.parametrize("rho", [0.0, 0.05, 0.3, 1.0])
@@ -264,15 +289,16 @@ class TestCapturedFraction:
         # agree to 1e-8, not even the first round's two in one call, and the
         # order runs past 1024.
         noise = np.random.default_rng(0)
-
-        def erratic(r, z, beam):
-            return np.where(r > 2.5, 1.0 + noise.random(r.shape), 1.0)
-
         # A 1 um source has spread to w ~ 0.54 m at 2 m, so even the 3 m link
         # is integrated: its nearest disc point sits at x = 2 (rho - a)^2 / w^2
         # ~ 61, inside the default beam's tail threshold (channel._dark_x).
         wide = dataclasses.replace(multimode_beam, w0=1e-6)
-        monkeypatch.setattr(channel, "beam_intensity", erratic)
+        x_far = 2.0 * 2.5**2 / beam_radius(2.0, wide) ** 2  # x at r = 2.5 m
+
+        def erratic(x, modes, cs):
+            return np.where(x > x_far, 1.0 + noise.random(x.shape), 1.0)
+
+        monkeypatch.setattr(channel, "mode_sum", erratic)
         # A unit intensity integrates to the disc area, 2 cm^2.
         assert captured_fraction(wide, None, 2.0, 1.0, APERTURE) == pytest.approx(2e-4)
         expected = f"z=2.0, rho=3.0, aperture={APERTURE!r}"
@@ -321,11 +347,11 @@ class TestDarkLinks:
         lit = sum(x < self.X_STAR for x in self.XS)
         planes = []
 
-        def recording(r, z, beam):
-            planes.append(r.shape)
-            return beam_intensity(r, z, beam)
+        def recording(x, modes, cs):
+            planes.append(x.shape)
+            return mode_sum(x, modes, cs)
 
-        monkeypatch.setattr(channel, "beam_intensity", recording)
+        monkeypatch.setattr(channel, "mode_sum", recording)
         for rho, x in zip(rhos, self.XS):
             planes.clear()
             captured_fraction(multimode_beam, None, 2.0, rho, APERTURE)
@@ -503,10 +529,10 @@ def test_screened_links_capture_less_than_the_floor(modes, w0, z, aperture, past
     w_z = beam_radius(z, beam)
     rho = aperture + w_z * math.sqrt((channel._dark_x(modes) + past) / 2.0)
 
-    def unreachable(r, z, beam):
+    def unreachable(x, modes, cs):
         raise AssertionError("a screened link was integrated")
 
-    with mock.patch.object(channel, "beam_intensity", unreachable):
+    with mock.patch.object(channel, "mode_sum", unreachable):
         assert captured_fraction(beam, None, z, rho, aperture) == 0.0
 
     def half_width(r):  # the disc's angular half width at radius r
@@ -716,11 +742,12 @@ def test_merged_first_round_matches_separate_orders(modes, w0, z, aperture, rho)
     beam = BeamSpec(w0, 850e-9, modes)
     offsets = np.array(rho)
     r_cut = np.full(offsets.size, cut_radius(beam, z))
-    merged = channel._radial_capture(beam, z, offsets, aperture, r_cut, (16, 32))
+    table = source_table(beam, z, offsets.size)
+    merged = channel._radial_capture(modes, table, offsets, aperture, r_cut, (16, 32))
     for order, got in zip((16, 32), merged):
-        (alone,) = channel._radial_capture(beam, z, offsets, aperture, r_cut, (order,))
+        (alone,) = channel._radial_capture(modes, table, offsets, aperture, r_cut, (order,))
         assert got.tobytes() == alone.tobytes()
-    whole = channel._disc_capture(beam, z, offsets, aperture)
+    (whole,) = channel._disc_capture([(beam, z)], offsets, aperture)
     assert whole.tolist() == [captured_fraction(beam, None, z, x, aperture) for x in rho]
     assert_capture(whole[0], quad_captured_fraction(beam, None, z, rho[0], aperture), rel=1e-9)
 
@@ -867,7 +894,7 @@ class TestLinkGeometry:
 
     def test_a_reconfigured_scene_reuses_it(self, scene):
         geometry = link_geometry(scene)
-        point = _configure(scene, 2e-6, "on", _sources(scene, 2e-6))
+        point = _configure(scene, 2e-6, "on")
         h = build_channel_matrix(point, geometry)
         assert_bit_identical(h, [getattr(build_channel_matrix(point), name)
                                  for name in ("gains", "distances", "offsets")])
@@ -896,7 +923,7 @@ class TestLinkGeometry:
         beam = dataclasses.replace(aps[2].beam, wavelength=940e-9)
         aps[2] = dataclasses.replace(aps[2], beam=beam)
         moved = dataclasses.replace(scene, aps=tuple(aps))
-        assert len(channel._distinct_sources(moved.aps)[0]) == 2
+        assert len(channel.distinct_sources(moved.aps)[0]) == 2
         assert_bit_identical(build_channel_matrix(moved, geometry),
                              [getattr(build_channel_matrix(moved), name)
                               for name in ("gains", "distances", "offsets")])
@@ -909,7 +936,7 @@ class TestLinkGeometry:
                                         lens=scene.lens_design)
                     for ap in scene.aps)
         assert len({id(ap.beam) for ap in aps}) == len(aps)
-        assert channel._distinct_sources(aps)[1].tolist() == [0] * len(aps)
+        assert channel.distinct_sources(aps)[1].tolist() == [0] * len(aps)
         moved = dataclasses.replace(scene, aps=aps)
         assert_bit_identical(build_channel_matrix(moved, geometry),
                              [getattr(build_channel_matrix(moved), name)

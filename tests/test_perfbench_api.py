@@ -115,3 +115,26 @@ def test_random_seeds_reads_a_link_report(perfbench, scene_with_mpe):
     assert snr > 0
     assert outcome == ["ok", report.sum_rate, report.energy_efficiency,
                        10.0 * math.log10(snr), precoder.beta]
+
+
+def test_the_kernel_benchmark_gets_a_new_array_equal_to_its_rows(perfbench, monkeypatch):
+    """perfbench's beam_ns_per_node times beam_intensity(r, 2.0, beam) on a
+    64 x 64 radius array: the call returns a new 64 x 64 array, and each of
+    its rows equals a call on that row alone."""
+    import vcselnet
+
+    run = importlib.import_module("run")
+    kernel, calls = vcselnet.beam_intensity, []
+
+    def recording(r, z, beam):
+        calls.append((r, z, beam, kernel(r, z, beam)))
+        return calls[-1][-1]
+
+    monkeypatch.setattr(vcselnet, "beam_intensity", recording)
+    run.beam_ns_per_node(repeats=1)
+    ((r, z, beam, got),) = calls
+    assert z == 2.0
+    assert r.shape == got.shape == (64, 64)
+    assert not np.shares_memory(got, r)
+    for row, values in zip(r, got):
+        assert values.tobytes() == kernel(row, z, beam).tobytes()

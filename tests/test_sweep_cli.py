@@ -22,7 +22,6 @@ from vcselnet import (
     SweepResult,
     SweepSpec,
     UserTerminal,
-    beam_intensity,
     build_channel_matrix,
     emit_outputs,
     link_report,
@@ -33,6 +32,7 @@ from vcselnet import (
     run_sweep,
     zf_precoder,
 )
+from vcselnet.beam_optics import mode_constants, mode_sum
 from vcselnet.channel import link_geometry
 from vcselnet.cli import main
 from vcselnet.errors import ConfigError, DomainError, SweepPointError, exit_code_for
@@ -544,10 +544,7 @@ def test_every_point_channel_matches_a_fresh_build(case):
     assert 0 < len(built) <= len(points)
     for h, ((w_idx, waist), mode, seed) in zip(built, points):
         placed = scene if seed is None else place_users(scene, len(scene.users), seed)
-        sources = vcselnet.sweep._sources(placed, waist)
-        assert vcselnet.sweep._configure(placed, waist, mode, sources) == configured(
-            placed, waist, mode
-        )
+        assert vcselnet.sweep._configure(placed, waist, mode) == configured(placed, waist, mode)
         want = build_channel_matrix(configured(placed, waist, mode))
         for name in ("gains", "distances", "offsets"):
             assert getattr(h, name).tobytes() == getattr(want, name).tobytes()
@@ -562,9 +559,12 @@ def test_every_point_channel_matches_a_fresh_build(case):
 def test_point_scene_equals_its_rebuild(case, waist, mode):
     """A point's scene equals the dataclasses.replace rebuild AP by AP and
     field by field (warnings too), and so does each seed's scene made from
-    it, although neither runs __init__."""
+    it, although neither runs __init__. APs that shared a beam object share
+    its rebuilt beam."""
     scene, sweep = case
-    point = vcselnet.sweep._configure(scene, waist, mode, vcselnet.sweep._sources(scene, waist))
+    point = vcselnet.sweep._configure(scene, waist, mode)
+    shared = [[b is c.beam for c in scene.aps] for b in (ap.beam for ap in scene.aps)]
+    assert [[b is c.beam for c in point.aps] for b in (ap.beam for ap in point.aps)] == shared
     want = configured(scene, waist, mode)
     assert len(point.aps) == len(want.aps)
     for got, ref in zip(point.aps, want.aps):
@@ -638,9 +638,9 @@ def test_a_sweep_integrates_all_its_points_in_one_first_round(monkeypatch):
     every kernel call runs inside one of the sweep's channel builds."""
     kernel_calls, open_builds = [], []
 
-    def kernel(r, z, beam):
-        kernel_calls.append((r.shape, len(open_builds)))
-        return beam_intensity(r, z, beam)
+    def kernel(x, modes, cs):
+        kernel_calls.append((x.shape, len(open_builds)))
+        return mode_sum(x, modes, cs)
 
     def build(scn, geometry):
         open_builds.append(scn)
@@ -651,7 +651,7 @@ def test_a_sweep_integrates_all_its_points_in_one_first_round(monkeypatch):
 
     scene = load_scene(GRID_CONFIG)
     batches = len(link_geometry(scene).batches)
-    monkeypatch.setattr(channel, "beam_intensity", kernel)
+    monkeypatch.setattr(channel, "mode_sum", kernel)
     monkeypatch.setattr(vcselnet.sweep, "build_channel_matrix", build)
     run_sweep(scene, SweepSpec(waist_start=1e-6, waist_end=8e-6, steps=2))
     first_rounds = [shape for shape, _ in kernel_calls if shape[1] == FIRST_ROUND_NODES]
@@ -678,22 +678,22 @@ def test_a_two_source_sweep_integrates_every_source_in_one_first_round(monkeypat
     scene, sweep = two_source_scene()
     first_rounds, built = [], []
 
-    def kernel(r, z, beam):
-        if r.shape[1] == FIRST_ROUND_NODES:
-            first_rounds.append(r.shape[0])
-        return beam_intensity(r, z, beam)
+    def kernel(x, modes, cs):
+        if x.shape[1] == FIRST_ROUND_NODES:
+            first_rounds.append(x.shape[0])
+        return mode_sum(x, modes, cs)
 
     def recording(scn, geometry):
         built.append((scn, build_channel_matrix(scn, geometry)))
         return built[-1][1]
 
-    monkeypatch.setattr(channel, "beam_intensity", kernel)
+    monkeypatch.setattr(channel, "mode_sum", kernel)
     monkeypatch.setattr(vcselnet.sweep, "build_channel_matrix", recording)
     run_sweep(scene, sweep)
     merged = first_rounds[:]
     first_rounds.clear()
     assert len(merged) == 1 and len(built) == 4
-    assert all(len(channel._distinct_sources(scn.aps)[0]) == 2 for scn, _ in built)
+    assert all(len(channel.distinct_sources(scn.aps)[0]) == 2 for scn, _ in built)
     for scn, h in built:
         want = build_channel_matrix(scn)
         for name in ("gains", "distances", "offsets"):
@@ -743,9 +743,8 @@ def test_listed_points_built_in_any_order_match_fresh_builds(case, order):
     scene, sweep = case
     seed = (sweep.seeds or (scene.seed,))[0]
     base = scene if scene.placement != "random" else place_users(scene, len(scene.users), seed)
-    sources = vcselnet.sweep._sources(scene, sweep.waist_start)
     waists = np.linspace(sweep.waist_start, sweep.waist_end, sweep.steps).tolist()
-    points = [vcselnet.sweep._configure(scene, waist, mode, sources)
+    points = [vcselnet.sweep._configure(scene, waist, mode)
               for waist in waists for mode in sorted(sweep.lens_modes)]
     geometry = link_geometry(base, tuple(point.aps for point in points))
     order.shuffle(points)
@@ -774,7 +773,7 @@ def test_an_out_of_domain_source_beside_another_raises_its_domain_error():
                                     lens=scene.lens_design)
                 for a, ap in enumerate(scene.aps))
     scene = dataclasses.replace(scene, aps=aps)
-    assert len(channel._distinct_sources(aps)[0]) == 2
+    assert len(channel.distinct_sources(aps)[0]) == 2
     for geometry in (link_geometry(scene, (aps,)), link_geometry(scene), None):
         with pytest.raises(DomainError, match="does not reach past"):
             build_channel_matrix(scene, geometry)
@@ -797,15 +796,16 @@ def test_an_earlier_precoder_failure_comes_before_a_later_link_error():
 def test_an_earlier_precoder_failure_comes_before_a_later_non_convergence(monkeypatch):
     scene = load_scene(coincident_users_config(height=1.0))
     noise = np.random.default_rng(0)
+    # 2 m from the source, w_z falls as w0 grows, so a row's first c (which
+    # goes as 1 / w_z^2) exceeds a 1.5 um beam's where its source is wider.
+    c_mid = mode_constants(2.0, dataclasses.replace(scene.aps[0].beam, w0=1.5e-6))[1]
 
-    def erratic(r, z, beam):
-        # Fresh noise on the rows of 2 um beams: they never converge.
-        values = beam_intensity(r, z, beam)
-        beams = beam if isinstance(beam, (list, tuple)) else [beam] * len(r)
-        noisy = np.array([b.w0 > 1.5e-6 for b in beams])[:, None]
-        return np.where(noisy, noise.random(values.shape), values)
+    def erratic(x, modes, cs):
+        # Fresh noise on the rows of beams wider than 1.5 um: they never converge.
+        values = mode_sum(x, modes, cs)
+        return np.where(cs[0] > c_mid, noise.random(values.shape), values)
 
-    monkeypatch.setattr(channel, "beam_intensity", erratic)
+    monkeypatch.setattr(channel, "mode_sum", erratic)
     sweep = SweepSpec(waist_start=1e-6, waist_end=2e-6, steps=2, lens_modes=("off",))
     with pytest.raises(SweepPointError, match="waist=2e-06 m.*did not converge"):
         run_sweep(scene, dataclasses.replace(sweep, waist_start=2e-6, waist_end=3e-6))
@@ -817,23 +817,44 @@ def test_an_earlier_precoder_failure_comes_before_a_later_non_convergence(monkey
 @settings(max_examples=30, deadline=None)
 @given(case=sweep_cases(), copies=st.booleans())
 def test_sources_are_grouped_by_value(case, copies):
-    """sweep._sources, and the grouping each channel build makes, group APs
-    by the values of their beams (and lenses), whether APs share one object
-    or each holds an equal copy."""
+    """channel.distinct_sources groups APs by the values of their beams and
+    lenses, whether APs share one object or each holds an equal copy. A
+    sweep groups its first point's APs so, once, and the per-AP caps it
+    gathers from that grouping are, at every point, each AP's own eye-safe
+    cap times its VCSEL count, bit for bit."""
     scene, sweep = case
     if copies:
         scene = dataclasses.replace(scene, aps=tuple(
             dataclasses.replace(ap, beam=dataclasses.replace(ap.beam),
                                 lens=ap.lens and dataclasses.replace(ap.lens))
             for ap in scene.aps))
-    at_waist = [dataclasses.replace(ap.beam, w0=sweep.waist_start) for ap in scene.aps]
-    of = [list(dict.fromkeys(at_waist)).index(beam) for beam in at_waist]
-    firsts = [of.index(s) for s in range(max(of) + 1)]
-    assert vcselnet.sweep._sources(scene, sweep.waist_start) == (of, firsts)
     keys = [(ap.beam, ap.lens) for ap in scene.aps]
-    pairs, source_of = channel._distinct_sources(scene.aps)
+    pairs, source_of = channel.distinct_sources(scene.aps)
     assert pairs == list(dict.fromkeys(keys))
     assert source_of.tolist() == [pairs.index(key) for key in keys]
+
+    caps = []
+
+    def precoder(h, ap_caps):
+        caps.append(ap_caps)
+        return zf_precoder(h, ap_caps)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(vcselnet.sweep, "zf_precoder", precoder)
+        try:
+            run_sweep(scene, sweep)
+        except SweepPointError:
+            pass
+    seeds = len(sweep.seeds or (None,)) if scene.placement == "random" else 1
+    waists = np.linspace(sweep.waist_start, sweep.waist_end, sweep.steps).tolist()
+    points = [configured(scene, waist, mode) for waist in waists
+              for mode in sorted(sweep.lens_modes)]
+    assert caps
+    for k, got in enumerate(caps):
+        point = points[k // seeds]
+        want = np.array([ap.array_n**2 * max_safe_power(ap.beam, point.safety, ap.lens).p_max
+                         for ap in point.aps])
+        assert got.tobytes() == want.tobytes()
 
 
 def test_every_channel_owns_its_geometry_arrays(compact_scene):
@@ -966,6 +987,29 @@ class TestCli:
         code, out = self.run_cli(tmp_path, config)
         assert code == 3
         assert f"{section}.{key}: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("electrical", "rx_bandwidth_hz", "inf"),
+            ("electrical", "temperature_k", "inf"),
+            ("electrical", "rin_db_per_hz", "-inf"),
+            ("safety", "mpe_w_per_m2", "inf"),
+            ("receiver", "detector_area_m2", "inf"),
+            ("room", "width_m", "nan"),
+            ("vcsel", "pitch_m", "inf"),
+        ],
+    )
+    def test_non_finite_config_number_exits_3_naming_the_key(self, tmp_path, capsys, section,
+                                                              key, value):
+        # These once ran: NaN or zero rates, or a late precoder or quadrature error.
+        config = tmp_path / "non_finite.ini"
+        text = f"[{section}]\n{key} = {value}\n"
+        config.write_text(text if section == "safety" else CONFIG_TEXT + text, encoding="utf-8")
+        code, out = self.run_cli(tmp_path, config)
+        assert code == 3
+        assert f"{section}.{key}: " in capsys.readouterr().err
         assert not out.exists()
 
     def test_lens_selection(self, tmp_path, config_file, capsys):
