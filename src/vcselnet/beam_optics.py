@@ -5,7 +5,8 @@ mode patterns are Laguerre-Gaussian with radial index p and azimuthal index l.
 All lengths are in meters, angles in radians, intensities in W/m^2 per watt of
 mode power (so the full-plane integral of each mode pattern is 1). An intensity
 is mode_sum at x = 2 r^2 / w_z^2 with mode_constants of one (beam, z); the
-channel calls mode_sum itself, with one row of constants per link.
+channel calls mode_sum itself, with one row of constants per link. A Rayleigh
+range, beam radius or lens relay that a float cannot hold raises DomainError.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, require_positive
 
 # Radial index guard: keeps every (p + l)! used by the default mode sets inside
 # the exact-integer range of a double. The explicit alternating sum for
@@ -51,21 +52,13 @@ class BeamSpec:
     modes: tuple[tuple[int, int, float], ...] = DEFAULT_MODES
 
     def __post_init__(self):
-        if not 0 < self.w0 < math.inf:
-            raise DomainError(f"w0 must be positive and finite, got {self.w0!r}")
-        if not 0 < self.wavelength < math.inf:
-            raise DomainError(f"wavelength must be positive and finite, got {self.wavelength!r}")
+        require_positive(DomainError, self, "w0", "wavelength")
         if not self.modes:
             raise DomainError("modes must contain at least one (p, l, fraction) entry")
         seen = set()
         total = 0.0
         for p, l, frac in self.modes:
-            if p < 0 or l < 0:
-                raise DomainError(f"mode indices must be non-negative, got ({p}, {l})")
-            if p > MAX_RADIAL_INDEX:
-                raise DomainError(
-                    f"radial index {p} exceeds the supported maximum {MAX_RADIAL_INDEX}"
-                )
+            _check_mode_indices(p, l)
             if l > MAX_AZIMUTHAL_INDEX:
                 raise DomainError(
                     f"azimuthal index {l} exceeds the supported maximum {MAX_AZIMUTHAL_INDEX}"
@@ -84,15 +77,12 @@ class BeamSpec:
 class LensSpec:
     """Thin micro-lens in front of the source.
 
-    f        focal length, m; positive and finite
-    d1       source-to-lens distance, m; >= 0 and finite
-    n_refr   lens material refractive index; recorded for documentation, the
-             thin-lens transform is fully determined by f and d1
+    f    focal length, m; positive and finite
+    d1   source-to-lens distance, m; >= 0 and finite
     """
 
     f: float
     d1: float
-    n_refr: float = 1.5
 
     def __post_init__(self):
         if not 0 < self.f < math.inf:
@@ -101,8 +91,6 @@ class LensSpec:
             raise DomainError(
                 f"source-to-lens distance must be >= 0 and finite, got {self.d1!r}"
             )
-        if not self.n_refr > 1:
-            raise DomainError(f"refractive index must exceed 1, got {self.n_refr!r}")
 
 
 @dataclass(frozen=True)
@@ -127,6 +115,14 @@ class TransformedBeam:
             raise DomainError("waist magnification must be positive")
 
 
+def _check_mode_indices(p: int, l: int) -> None:
+    """DomainError unless p and l are non-negative and p <= MAX_RADIAL_INDEX."""
+    if p < 0 or l < 0:
+        raise DomainError(f"mode indices must be non-negative, got ({p}, {l})")
+    if p > MAX_RADIAL_INDEX:
+        raise DomainError(f"radial index {p} exceeds the supported maximum {MAX_RADIAL_INDEX}")
+
+
 def laguerre(p: int, l: int, x):
     """Generalized Laguerre polynomial L_p^l(x) by the three-term recurrence.
 
@@ -137,12 +133,7 @@ def laguerre(p: int, l: int, x):
     terms, so the relative error stays near rounding level. x may be a scalar
     or ndarray; p is guarded at MAX_RADIAL_INDEX.
     """
-    if p < 0 or l < 0:
-        raise DomainError(f"polynomial indices must be non-negative, got ({p}, {l})")
-    if p > MAX_RADIAL_INDEX:
-        raise DomainError(
-            f"radial index {p} exceeds the supported maximum {MAX_RADIAL_INDEX}"
-        )
+    _check_mode_indices(p, l)
     x_arr = np.asarray(x, dtype=float)
     if p == 0:
         acc = np.ones_like(x_arr)
@@ -158,20 +149,22 @@ def laguerre(p: int, l: int, x):
 
 def mode_norm_const(p: int, l: int, w0: float) -> float:
     """Normalization constant A_p^l = (1/w0) sqrt(2 p! / (pi (p+l)!))."""
-    if p < 0 or l < 0:
-        raise DomainError(f"mode indices must be non-negative, got ({p}, {l})")
-    if p > MAX_RADIAL_INDEX:
-        raise DomainError(
-            f"radial index {p} exceeds the supported maximum {MAX_RADIAL_INDEX}"
-        )
+    _check_mode_indices(p, l)
     if not w0 > 0:
         raise DomainError(f"w0 must be positive, got {w0!r}")
     return math.sqrt(2.0 * math.factorial(p) / (math.pi * math.factorial(p + l))) / w0
 
 
 def rayleigh_range(beam: BeamSpec) -> float:
-    """Rayleigh range z_r = pi w0^2 / lambda, m."""
-    return math.pi * beam.w0**2 / beam.wavelength
+    """Rayleigh range z_r = pi w0^2 / lambda, m; DomainError unless finite and > 0."""
+    try:
+        zr = math.pi * beam.w0**2 / beam.wavelength
+    except OverflowError:
+        zr = math.inf
+    if not 0 < zr < math.inf:
+        raise DomainError(f"w0 {beam.w0!r} m at wavelength {beam.wavelength!r} m gives a "
+                          f"Rayleigh range of {zr!r} m; it must be positive and finite")
+    return zr
 
 
 def beam_radius(z: float, beam: BeamSpec) -> float:
@@ -179,7 +172,10 @@ def beam_radius(z: float, beam: BeamSpec) -> float:
     if not z >= 0:
         raise DomainError(f"propagation distance must be >= 0, got {z!r}")
     zr = rayleigh_range(beam)
-    return beam.w0 * math.sqrt(1.0 + (z / zr) ** 2)
+    try:
+        return beam.w0 * math.sqrt(1.0 + (z / zr) ** 2)
+    except OverflowError:
+        raise DomainError(f"beam radius of w0 {beam.w0!r} m overflows at {z!r} m") from None
 
 
 def mode_constants(z: float, beam: BeamSpec) -> list[float]:
@@ -245,14 +241,18 @@ def lens_transform(beam: BeamSpec, lens: LensSpec) -> TransformedBeam:
         w_l = w0 f / sqrt(delta^2 + z_r^2)
 
     equivalent to propagating the complex beam parameter through free space
-    d1 and a thin lens of focal length f. The denominator is strictly
-    positive for any physical input, so there is no singular configuration.
+    d1 and a thin lens of focal length f. DomainError where the arithmetic
+    overflows or the (positive) denominator underflows to 0.
     """
     zr = rayleigh_range(beam)
     delta = lens.d1 - lens.f
-    den = delta**2 + zr**2
-    d2 = lens.f * (zr**2 + lens.d1 * delta) / den
-    w_l = beam.w0 * lens.f / math.sqrt(den)
+    try:
+        den = delta**2 + zr**2
+        d2 = lens.f * (zr**2 + lens.d1 * delta) / den
+        w_l = beam.w0 * lens.f / math.sqrt(den)
+    except ArithmeticError:
+        raise DomainError(f"lens f={lens.f!r} m, d1={lens.d1!r} m: the relay of w0 {beam.w0!r} m "
+                          f"at wavelength {beam.wavelength!r} m over- or underflows") from None
     k = w_l / beam.w0
     return TransformedBeam(d2=d2, w_l=w_l, k=k)
 

@@ -274,9 +274,9 @@ def _disc_capture(sources: list[tuple], rho: np.ndarray, aperture_radius: float)
 
 def _source(beam: BeamSpec, lens: LensSpec | None, z: float) -> tuple[BeamSpec, float]:
     """The beam and distance the quadrature sees for a source whose links
-    drop z, or DomainError if z is out of domain. With a lens, intensities
-    come from the transformed beam whose waist sits d2 past the lens, so the
-    effective propagation distance is z - d2."""
+    drop z, or DomainError if z or the beam's radius there is out of domain.
+    With a lens, intensities come from the transformed beam whose waist sits
+    d2 past the lens, so the effective propagation distance is z - d2."""
     if not 0 < z < math.inf:
         raise DomainError(f"link distance must be positive and finite, got {z!r}")
     eff_beam, waist_offset = transformed_source(beam, lens)
@@ -286,6 +286,7 @@ def _source(beam: BeamSpec, lens: LensSpec | None, z: float) -> tuple[BeamSpec, 
             f"link distance {z!r} m does not reach past the transformed waist at "
             f"{waist_offset!r} m behind the lens"
         )
+    beam_radius(z_eff, eff_beam)
     return eff_beam, z_eff
 
 

@@ -41,12 +41,12 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="INI scene description; defaults omit the exposure limit, which a sweep requires",
     )
-    parser.add_argument("--waist-start", type=float, default=1e-6, metavar="M",
-                        help="first beam waist in metres (default 1e-6)")
-    parser.add_argument("--waist-end", type=float, default=8e-6, metavar="M",
-                        help="last beam waist in metres (default 8e-6)")
-    parser.add_argument("--steps", type=int, default=8,
-                        help="number of waist grid points (default 8)")
+    parser.add_argument("--waist-start", type=float, default=SweepSpec.waist_start, metavar="M",
+                        help="first beam waist in metres (default %(default)s)")
+    parser.add_argument("--waist-end", type=float, default=SweepSpec.waist_end, metavar="M",
+                        help="last beam waist in metres (default %(default)s)")
+    parser.add_argument("--steps", type=int, default=SweepSpec.steps,
+                        help="number of waist grid points (default %(default)s)")
     parser.add_argument("--lens", choices=("on", "off", "both"), default="both",
                         help="lens modes to evaluate (default both)")
     parser.add_argument("--seeds", type=str, default=None, metavar="N[,N...]",

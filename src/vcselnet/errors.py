@@ -1,6 +1,8 @@
-"""Exception hierarchy and the CLI exit-code map."""
+"""Exception hierarchy, the positive-and-finite field check and CLI exit codes."""
 
 from __future__ import annotations
+
+import math
 
 
 class VcselNetError(Exception):
@@ -33,6 +35,14 @@ class SweepPointError(VcselNetError):
     def __init__(self, message: str, original: BaseException):
         super().__init__(message)
         self.original = original
+
+
+def require_positive(error: type[VcselNetError], owner, *names: str) -> None:
+    """error unless each named field of owner is positive and finite."""
+    for name in names:
+        value = getattr(owner, name)
+        if not 0 < value < math.inf:
+            raise error(f"{name} must be positive and finite, got {value!r}")
 
 
 # CLI exit codes, one category per error class.

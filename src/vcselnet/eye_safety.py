@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .beam_optics import BeamSpec, LensSpec, beam_radius, transformed_source
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, require_positive
 
 # Encircled-power level defining the hazard distance.
 _ENCIRCLED_LEVEL = 0.86
@@ -36,13 +36,9 @@ class SafetySpec:
     mhp_floor: float = 0.1
 
     def __post_init__(self):
-        if self.mpe is not None and not 0 < self.mpe < math.inf:
-            raise ConfigError(f"mpe must be positive and finite, got {self.mpe!r}")
-        if not 0 < self.pupil_radius < math.inf:
-            raise ConfigError(
-                f"pupil_radius must be positive and finite, got {self.pupil_radius!r}")
-        if not 0 < self.mhp_floor < math.inf:
-            raise ConfigError(f"mhp_floor must be positive and finite, got {self.mhp_floor!r}")
+        if self.mpe is not None:
+            require_positive(ConfigError, self, "mpe")
+        require_positive(ConfigError, self, "pupil_radius", "mhp_floor")
 
 
 @dataclass(frozen=True)
@@ -105,12 +101,17 @@ def pupil_fraction(beam: BeamSpec, mhp: float, safety: SafetySpec) -> float:
     """Fraction of beam power entering the pupil at distance mhp.
 
     eta = 1 - exp(-2 r_p^2 / w(mhp)^2), the encircled power of a Gaussian
-    beam of radius w(mhp) over a centered disc of radius r_p.
+    beam of radius w(mhp) over a centered disc of radius r_p; DomainError
+    where it rounds to 0.
     """
     if not mhp > 0:
         raise DomainError(f"viewing distance must be positive, got {mhp!r}")
     w = beam_radius(mhp, beam)
-    return 1.0 - math.exp(-2.0 * safety.pupil_radius**2 / w**2)
+    eta = 1.0 - math.exp(-2.0 * safety.pupil_radius**2 / w**2)
+    if not eta > 0:
+        raise DomainError(f"pupil fraction rounds to 0: pupil_radius {safety.pupil_radius!r} m "
+                          f"against a beam radius of {w!r} m at {mhp!r} m")
+    return eta
 
 
 def max_safe_power(

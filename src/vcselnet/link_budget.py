@@ -3,6 +3,7 @@
 Noise variances are one-sided power spectral densities integrated over the
 receiver electrical bandwidth B_e, in A^2. The desired photocurrent for user
 u is I_u = R * (H G)[u,u]; residual streams enter as interference powers.
+link_report runs noise_variance and the rate formulas of user_rate.
 """
 
 from __future__ import annotations
@@ -33,35 +34,26 @@ class NoiseBreakdown:
     total: float
 
 
-def _noise_constants(elec: ElectricalSpec) -> tuple[float, float, float]:
-    """The terms of noise_variance that do not depend on the signal: the
-    thermal and preamp variances, A^2, and the dimensionless RIN coefficient
-    10^(RIN/10) B_e that multiplies I^2."""
-    be = elec.rx_bandwidth
-    nf_lin = 10.0 ** (elec.noise_figure_db / 10.0)
-    thermal = 4.0 * BOLTZMANN * elec.temperature * nf_lin * be / elec.load_resistance
-    rin_coef = 10.0 ** (elec.rin_db_per_hz / 10.0) * be
-    preamp = elec.preamp_noise_density * be
-    return thermal, rin_coef, preamp
-
-
-def noise_variance(photocurrent: float, elec: ElectricalSpec) -> NoiseBreakdown:
-    """Receiver noise for a given DC signal photocurrent, A^2.
+def noise_variance(photocurrent: float | np.ndarray, elec: ElectricalSpec) -> NoiseBreakdown:
+    """Receiver noise for a DC signal photocurrent, A^2: a float, or an array
+    with one shot, rin and total per entry (thermal and preamp stay floats).
+    DomainError for a negative current; NaN passes.
 
     shot    = 2 q I B_e
     thermal = 4 k_B T F B_e / R_l     (F the linear noise figure)
-    rin     = 10^(RIN/10) B_e I^2
+    rin     = 10^(RIN/10) B_e (I I)
     preamp  = N_pr B_e
     """
-    if photocurrent < 0:
+    if np.less(photocurrent, 0.0).any():
         raise DomainError(f"photocurrent must be >= 0, got {photocurrent!r}")
-    thermal, rin_coef, preamp = _noise_constants(elec)
-    shot = 2.0 * ELECTRON_CHARGE * photocurrent * elec.rx_bandwidth
-    rin = rin_coef * (photocurrent * photocurrent)
-    return NoiseBreakdown(
-        shot=shot, thermal=thermal, rin=rin, preamp=preamp,
-        total=shot + thermal + rin + preamp,
-    )
+    be = elec.rx_bandwidth
+    nf_lin = 10.0 ** (elec.noise_figure_db / 10.0)
+    thermal = 4.0 * BOLTZMANN * elec.temperature * nf_lin * be / elec.load_resistance
+    preamp = elec.preamp_noise_density * be
+    shot = 2.0 * ELECTRON_CHARGE * photocurrent * be
+    rin = 10.0 ** (elec.rin_db_per_hz / 10.0) * be * (photocurrent * photocurrent)
+    return NoiseBreakdown(shot=shot, thermal=thermal, rin=rin, preamp=preamp,
+                          total=shot + thermal + rin + preamp)
 
 
 def q_function(x: float) -> float:
@@ -69,20 +61,26 @@ def q_function(x: float) -> float:
     return 0.5 * math.erfc(x / math.sqrt(2.0))
 
 
+def _rates(sinrs: list[float], elec: ElectricalSpec, model: str) -> list[float]:
+    """The rate of each SINR in sinrs, in order, bit/s (see user_rate)."""
+    be = elec.rx_bandwidth
+    if model == "shannon":
+        return [be * math.log2(1.0 + x) for x in sinrs]
+    if model == "ook":
+        return [be if q_function(math.sqrt(x)) <= elec.fec_limit else 0.0 for x in sinrs]
+    raise DomainError(f"unknown rate model {model!r}; use 'shannon' or 'ook'")
+
+
 def user_rate(sinr: float, elec: ElectricalSpec, model: str = "shannon") -> float:
     """Achievable rate for one user, bit/s.
 
-    shannon: B_e log2(1 + SINR).
+    shannon: B_e log2(1 + SINR), by math.log2 (np.log2 may round otherwise).
     ook: hard-decision on-off keying; the full B_e when the bit error rate
     Q(sqrt(SINR)) meets the FEC threshold, zero otherwise.
     """
     if sinr < 0:
         raise DomainError(f"SINR must be >= 0, got {sinr!r}")
-    if model == "shannon":
-        return elec.rx_bandwidth * math.log2(1.0 + sinr)
-    if model == "ook":
-        return elec.rx_bandwidth if q_function(math.sqrt(sinr)) <= elec.fec_limit else 0.0
-    raise DomainError(f"unknown rate model {model!r}; use 'shannon' or 'ook'")
+    return _rates([sinr], elec, model)[0]
 
 
 def consumed_power(scene: Scene) -> float:
@@ -140,12 +138,11 @@ def link_report(
 
     User u's photocurrents are R_u (H G)[u, :]. Its interference power, the
     sum of the squared currents of the other streams, is taken for all users
-    in one pass over the off-diagonal of that matrix, row by row. Noise and
-    SINR follow for all users with a positive signal in array passes, in
-    noise_variance's order of operations. Any other user has SINR 0, and a
-    negative photocurrent is reported as 0. Rates are user_rate's, the
-    Shannon ones evaluated inline with math.log2 (np.log2 may round
-    differently), and the sum rate is their sum in user order.
+    in one pass over the off-diagonal of that matrix, row by row. Users with
+    a positive signal take their noise from one noise_variance call; any
+    other user has SINR 0, and a negative photocurrent is reported as 0.
+    DomainError names the first user whose SINR is not finite. Rates follow
+    user_rate's formulas, and the sum rate is their sum in user order.
     """
     elec = scene.electrical
     responsivity = np.array([user.responsivity for user in scene.users])
@@ -156,18 +153,15 @@ def link_report(
     signal = np.diagonal(currents)
     lit = signal > 0.0
     i_sig = signal[lit]
-    i_sq = i_sig * i_sig  # as noise_variance squares it
-    thermal, rin_coef, preamp = _noise_constants(elec)
-    noise = 2.0 * ELECTRON_CHARGE * i_sig * elec.rx_bandwidth + thermal + rin_coef * i_sq + preamp
     sinr = np.zeros(n)
-    sinr[lit] = i_sq / (noise + interference[lit])
+    sinr[lit] = i_sig * i_sig / (noise_variance(i_sig, elec).total + interference[lit])
+    finite = np.isfinite(sinr)
+    if not finite.all():
+        u = int(np.argmin(finite))
+        raise DomainError(f"user {u}: SINR is {float(sinr[u])!r}, not finite")
     photocurrent = np.where(signal < 0.0, 0.0, signal)  # max(i, 0.0): keeps -0.0 and NaN
     snr = sinr.tolist()
-    if rate_model == "shannon":  # user_rate's formula; SINR >= 0 by construction
-        be = elec.rx_bandwidth
-        rates = [be * math.log2(1.0 + x) for x in snr]
-    else:
-        rates = [user_rate(x, elec, rate_model) for x in snr]
+    rates = _rates(snr, elec, rate_model)
     total_rate = sum(rates)
     consumed = consumed_power(scene)
     return LinkReport(

@@ -5,7 +5,7 @@ access points (each an N x N VCSEL array treated as one co-located source),
 user terminals on the receive plane, electrical parameters and the
 eye-safety inputs. Scenes load from a flat INI-style document (sections and
 key = value lines, SI units annotated in each key name) and serialize back
-losslessly.
+losslessly; a deprecated key is parsed, ignored and named in a warning.
 """
 
 from __future__ import annotations
@@ -19,20 +19,13 @@ from typing import Any, Callable, NamedTuple
 import numpy as np
 
 from .beam_optics import BeamSpec, LensSpec
-from .errors import ConfigError, DomainError, InfeasibleError
+from .errors import ConfigError, DomainError, InfeasibleError, require_positive
 from .eye_safety import SafetySpec, max_safe_power
 
 _DEFAULT_AP_POSITIONS = ((3.0, 3.0, 3.0), (1.0, 3.0, 3.0), (3.0, 1.0, 3.0), (1.0, 1.0, 3.0))
 # Config defaults for the fields BeamSpec and LensSpec leave required.
 _DEFAULT_BEAM = BeamSpec(5e-6, 850e-9)
 _DEFAULT_LENS = LensSpec(127e-6, 133e-6)
-
-
-def _require_positive(owner, *names: str) -> None:
-    """ConfigError unless each named field of owner is positive and finite."""
-    for name in names:
-        if not 0 < getattr(owner, name) < math.inf:
-            raise ConfigError(f"{name} must be positive and finite, got {getattr(owner, name)!r}")
 
 
 @dataclass(frozen=True)
@@ -45,7 +38,7 @@ class Room:
     rx_plane_height: float = 1.0
 
     def __post_init__(self):
-        _require_positive(self, "width", "length", "height", "rx_plane_height")
+        require_positive(ConfigError, self, "width", "length", "height", "rx_plane_height")
         if self.rx_plane_height >= self.height:
             raise ConfigError(
                 f"rx_plane_height {self.rx_plane_height!r} must lie below the "
@@ -74,9 +67,9 @@ class AccessPoint:
             raise ConfigError(f"access point position must be (x, y, z), got {self.position!r}")
         if self.array_n < 1:
             raise ConfigError(f"array_n must be >= 1, got {self.array_n!r}")
-        _require_positive(self, "pitch")
+        require_positive(ConfigError, self, "pitch")
         if self.per_vcsel_power is not None:
-            _require_positive(self, "per_vcsel_power")
+            require_positive(ConfigError, self, "per_vcsel_power")
 
     def with_source(self, beam: BeamSpec, lens: LensSpec | None) -> AccessPoint:
         """This AP with another beam and lens: dataclasses.replace's copy,
@@ -99,7 +92,7 @@ class UserTerminal:
     def __post_init__(self):
         if len(self.position) != 2:
             raise ConfigError(f"user position must be (x, y), got {self.position!r}")
-        _require_positive(self, "detector_area")
+        require_positive(ConfigError, self, "detector_area")
         if not 0.0 < self.responsivity <= 1.2:
             raise ConfigError(
                 f"responsivity must lie in (0, 1.2] A/W, got {self.responsivity!r}"
@@ -115,8 +108,6 @@ class ElectricalSpec:
     """Receiver/driver electrical parameters.
 
     rx_bandwidth            receiver electrical bandwidth B_e, Hz
-    optical_bandwidth       source modulation bandwidth B_o, Hz (recorded;
-                            the noise model does not consume it)
     load_resistance         receiver load, ohm
     noise_figure_db         receiver noise figure, dB
     rin_db_per_hz           relative intensity noise, dB/Hz (negative)
@@ -130,7 +121,6 @@ class ElectricalSpec:
     """
 
     rx_bandwidth: float = 1.75e9
-    optical_bandwidth: float = 5e9
     load_resistance: float = 50.0
     noise_figure_db: float = 5.0
     rin_db_per_hz: float = -155.0
@@ -142,15 +132,14 @@ class ElectricalSpec:
     fec_limit: float = 1e-3
 
     def __post_init__(self):
-        _require_positive(self, "rx_bandwidth", "optical_bandwidth", "load_resistance",
-                          "noise_figure_db", "preamp_noise_density", "temperature",
-                          "bias_current", "drive_voltage")
+        require_positive(ConfigError, self, "rx_bandwidth", "load_resistance", "noise_figure_db",
+                         "preamp_noise_density", "temperature", "bias_current", "drive_voltage")
         if not -math.inf < self.rin_db_per_hz < 0:
             raise ConfigError(
                 f"rin_db_per_hz must be negative and finite, got {self.rin_db_per_hz!r}"
             )
         if self.per_vcsel_consumption is not None:
-            _require_positive(self, "per_vcsel_consumption")
+            require_positive(ConfigError, self, "per_vcsel_consumption")
         if not 0.0 < self.fec_limit < 1.0:
             raise ConfigError(f"fec_limit must lie in (0, 1), got {self.fec_limit!r}")
 
@@ -310,7 +299,8 @@ class _Key(NamedTuple):
 
     owner names the objects that hold the field (see dump_scene). parse turns
     the raw text into the field value; format turns the field value back into
-    text, or None to omit the key. A key whose format is None is read only.
+    text, or None to omit the key. A key whose format is None is read only;
+    one whose owner is "ignored" sets no field, only a warning (load_scene).
     """
 
     section: str
@@ -340,7 +330,7 @@ _KEYS = (
     _Key("lens", "enabled", "ap", "lens", _boolean, lambda lens: "no" if lens is None else "yes"),
     _Key("lens", "focal_length_m", "lens", "f", _number, _repr),
     _Key("lens", "vcsel_to_lens_m", "lens", "d1", _number, _repr),
-    _Key("lens", "refractive_index", "lens", "n_refr", _number, _repr),
+    _Key("lens", "refractive_index", "ignored", "lens.refractive_index", _number, None),
     _Key("transmitters", "positions_m", "ap", "position", _positions(3), _format_positions),
     _Key("receiver", "detector_area_m2", "user", "detector_area", _number, _repr),
     _Key("receiver", "responsivity_a_per_w", "user", "responsivity", _number, _repr),
@@ -348,7 +338,8 @@ _KEYS = (
     _Key("receiver", "fov_half_angle_deg", "user", "fov_half_angle",
          lambda raw: math.radians(_number(raw)), None),
     _Key("electrical", "rx_bandwidth_hz", "electrical", "rx_bandwidth", _number, _repr),
-    _Key("electrical", "vcsel_bandwidth_hz", "electrical", "optical_bandwidth", _number, _repr),
+    _Key("electrical", "vcsel_bandwidth_hz", "ignored", "electrical.vcsel_bandwidth_hz",
+         _number, None),
     _Key("electrical", "load_resistance_ohm", "electrical", "load_resistance", _number, _repr),
     _Key("electrical", "tia_noise_figure_db", "electrical", "noise_figure_db", _number, _repr),
     _Key("electrical", "rin_db_per_hz", "electrical", "rin_db_per_hz", _number, _repr),
@@ -398,9 +389,10 @@ def load_scene(text: str) -> Scene:
     Raises ConfigError for unparseable input (with the offending line), for a
     key or section that is not in the key table, for users.positions_m beside
     users.placement or a differing users.count, or for any field violating
-    its invariant. When the exposure limit is configured, explicit per-VCSEL
-    powers above the eye-safe cap are clamped to it and a warning record is
-    attached to the scene.
+    its invariant. A deprecated key (lens.refractive_index,
+    electrical.vcsel_bandwidth_hz) must parse as a number and is ignored, and
+    when the exposure limit is configured, explicit per-VCSEL powers above
+    the eye-safe cap are clamped to it: each attaches a warning to the scene.
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
@@ -432,7 +424,7 @@ def load_scene(text: str) -> Scene:
     electrical = _spec(ElectricalSpec(), "electrical", fields["electrical"], parser)
     safety = _spec(SafetySpec(), "safety", fields["safety"], parser)
 
-    warnings: list[str] = []
+    warnings = [f"{name} is ignored and will be removed" for name in fields["ignored"]]
     if safety.mpe is not None:
         clamped_aps = []
         for i, ap in enumerate(aps):
@@ -539,6 +531,7 @@ def dump_scene(scene: Scene) -> str:
         "scene": (scene,),
         "explicit": scene.users if explicit else (),
         "placed": () if explicit else (scene,),
+        "ignored": (),
     }
     sections: dict[str, list[str]] = {}
     for k in _KEYS:

@@ -507,7 +507,7 @@ class TestLensSpecValidation:
             dict(f=0.0, d1=1e-4),
             dict(f=-1e-4, d1=1e-4),
             dict(f=1e-4, d1=-1e-6),
-            dict(f=1e-4, d1=1e-4, n_refr=1.0),
+            dict(f=1e-4, d1=-math.inf),
         ],
     )
     def test_rejects_invalid(self, kwargs):

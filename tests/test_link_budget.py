@@ -115,6 +115,27 @@ class TestNoise:
         with pytest.raises(DomainError):
             noise_variance(-1e-6, ElectricalSpec())
 
+    def test_an_array_with_a_negative_entry_is_refused_and_nan_passes(self):
+        with pytest.raises(DomainError, match="photocurrent must be >= 0"):
+            noise_variance(np.array([1e-3, -1e-9, 2e-3]), ElectricalSpec())
+        assert math.isnan(noise_variance(math.nan, ElectricalSpec()).total)
+        assert np.isnan(noise_variance(np.array([1e-3, math.nan]), ElectricalSpec()).total[1])
+
+    @settings(max_examples=60, deadline=None)
+    @given(currents=st.lists(st.one_of(st.just(0.0), st.floats(1e-12, 1e-1)),
+                             min_size=1, max_size=20),
+           rin=st.floats(-170.0, -120.0), nf=st.floats(0.5, 12.0))
+    def test_an_array_gives_each_entry_its_float_variance_bit_for_bit(self, currents, rin,
+                                                                       nf):
+        elec = ElectricalSpec(rin_db_per_hz=rin, noise_figure_db=nf)
+        got = noise_variance(np.array(currents), elec)
+        for i, current in enumerate(currents):
+            want = noise_variance(current, elec)
+            assert [float(got.shot[i]).hex(), float(got.rin[i]).hex(),
+                    float(got.total[i]).hex()] == [want.shot.hex(), want.rin.hex(),
+                                                   want.total.hex()]
+            assert (got.thermal, got.preamp) == (want.thermal, want.preamp)
+
 
 class TestQFunction:
     def test_matches_gaussian_tail(self):
@@ -315,6 +336,20 @@ def test_link_report_matches_per_user_oracle_bit_for_bit(case, rate_model):
 def test_an_unknown_rate_model_is_refused():
     with pytest.raises(DomainError, match="unknown rate model"):
         link_report(default_scene(), *identity_link(), rate_model="pam")
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("rate_model", ["shannon", "ook"])
+def test_a_non_finite_sinr_names_its_user(rate_model):
+    """Currents past ~1e154 A square to inf (numpy warns), so user 2's SINR
+    is inf / inf. Under OOK a NaN SINR would rate 0 bit/s, so the SINR
+    itself is checked."""
+    h, precoder = identity_link()
+    g = precoder.g.copy()
+    g[2, 2] = 1e200
+    with pytest.raises(DomainError, match="user 2: SINR is nan, not finite"):
+        link_report(default_scene(), h, Precoder(g=g, beta=1.0, g0=g), rate_model)
 
 
 def test_a_sweep_builds_no_user_link(scene_with_mpe, monkeypatch):

@@ -55,7 +55,8 @@ class TestDefaults:
         assert ap.array_n == 5
         assert ap.pitch == 10e-6
         assert ap.per_vcsel_power is None
-        assert ap.lens == LensSpec(f=0.127e-3, d1=0.133e-3, n_refr=1.5)
+        assert ap.lens == LensSpec(f=0.127e-3, d1=0.133e-3)
+        assert not hasattr(ap.lens, "n_refr")
 
     def test_receiver_and_electrical(self):
         scene = default_scene()
@@ -65,7 +66,7 @@ class TestDefaults:
         assert user.fov_half_angle == pytest.approx(math.pi / 2)
         elec = scene.electrical
         assert elec.rx_bandwidth == 1.75e9
-        assert elec.optical_bandwidth == 5e9
+        assert not hasattr(elec, "optical_bandwidth")
         assert elec.load_resistance == 50.0
         assert elec.noise_figure_db == 5.0
         assert elec.rin_db_per_hz == -155.0
@@ -83,6 +84,18 @@ class TestDefaults:
 
 
 class TestLoading:
+    @pytest.mark.parametrize("section, key", [("lens", "refractive_index"),
+                                              ("electrical", "vcsel_bandwidth_hz")])
+    def test_a_deprecated_key_is_parsed_then_ignored_with_one_warning(self, section, key):
+        base = f"[safety]\nmpe_w_per_m2 = {DEFAULT_MPE}\n"
+        scene = load_scene(base + f"[{section}]\n{key} = 1.7\n")
+        assert scene.warnings == (f"{section}.{key} is ignored and will be removed",)
+        plain = load_scene(base)
+        assert scene == plain and plain.warnings == ()
+        assert key not in dump_scene(scene)
+        with pytest.raises(ConfigError, match=rf"^{section}\.{key}: expected a number"):
+            load_scene(base + f"[{section}]\n{key} = high\n")
+
     def test_overrides(self):
         scene = load_scene(
             """
@@ -571,4 +584,4 @@ class TestReadme:
         blocks = re.findall(r"```ini\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
         assert blocks
         for block in blocks:
-            load_scene(block)
+            assert load_scene(block).warnings == ()

@@ -35,7 +35,8 @@ from vcselnet import (
 from vcselnet.beam_optics import mode_constants, mode_sum
 from vcselnet.channel import link_geometry
 from vcselnet.cli import main
-from vcselnet.errors import ConfigError, DomainError, SweepPointError, exit_code_for
+from vcselnet.errors import (ConfigError, DomainError, SweepPointError, VcselNetError,
+                             exit_code_for)
 
 from conftest import COMPACT_CONFIG, DEFAULT_MPE, GRID_CONFIG
 
@@ -870,6 +871,47 @@ def test_every_channel_owns_its_geometry_arrays(compact_scene):
     assert np.array_equal(matrices[1].offsets, offsets)
 
 
+@st.composite
+def compact_sweeps(draw):
+    """A random compact scene as config text, and a two-point sweep of it:
+    1-4 APs anywhere on the ceiling of a room up to 5 m square, as many or
+    fewer users anywhere on a receive plane 0.1-2.5 m below, lens on, off or
+    both, waists 1-200 um, detector areas 1e-5-1e-2 m^2 and MPEs
+    1e-3-1e3 W/m^2, both drawn log-uniformly."""
+    width, length = draw(st.floats(0.5, 5.0)), draw(st.floats(0.5, 5.0))
+    n_aps = draw(st.integers(1, 4))
+    spot = st.tuples(st.floats(0.0, width), st.floats(0.0, length))
+    aps = draw(st.lists(spot, min_size=n_aps, max_size=n_aps))
+    users = draw(st.lists(spot, min_size=1, max_size=n_aps))
+    text = (
+        f"[room]\nwidth_m = {width!r}\nlength_m = {length!r}\n"
+        f"rx_plane_height_m = {draw(st.floats(0.5, 2.9))!r}\n"
+        "[transmitters]\npositions_m = " + "; ".join(f"({x!r}, {y!r}, 3.0)" for x, y in aps)
+        + f"\n[receiver]\ndetector_area_m2 = {10.0 ** draw(st.floats(-5.0, -2.0))!r}\n"
+        "[users]\npositions_m = " + "; ".join(f"({x!r}, {y!r})" for x, y in users)
+        + f"\n[safety]\nmpe_w_per_m2 = {10.0 ** draw(st.floats(-3.0, 3.0))!r}\n"
+    )
+    waists = sorted(draw(st.lists(st.floats(1e-6, 2e-4), min_size=2, max_size=2, unique=True)))
+    modes = draw(st.sampled_from([("off",), ("on",), ("off", "on")]))
+    return text, SweepSpec(waist_start=waists[0], waist_end=waists[1], steps=2, lens_modes=modes)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=compact_sweeps(), rate_model=st.sampled_from(["shannon", "ook"]))
+def test_a_random_compact_sweep_raises_or_reports_finite_rows(case, rate_model):
+    """Over about 2 s of random scenes, a sweep either refuses with a
+    VcselNetError (mostly a rank-deficient channel) or writes rows whose
+    rates, efficiencies, spreads and caps are finite and non-negative."""
+    text, sweep = case
+    try:
+        result = run_sweep(load_scene(text), sweep, rate_model=rate_model)
+    except VcselNetError:
+        return
+    for row in result.rows:
+        values = (row.sum_rate, row.sum_rate_std, row.ee, row.ee_std, row.p_max)
+        assert all(math.isfinite(v) and v >= 0.0 for v in values), (row, text)
+
+
 class TestCli:
     def run_cli(self, tmp_path, config_file, *extra):
         out = tmp_path / "out"
@@ -1010,6 +1052,47 @@ class TestCli:
         code, out = self.run_cli(tmp_path, config)
         assert code == 3
         assert f"{section}.{key}: " in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize(
+        "extra, lines, needles",
+        [
+            # z_r underflows to 0, then overflows; the waist's own point is named.
+            (("--waist-start", "1e-200", "--waist-end", "1e-6"), "",
+             ("waist=1e-200 m, lens=off", "Rayleigh range of 0.0 m")),
+            (("--waist-start", "1e-6", "--waist-end", "1e200"), "",
+             ("waist=1e+200 m, lens=off", "Rayleigh range of inf m")),
+            (("--waist-start", "1e-100", "--waist-end", "1e-6"), "",
+             ("waist=1e-100 m, lens=off", "beam radius of w0 1e-100 m overflows")),
+            # The pupil fraction rounds to 0.
+            (("--waist-start", "1e10", "--waist-end", "1e11"), "",
+             ("waist=10000000000.0 m, lens=off", "pupil fraction rounds to 0")),
+            ((), "pupil_radius_m = 1e-200\n", ("pupil_radius 1e-200 m",)),
+            # The lens relay over- or underflows.
+            ((), "[vcsel]\nwavelength_m = 1e-300\n",
+             ("lens f=0.000127 m, d1=0.000133 m", "wavelength 1e-300 m")),
+            ((), "[lens]\nfocal_length_m = 1e300\n", ("lens f=1e+300 m",)),
+            ((), "[lens]\nfocal_length_m = 1e-300\n",
+             ("w0 3.08743635628193e-302 m at wavelength 8.5e-07 m", "Rayleigh range of 0.0 m")),
+            # Currents overflow: the SINR is NaN, which OOK would rate 0 bit/s.
+            (("--rate-model", "shannon"), "", ("waist=3e-06 m, lens=off", "user 0: SINR is nan")),
+            (("--rate-model", "ook"), "", ("waist=3e-06 m, lens=off", "user 0: SINR is nan")),
+        ],
+        ids=["z_r-underflow", "z_r-overflow", "radius-overflow", "eta-at-large-waist",
+             "eta-at-tiny-pupil", "relay-of-tiny-wavelength", "relay-of-huge-focal-length",
+             "relay-of-tiny-focal-length", "nan-sinr-shannon", "nan-sinr-ook"],
+    )
+    def test_out_of_range_numbers_exit_6_naming_the_field_or_point(self, tmp_path, capsys,
+                                                                    extra, lines, needles):
+        mpe = "1e300" if "--rate-model" in extra else "10.0"
+        config = tmp_path / "extreme.ini"
+        config.write_text(f"[safety]\nmpe_w_per_m2 = {mpe}\n{lines}", encoding="utf-8")
+        code, out = self.run_cli(tmp_path, config, *extra)
+        err = capsys.readouterr().err
+        assert code == 6, err
+        assert all(needle in err for needle in needles), err
         assert not out.exists()
 
     def test_lens_selection(self, tmp_path, config_file, capsys):
