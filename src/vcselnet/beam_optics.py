@@ -263,9 +263,17 @@ def transformed_source(beam: BeamSpec, lens: LensSpec | None) -> tuple[BeamSpec,
     Without a lens the source itself is returned with zero offset. With a
     lens, the returned beam has the transformed waist w_l located d2 past
     the lens, so intensities at a plane z from the source are evaluated at
-    z - d2 from the new waist.
+    z - d2 from the new waist. DomainError naming the lens where the relay
+    over- or underflows, or where the relayed waist's Rayleigh range does.
     """
     if lens is None:
         return beam, 0.0
     tb = lens_transform(beam, lens)
-    return replace(beam, w0=tb.w_l), tb.d2
+    relayed = replace(beam, w0=tb.w_l)
+    try:
+        rayleigh_range(relayed)
+    except DomainError:
+        raise DomainError(f"lens f={lens.f!r} m, d1={lens.d1!r} m relays w0 {beam.w0!r} m to a "
+                          f"waist of {tb.w_l!r} m whose Rayleigh range at wavelength "
+                          f"{beam.wavelength!r} m is not positive and finite") from None
+    return relayed, tb.d2

@@ -151,8 +151,8 @@ def _dark_x(modes, level: float = _GAIN_FLOOR) -> float:
 
 @lru_cache(maxsize=16)
 def _radial_nodes(orders: tuple[int, ...]) -> tuple[np.ndarray, ...]:
-    """Unit Gauss-Legendre nodes and weights for both segments of
-    _radial_capture, each segment's orders side by side. For the circles,
+    """Unit Gauss-Legendre nodes and weights for the two kinds of segment
+    row of _radial_capture, each row's orders side by side. For the circles,
     t = (x + 1) / 2 with weight pi w (2 pi times the half length); for the
     arcs, -cos theta at theta = pi (x + 1) / 2 with weight pi w sin theta
     (2 for 2 psi, pi / 2 for dtheta / dx, sin theta for d(-cos theta))."""
@@ -182,57 +182,63 @@ def _radial_capture(modes, consts: np.ndarray, rho: np.ndarray, aperture_radius:
     mode_constants), and its own cut radius in r_cut, past which the beam
     carries no power that counts; every source has the mode set modes.
 
-    The intensity depends on r alone, so the disc integral is
-    int_0^min(a - rho, r_cut) I(r) 2 pi r dr, where every circle lies in
-    the disc, plus int_|rho - a|^min(rho + a, r_cut) I(r) 2 psi(r) r dr,
-    where its arc of half angle psi = arccos((r^2 + rho^2 - a^2) / (2 r
-    rho)) does. The arcs are taken in s = sqrt(r / hi), hi = min(rho + a,
-    r_cut), as s = mid - half cos theta, which smooths psi's square-root
-    ends. When the beam axis sits near the disc's edge, psi changes on the
-    scale |rho - a| near the axis: the square root spreads that over more
-    nodes than r itself would (by r alone, links within 1e-4 of the edge
-    were 2e-10 off; a logarithm instead lost up to 5e-7 on beams with
-    l >= 3, whose arcs' weight rises as r^(2l+1)). An order takes `order`
-    nodes per segment; all nodes go to one mode_sum call.
+    The intensity depends on r alone, so the disc integral is the circle
+    segment int_0^min(a - rho, r_cut) I(r) 2 pi r dr, where every circle
+    lies in the disc, plus the arc segment int_|rho - a|^min(rho + a, r_cut)
+    I(r) 2 psi(r) r dr, where its arc of half angle psi = arccos((r^2 +
+    rho^2 - a^2) / (2 r rho)) does. The arcs are taken in s = sqrt(r / hi),
+    hi = min(rho + a, r_cut), as s = mid - half cos theta, which smooths
+    psi's square-root ends. When the beam axis sits near the disc's edge,
+    psi changes on the scale |rho - a| near the axis: the square root
+    spreads that over more nodes than r itself would (by r alone, links
+    within 1e-4 of the edge were 2e-10 off; a logarithm instead lost up to
+    5e-7 on beams with l >= 3, whose arcs' weight rises as r^(2l+1)).
+
+    Only segments with length are evaluated: the circle where rho < a, the
+    arc where hi > |rho - a| (not at rho = 0, nor where r_cut falls short of
+    the disc). Each is one row of every order's nodes, all rows in one
+    mode_sum call. A link's value is circle + arc with +0.0 for a missing
+    segment, the sum its zero weights would give: no term is below +0.0.
     """
     a = aperture_radius
     t, w_t, c, w_c = _radial_nodes(orders)
-    rho, r_cut = rho[:, None], r_cut[:, None]
     inner = np.clip(a - rho, 0.0, r_cut)
     lo = np.abs(rho - a)
     hi = np.maximum(lo, np.minimum(rho + a, r_cut))
+    circle, arc = np.flatnonzero(inner > 0.0), np.flatnonzero(hi > lo)
+    inner = inner[circle, None]
+    r_in = inner * t
+    # rho > 0 on every arc row: at rho = 0, hi = lo = a.
+    rho, lo, hi = rho[arc, None], lo[arc, None], hi[arc, None]
     s_lo = np.sqrt(lo / hi)
     mid, half = 0.5 * (1.0 + s_lo), 0.5 * (1.0 - s_lo)
     s = mid + half * c
-    r_in, r_arc = inner * t, hi * (s * s)
-    # An empty arc segment (half = 0, as at rho = 0) has zero weights: any
-    # finite psi will do there.
-    rho_arc = np.where(half > 0.0, rho, 1.0)
-    cos_psi = (r_arc * r_arc + (rho - a) * (rho + a)) / (2.0 * r_arc * rho_arc)
+    r_arc = hi * (s * s)
+    cos_psi = (r_arc * r_arc + (rho - a) * (rho + a)) / (2.0 * r_arc * rho)
     psi = np.arccos(np.clip(cos_psi, -1.0, 1.0))
-    r = np.concatenate([r_in, r_arc], axis=1)
+    r = np.concatenate([r_in, r_arc])
     # dr = 2 hi s ds
-    weights = np.concatenate([inner * w_t * r_in, half * w_c * psi * r_arc * (2.0 * hi * s)],
-                             axis=1)
-    w_z_sq, *cs = consts.T[:, :, None]
+    weights = np.concatenate([inner * w_t * r_in, half * w_c * psi * r_arc * (2.0 * hi * s)])
+    w_z_sq, *cs = consts[np.concatenate([circle, arc])].T[:, :, None]
     terms = mode_sum(2.0 * np.square(r) / w_z_sq, modes, cs) * weights
     sums, start = [], 0
     for order in orders:
-        arc = start + t.size
-        sums.append(_row_sums(terms[:, start : start + order])
-                    + _row_sums(terms[:, arc : arc + order]))
+        segments = _row_sums(terms[:, start : start + order])
+        circle_sum, arc_sum = np.zeros(consts.shape[0]), np.zeros(consts.shape[0])
+        circle_sum[circle], arc_sum[arc] = segments[: circle.size], segments[circle.size :]
+        sums.append(circle_sum + arc_sum)
         start += order
     return sums
 
 
-def _disc_capture(sources: list[tuple], rho: np.ndarray, aperture_radius: float) -> np.ndarray:
-    """Adaptive disc capture: one row per (beam, distance) source, all with
-    the first one's modes, and one column per offset in rho; each value
+def _disc_capture(sources: list[_Source], rho: np.ndarray, aperture_radius: float) -> np.ndarray:
+    """Adaptive disc capture: one row per source (see _source), all with
+    equal mode sets, and one column per offset in rho; each value
     clipped to [0, 1], and +0.0 wherever it falls below _GAIN_FLOOR.
 
-    Each source's mode_constants fill one row of a (sources x (1 + modes))
-    table. All sources' links run through one pass, each round's nodes in
-    one mode_sum call, every link reading its source's row of the table by
+    The sources' constants rows fill a (sources x (1 + modes)) table. All
+    sources' links run through one pass, each round's segment rows in one
+    mode_sum call, every link reading its source's row of the table by
     index. Every link's value is the one its source gives alone.
 
     Offsets whose nearest disc point lies past the beam's tail threshold
@@ -244,16 +250,14 @@ def _disc_capture(sources: list[tuple], rho: np.ndarray, aperture_radius: float)
     call, as the first comparison needs both; each later round one order.
     Links still open after order 1024 come back as NaN.
     """
-    modes = sources[0][0].modes
-    result = np.full((len(sources), rho.size), np.nan)
-    consts = np.array([mode_constants(z, beam) for beam, z in sources])
-    r_cut = np.empty(len(sources))
+    modes = sources[0].modes
+    consts = np.array([source.consts for source in sources])
+    r_cut = np.array([source.r_cut for source in sources])
     gap = rho - aperture_radius
-    for i, (beam, z) in enumerate(sources):
-        w_z = beam_radius(z, beam)
-        result[i, (gap > 0.0) & (2.0 * gap**2 / w_z**2 > _dark_x(modes))] = 0.0
-        r_cut[i] = w_z * math.sqrt(0.5 * _dark_x(modes, _CUT_TAIL))
-    active = np.flatnonzero(np.isnan(result))  # links, numbered source-major
+    # consts[:, :1] holds each source's w_z^2.
+    dark = (gap > 0.0) & (2.0 * gap**2 / consts[:, :1] > _dark_x(modes))
+    result = np.where(dark, 0.0, np.nan)
+    active = np.flatnonzero(~dark)  # links, numbered source-major
     flat = result.reshape(-1)
     orders: tuple[int, ...] = (_QUAD_START_ORDER, 2 * _QUAD_START_ORDER)
     while active.size and orders[-1] <= _QUAD_MAX_ORDER:
@@ -272,11 +276,27 @@ def _disc_capture(sources: list[tuple], rho: np.ndarray, aperture_radius: float)
     return result
 
 
-def _source(beam: BeamSpec, lens: LensSpec | None, z: float) -> tuple[BeamSpec, float]:
-    """The beam and distance the quadrature sees for a source whose links
-    drop z, or DomainError if z or the beam's radius there is out of domain.
+class _Source(NamedTuple):
+    """What the quadrature reads of one (beam, lens) source at one drop:
+    the mode set, the constants row [w_z^2, c...] (see mode_constants) and
+    the cut radius, where the beam's tail falls to _CUT_TAIL."""
+
+    modes: tuple
+    consts: tuple[float, ...]
+    r_cut: float
+
+
+@lru_cache(maxsize=256)
+def _source(beam: BeamSpec, lens: LensSpec | None, z: float) -> _Source:
+    """The source the quadrature sees for a (beam, lens) whose links drop
+    z, or DomainError if z or the beam's radius there is out of domain.
     With a lens, intensities come from the transformed beam whose waist sits
-    d2 past the lens, so the effective propagation distance is z - d2."""
+    d2 past the lens, so the effective propagation distance is z - d2.
+
+    Cached by value (at most 256 sources), so a sweep over several seeds
+    derives each point's sources once. Equal frozen specs hold equal
+    floats, and a d1 or mode fraction of -0.0 gives the bits of +0.0, so a
+    cached source is bit for bit a fresh one. Errors are not cached."""
     if not 0 < z < math.inf:
         raise DomainError(f"link distance must be positive and finite, got {z!r}")
     eff_beam, waist_offset = transformed_source(beam, lens)
@@ -286,13 +306,14 @@ def _source(beam: BeamSpec, lens: LensSpec | None, z: float) -> tuple[BeamSpec, 
             f"link distance {z!r} m does not reach past the transformed waist at "
             f"{waist_offset!r} m behind the lens"
         )
-    beam_radius(z_eff, eff_beam)
-    return eff_beam, z_eff
+    w_z = beam_radius(z_eff, eff_beam)
+    return _Source(eff_beam.modes, tuple(mode_constants(z_eff, eff_beam)),
+                   w_z * math.sqrt(0.5 * _dark_x(eff_beam.modes, _CUT_TAIL)))
 
 
 def _link_source(
     beam: BeamSpec, lens: LensSpec | None, z: float, rho: float, aperture_radius: float
-) -> tuple[BeamSpec, float]:
+) -> _Source:
     """_source for one link, once its offset and aperture are checked: z,
     rho and the aperture must all be finite."""
     if not 0 <= rho < math.inf:
@@ -467,7 +488,7 @@ def _integrate(geometry: LinkGeometry, points: list[tuple]) -> list[tuple]:
     _disc_capture pass. A source out of domain keeps rows of NaN: the build
     that reads them raises the error.
     """
-    results, sets = [], {}  # id(modes) -> [(captures, row, (beam, distance))]
+    results, sets = [], {}  # modes -> [(captures, row, source)]
     for aps in points:
         pairs, source_of = distinct_sources(aps)
         captures = [np.full((len(pairs), rho.size), np.nan) for *_, rho, _ in geometry.batches]
@@ -477,7 +498,7 @@ def _integrate(geometry: LinkGeometry, points: list[tuple]) -> list[tuple]:
                 source = _source(beam, lens, geometry.z)
             except DomainError:
                 continue
-            sets.setdefault(id(source[0].modes), []).append((captures, row, source))
+            sets.setdefault(source.modes, []).append((captures, row, source))
     for b, (_, _, aperture, rho, _) in enumerate(geometry.batches):
         for members in sets.values():
             captured = _disc_capture([source for *_, source in members], rho, aperture)

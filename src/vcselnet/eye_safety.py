@@ -68,6 +68,15 @@ class SafetyResult:
             raise DomainError("power cap must be positive")
 
 
+def _pupil_radius_sq(safety: SafetySpec) -> float:
+    """r_p^2, m^2; DomainError naming pupil_radius where it overflows."""
+    try:
+        return safety.pupil_radius**2
+    except OverflowError:
+        raise DomainError(f"pupil_radius {safety.pupil_radius!r} m overflows when "
+                          "squared") from None
+
+
 def d86_distance(beam: BeamSpec, safety: SafetySpec) -> float:
     """Distance where the pupil encircles 86% of the beam power.
 
@@ -76,12 +85,11 @@ def d86_distance(beam: BeamSpec, safety: SafetySpec) -> float:
 
         d86 = (pi w0 / lambda) sqrt(-2 r_p^2 / ln(1 - 0.86))
     """
-    rp = safety.pupil_radius
     return (
         math.pi
         * beam.w0
         / beam.wavelength
-        * math.sqrt(-2.0 * rp**2 / math.log(1.0 - _ENCIRCLED_LEVEL))
+        * math.sqrt(-2.0 * _pupil_radius_sq(safety) / math.log(1.0 - _ENCIRCLED_LEVEL))
     )
 
 
@@ -107,7 +115,7 @@ def pupil_fraction(beam: BeamSpec, mhp: float, safety: SafetySpec) -> float:
     if not mhp > 0:
         raise DomainError(f"viewing distance must be positive, got {mhp!r}")
     w = beam_radius(mhp, beam)
-    eta = 1.0 - math.exp(-2.0 * safety.pupil_radius**2 / w**2)
+    eta = 1.0 - math.exp(-2.0 * _pupil_radius_sq(safety) / w**2)
     if not eta > 0:
         raise DomainError(f"pupil fraction rounds to 0: pupil_radius {safety.pupil_radius!r} m "
                           f"against a beam radius of {w!r} m at {mhp!r} m")
@@ -133,5 +141,5 @@ def max_safe_power(
     mhp = most_hazardous_position(eff_beam, safety)
     alpha = subtense_angle(eff_beam, mhp)
     eta = pupil_fraction(eff_beam, mhp, safety)
-    p_max = safety.mpe * math.pi * safety.pupil_radius**2 / eta
+    p_max = safety.mpe * math.pi * _pupil_radius_sq(safety) / eta
     return SafetyResult(d86=d86, mhp=mhp, alpha=alpha, eta=eta, p_max=p_max)

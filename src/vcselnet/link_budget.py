@@ -37,7 +37,8 @@ class NoiseBreakdown:
 def noise_variance(photocurrent: float | np.ndarray, elec: ElectricalSpec) -> NoiseBreakdown:
     """Receiver noise for a DC signal photocurrent, A^2: a float, or an array
     with one shot, rin and total per entry (thermal and preamp stay floats).
-    DomainError for a negative current; NaN passes.
+    DomainError for a negative current, or a noise figure whose linear
+    value overflows; NaN passes.
 
     shot    = 2 q I B_e
     thermal = 4 k_B T F B_e / R_l     (F the linear noise figure)
@@ -47,7 +48,11 @@ def noise_variance(photocurrent: float | np.ndarray, elec: ElectricalSpec) -> No
     if np.less(photocurrent, 0.0).any():
         raise DomainError(f"photocurrent must be >= 0, got {photocurrent!r}")
     be = elec.rx_bandwidth
-    nf_lin = 10.0 ** (elec.noise_figure_db / 10.0)
+    try:
+        nf_lin = 10.0 ** (elec.noise_figure_db / 10.0)
+    except OverflowError:
+        raise DomainError(f"noise_figure_db {elec.noise_figure_db!r} dB overflows as a linear "
+                          "noise figure") from None
     thermal = 4.0 * BOLTZMANN * elec.temperature * nf_lin * be / elec.load_resistance
     preamp = elec.preamp_noise_density * be
     shot = 2.0 * ELECTRON_CHARGE * photocurrent * be

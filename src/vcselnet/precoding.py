@@ -158,7 +158,8 @@ def zf_precoder(h, per_ap_power_cap) -> Precoder:
     # columns put them in distinct columns.
     lit_aps = np.count_nonzero(mat.any(axis=0))
     if np.count_nonzero(mat) == n_users and lit_aps == n_users:
-        users, aps = np.nonzero(mat)
+        # One nonzero per row: argmax of the row's mask finds it.
+        users, aps = np.arange(n_users), np.argmax(mat != 0.0, axis=1)
         h_nz = mat[users, aps]
         s = np.abs(h_nz)  # the singular values, unsorted
         if s.min() <= RANK_RTOL * s.max():

@@ -26,9 +26,10 @@ from vcselnet import (
     captured_fraction,
     default_scene,
     lens_transform,
+    max_safe_power,
     transformed_source,
 )
-from vcselnet import channel
+from vcselnet import beam_optics, channel, eye_safety
 from vcselnet.beam_optics import mode_constants, mode_sum
 from vcselnet.channel import _DEDUP_MIN_LINKS, _distinct, link_geometry
 from vcselnet.errors import DomainError
@@ -41,10 +42,11 @@ from conftest import COMPACT_CONFIG
 APERTURE = math.sqrt(2e-4 / math.pi)
 # Every gain below this is exactly +0.0 (channel._GAIN_FLOOR).
 GAIN_FLOOR = 1e-30
-# Nodes per link in the quadrature's first round: orders 16 and 32 side by
-# side in one mode_sum call, each with one node per order on each of its two
-# radial segments; x arrives as (links x nodes).
-FIRST_ROUND_NODES = 2 * (16 + 32)
+# Nodes per segment row in the quadrature's first round: orders 16 and 32
+# side by side in one mode_sum call, one row for each radial segment a link
+# has (the circle where rho < a, the arc where it has length); x arrives as
+# (rows x nodes).
+FIRST_ROUND_NODES = 16 + 32
 
 
 def cut_radius(beam, z):
@@ -366,6 +368,8 @@ class TestDarkLinks:
         )
         planes.clear()
         h = build_channel_matrix(scene)
+        # Every offset lies past the disc (rho > a): a lit link has one
+        # segment row, its arc, and a dark one none.
         assert sum(n for n, nodes in planes if nodes == FIRST_ROUND_NODES) == lit
         monkeypatch.undo()
         assert_bit_identical(h, per_link_channel(scene))
@@ -462,10 +466,12 @@ class TestTailBound:
                *scene_with_mpe.aps[1:])
         scene = dataclasses.replace(scene_with_mpe, aps=aps)
         channel._dark_x.cache_clear()
+        channel._source.cache_clear()
         run_sweep(scene, SweepSpec(waist_start=1e-6, waist_end=8e-6, steps=3))
         info = channel._dark_x.cache_info()
         assert info.misses == 2 * 2  # the screen's level and the cut's, per mode set
-        assert info.hits >= 2 * (6 * 2 - 2)  # six points, at least one batch per mode set
+        # The cut's level once per source, two per point over six points.
+        assert info.hits >= 6 * 2 - 2
 
     def test_first_call_is_cheap(self, monkeypatch):
         # An uncached call, at either level, builds the exact tail
@@ -747,9 +753,145 @@ def test_merged_first_round_matches_separate_orders(modes, w0, z, aperture, rho)
     for order, got in zip((16, 32), merged):
         (alone,) = channel._radial_capture(modes, table, offsets, aperture, r_cut, (order,))
         assert got.tobytes() == alone.tobytes()
-    (whole,) = channel._disc_capture([(beam, z)], offsets, aperture)
+    (whole,) = channel._disc_capture([channel._source(beam, None, z)], offsets, aperture)
     assert whole.tolist() == [captured_fraction(beam, None, z, x, aperture) for x in rho]
     assert_capture(whole[0], quad_captured_fraction(beam, None, z, rho[0], aperture), rel=1e-9)
+
+
+def both_segments_capture(modes, consts, rho, aperture, r_cut, orders):
+    """The reference the segment-row kernel must match bit for bit: every
+    link evaluates both segments, each order's nodes side by side in each,
+    an empty segment contributing through its zero weights, and each
+    order's two segment sums halved column by column on their own."""
+    rules = [np.polynomial.legendre.leggauss(order) for order in orders]
+    t = np.concatenate([0.5 * (x + 1.0) for x, _ in rules])
+    theta = np.concatenate([0.5 * math.pi * (x + 1.0) for x, _ in rules])
+    w = np.concatenate([w for _, w in rules])
+    w_t, c, w_c = math.pi * w, -np.cos(theta), math.pi * w * np.sin(theta)
+    a = aperture
+    rho, r_cut = rho[:, None], r_cut[:, None]
+    inner = np.clip(a - rho, 0.0, r_cut)
+    lo = np.abs(rho - a)
+    hi = np.maximum(lo, np.minimum(rho + a, r_cut))
+    s_lo = np.sqrt(lo / hi)
+    mid, half = 0.5 * (1.0 + s_lo), 0.5 * (1.0 - s_lo)
+    s = mid + half * c
+    r_in, r_arc = inner * t, hi * (s * s)
+    rho_arc = np.where(half > 0.0, rho, 1.0)
+    cos_psi = (r_arc * r_arc + (rho - a) * (rho + a)) / (2.0 * r_arc * rho_arc)
+    psi = np.arccos(np.clip(cos_psi, -1.0, 1.0))
+    r = np.concatenate([r_in, r_arc], axis=1)
+    weights = np.concatenate([inner * w_t * r_in, half * w_c * psi * r_arc * (2.0 * hi * s)],
+                             axis=1)
+    w_z_sq, *cs = consts.T[:, :, None]
+    terms = mode_sum(2.0 * np.square(r) / w_z_sq, modes, cs) * weights
+
+    def row_sums(block):
+        while block.shape[1] > 1:
+            block = block[:, ::2] + block[:, 1::2]
+        return block[:, 0]
+
+    sums, start = [], 0
+    for order in orders:
+        arc = start + t.size
+        sums.append(row_sums(terms[:, start : start + order])
+                    + row_sums(terms[:, arc : arc + order]))
+        start += order
+    return sums
+
+
+# An offset in units of the aperture radius, or the float just above or
+# below the radius itself.
+NEXT_TO_EDGE = {"above": math.inf, "below": 0.0}
+EDGE_CASES = [
+    (0.0, False, 0),  # on axis: the circle alone
+    (1.0, False, 1),  # the axis on the disc's edge: the arc alone, from r = 0
+    ("above", False, 0),  # just outside: the arc alone
+    ("below", False, 1),  # just inside: a circle one ulp wide, and the arc
+    ("below", True, 0),  # r_cut < a - rho: the circle alone, cut short
+    (0.3, True, 1),  # r_cut < a - rho: the circle alone, cut short
+    (3.0, True, 0),  # r_cut < rho - a: no segment at all
+    (3.0, False, 1),  # the arc alone
+]
+
+
+@settings(max_examples=60, deadline=None)
+@example(modes=DEFAULT_MODES, w0s=(5e-6, 1e-6), z=2.0, aperture=APERTURE, links=EDGE_CASES,
+         orders=(16, 32))
+@example(modes=FUNDAMENTAL_MODE, w0s=(8e-6, 1e-6), z=0.5, aperture=0.5 * APERTURE,
+         links=EDGE_CASES, orders=(64,))
+@given(
+    modes=st.sampled_from([FUNDAMENTAL_MODE, DEFAULT_MODES]),
+    w0s=st.tuples(*[st.sampled_from([1e-6, 5e-6, 8e-6])] * 2),
+    z=st.floats(0.5, 3.0),
+    aperture=st.sampled_from([APERTURE, 0.5 * APERTURE]),
+    links=st.lists(st.tuples(st.one_of(st.sampled_from([0.0, 1.0, "above", "below"]),
+                                       st.floats(0.0, 40.0)),
+                             st.booleans(), st.integers(0, 1)), min_size=1, max_size=8),
+    orders=st.sampled_from([(16, 32), (64,), (256, 512)]),
+)
+def test_segment_rows_match_both_segments_bit_for_bit(modes, w0s, z, aperture, links, orders):
+    """The kernel evaluates only the segments that have length, each as one
+    row of every order's nodes; each link's value per order equals, bit for
+    bit, the value of evaluating both segments, empty ones included.
+    A link is drawn as its offset, whether r_cut falls short of |rho - a|
+    (half of it), and which of two sources' constants rows it reads."""
+    beams = [BeamSpec(w0, 850e-9, modes) for w0 in w0s]
+    rho = np.array([math.nextafter(aperture, NEXT_TO_EDGE[u]) if isinstance(u, str)
+                    else u * aperture for u, _, _ in links])
+    r_cut = np.array([0.5 * abs(x - aperture) if short and x != aperture
+                      else cut_radius(beams[row], z) for x, (_, short, row) in zip(rho, links)])
+    table = np.array([mode_constants(z, beams[row]) for *_, row in links])
+    got = channel._radial_capture(modes, table, rho, aperture, r_cut, orders)
+    want = both_segments_capture(modes, table, rho, aperture, r_cut, orders)
+    for g, w in zip(got, want, strict=True):
+        assert g.tobytes() == w.tobytes()
+
+
+class TestSourceCaches:
+    """Each (beam, lens, drop) source's quadrature constants are derived
+    once and then read from a bounded cache keyed by value."""
+
+    def test_every_cache_is_bounded(self):
+        caches = [fn for module in (beam_optics, eye_safety, channel)
+                  for fn in vars(module).values() if hasattr(fn, "cache_parameters")]
+        assert {fn.__name__ for fn in caches} >= {"_source", "_dark_x", "_radial_nodes"}
+        assert all(fn.cache_parameters()["maxsize"] is not None for fn in caches)
+
+    def test_equal_but_distinct_specs_give_bit_identical_caps_and_channels(self, compact_scene):
+        scene = place_users(compact_scene, 4, seed=3)
+        copies = dataclasses.replace(scene, safety=dataclasses.replace(scene.safety), aps=tuple(
+            dataclasses.replace(ap, beam=dataclasses.replace(ap.beam),
+                                lens=ap.lens and dataclasses.replace(ap.lens))
+            for ap in scene.aps))
+        assert copies.aps[0].beam is not scene.aps[0].beam
+        assert copies.aps[0].lens == scene.aps[0].lens is not None
+
+        def outputs(scn):
+            caps = [max_safe_power(ap.beam, scn.safety, ap.lens) for ap in scn.aps]
+            return ([float(x).hex() for cap in caps for x in dataclasses.astuple(cap)],
+                    build_channel_matrix(scn).gains.tobytes())
+
+        channel._source.cache_clear()
+        fresh = outputs(scene)
+        misses = channel._source.cache_info().misses
+        assert outputs(copies) == fresh  # read from the cache: nothing derived again
+        assert channel._source.cache_info().misses == misses
+        channel._source.cache_clear()
+        assert outputs(copies) == fresh  # derived afresh from the copies
+
+    def test_signed_zeros_that_compare_equal_give_the_same_bits(self, compact_scene):
+        # +0.0 == -0.0 as a lens's d1 or a mode's fraction, so either may be
+        # the key the cache holds; both must derive the same bits.
+        beam = compact_scene.aps[0].beam
+
+        def derived(zero):
+            channel._source.cache_clear()
+            src = dataclasses.replace(beam, modes=beam.modes + ((2, 0, zero),))
+            source = channel._source(src, LensSpec(f=127e-6, d1=zero), 2.0)
+            return [float(x).hex() for x in (*source.consts, source.r_cut)]
+
+        assert derived(0.0) == derived(-0.0)
 
 
 GRID = st.sampled_from([0.0, 0.25, 0.3, 0.5, 1.0, 2.0])

@@ -40,9 +40,10 @@ from vcselnet.errors import (ConfigError, DomainError, SweepPointError, VcselNet
 
 from conftest import COMPACT_CONFIG, DEFAULT_MPE, GRID_CONFIG
 
-# Nodes per link in the quadrature's first round: orders 16 and 32 side by side,
-# each with one node per order on each of its two radial segments.
-FIRST_ROUND_NODES = 2 * (16 + 32)
+# Nodes per segment row in the quadrature's first round: orders 16 and 32 side
+# by side, one row for each radial segment a link has (the circle where rho < a,
+# the arc where it has length).
+FIRST_ROUND_NODES = 16 + 32
 
 CONFIG_TEXT = f"""
 [safety]
@@ -636,7 +637,9 @@ def test_a_sweep_integrates_all_its_points_in_one_first_round(monkeypatch):
     """The pinned grid's four points share one batch. The first point's
     channel build integrates the 8, 1, 1 and 1 lit offsets of all four in
     one first-round kernel call, where each point made its own before, and
-    every kernel call runs inside one of the sweep's channel builds."""
+    every kernel call runs inside one of the sweep's channel builds. Each
+    lit offset has one segment row: the circle at rho = 0, else the arc,
+    since the grid's 1 m pitch puts every other offset past the disc."""
     kernel_calls, open_builds = [], []
 
     def kernel(x, modes, cs):
@@ -701,6 +704,28 @@ def test_a_two_source_sweep_integrates_every_source_in_one_first_round(monkeypat
             assert getattr(h, name).tobytes() == getattr(want, name).tobytes()
     assert len(first_rounds) == len(built)
     assert merged == [sum(first_rounds)]
+
+
+def test_sources_with_equal_but_distinct_mode_sets_share_one_first_round(monkeypatch):
+    """Sources are grouped for the merged pass by the value of their mode
+    set: a first AP whose modes are an equal copy still shares the one
+    first-round kernel call."""
+    scene, sweep = two_source_scene()
+    beam = scene.aps[0].beam
+    copy = dataclasses.replace(beam, modes=tuple(list(beam.modes)))
+    assert copy.modes == scene.aps[1].beam.modes and copy.modes is not scene.aps[1].beam.modes
+    scene = dataclasses.replace(scene, aps=(dataclasses.replace(scene.aps[0], beam=copy),
+                                            *scene.aps[1:]))
+    first_rounds = []
+
+    def kernel(x, modes, cs):
+        if x.shape[1] == FIRST_ROUND_NODES:
+            first_rounds.append(x.shape[0])
+        return mode_sum(x, modes, cs)
+
+    monkeypatch.setattr(channel, "mode_sum", kernel)
+    run_sweep(scene, sweep)
+    assert len(first_rounds) == 1
 
 
 def three_seed_scene():
@@ -1075,14 +1100,20 @@ class TestCli:
              ("lens f=0.000127 m, d1=0.000133 m", "wavelength 1e-300 m")),
             ((), "[lens]\nfocal_length_m = 1e300\n", ("lens f=1e+300 m",)),
             ((), "[lens]\nfocal_length_m = 1e-300\n",
-             ("w0 3.08743635628193e-302 m at wavelength 8.5e-07 m", "Rayleigh range of 0.0 m")),
+             ("lens f=1e-300 m, d1=0.000133 m relays w0 5e-06 m",
+              "waist of 3.08743635628193e-302 m whose Rayleigh range")),
+            # r_p^2 and the linear noise figure overflow.
+            ((), "pupil_radius_m = 1e200\n", ("pupil_radius 1e+200 m overflows",)),
+            ((), "[electrical]\ntia_noise_figure_db = 1e300\n",
+             ("waist=3e-06 m, lens=off", "noise_figure_db 1e+300 dB overflows")),
             # Currents overflow: the SINR is NaN, which OOK would rate 0 bit/s.
             (("--rate-model", "shannon"), "", ("waist=3e-06 m, lens=off", "user 0: SINR is nan")),
             (("--rate-model", "ook"), "", ("waist=3e-06 m, lens=off", "user 0: SINR is nan")),
         ],
         ids=["z_r-underflow", "z_r-overflow", "radius-overflow", "eta-at-large-waist",
              "eta-at-tiny-pupil", "relay-of-tiny-wavelength", "relay-of-huge-focal-length",
-             "relay-of-tiny-focal-length", "nan-sinr-shannon", "nan-sinr-ook"],
+             "relay-of-tiny-focal-length", "pupil-overflow", "noise-figure-overflow",
+             "nan-sinr-shannon", "nan-sinr-ook"],
     )
     def test_out_of_range_numbers_exit_6_naming_the_field_or_point(self, tmp_path, capsys,
                                                                     extra, lines, needles):
