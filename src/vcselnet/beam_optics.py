@@ -262,8 +262,9 @@ def transformed_source(beam: BeamSpec, lens: LensSpec | None) -> tuple[BeamSpec,
 
     Without a lens the source itself is returned with zero offset. With a
     lens, the returned beam has the transformed waist w_l located d2 past
-    the lens, so intensities at a plane z from the source are evaluated at
-    z - d2 from the new waist. DomainError naming the lens where the relay
+    the lens, so intensities at a plane z past the transmitter's exit plane
+    (the VCSEL without a lens, the lens with one) are evaluated at z - d2
+    from the new waist. DomainError naming the lens where the relay
     over- or underflows, or where the relayed waist's Rayleigh range does.
     """
     if lens is None:

@@ -69,7 +69,8 @@ class ChannelMatrix:
     """Gains plus the geometry they were computed from.
 
     gains      (users x aps) captured power fractions
-    distances  (users x aps) propagation distances from the source plane, m
+    distances  (users x aps) propagation distances from the transmitter's
+               exit plane, m
     offsets    (users x aps) lateral offsets between beam axis and detector
                center, m
     """
@@ -290,8 +291,9 @@ class _Source(NamedTuple):
 def _source(beam: BeamSpec, lens: LensSpec | None, z: float) -> _Source:
     """The source the quadrature sees for a (beam, lens) whose links drop
     z, or DomainError if z or the beam's radius there is out of domain.
-    With a lens, intensities come from the transformed beam whose waist sits
-    d2 past the lens, so the effective propagation distance is z - d2.
+    z is measured from the transmitter's exit plane: the VCSEL without a
+    lens, the lens with one. The lens relays the beam to a waist d2 past
+    itself, so the effective propagation distance is z - d2.
 
     Cached by value (at most 256 sources), so a sweep over several seeds
     derives each point's sources once. Equal frozen specs hold equal
@@ -311,18 +313,6 @@ def _source(beam: BeamSpec, lens: LensSpec | None, z: float) -> _Source:
                    w_z * math.sqrt(0.5 * _dark_x(eff_beam.modes, _CUT_TAIL)))
 
 
-def _link_source(
-    beam: BeamSpec, lens: LensSpec | None, z: float, rho: float, aperture_radius: float
-) -> _Source:
-    """_source for one link, once its offset and aperture are checked: z,
-    rho and the aperture must all be finite."""
-    if not 0 <= rho < math.inf:
-        raise DomainError(f"lateral offset must be >= 0 and finite, got {rho!r}")
-    if not 0 < aperture_radius < math.inf:
-        raise DomainError(f"aperture radius must be positive and finite, got {aperture_radius!r}")
-    return _source(beam, lens, z)
-
-
 def _not_converged(z: float, rho: float, aperture_radius: float) -> DomainError:
     return DomainError(
         f"disc quadrature did not converge by order {_QUAD_MAX_ORDER} "
@@ -339,9 +329,10 @@ def captured_fraction(
 ) -> float:
     """Fraction of emitted power captured by a disc detector.
 
-    z is the distance from the source plane, rho the lateral offset of the
-    disc center from the beam axis, both in meters. With a lens, intensities
-    come from the transformed beam whose waist sits d2 past the lens, so the
+    z is the distance from the transmitter's exit plane (the VCSEL without
+    a lens, the lens with one), rho the lateral offset of the disc center
+    from the beam axis, both in meters. With a lens, intensities come from
+    the transformed beam whose waist sits d2 past the lens, so the
     effective propagation distance is z - d2 (z <= d2 is out of domain).
     The intensity is integrated radially about the beam axis, and the
     order doubles until the result changes by less than 1e-8 relative;
@@ -349,7 +340,11 @@ def captured_fraction(
     _GAIN_FLOOR (1e-30) is +0.0. A disc so far off axis that the beam's tail
     bounds its capture below the floor is never integrated.
     """
-    source = _link_source(beam, lens, z, rho, aperture_radius)
+    if not 0 <= rho < math.inf:
+        raise DomainError(f"lateral offset must be >= 0 and finite, got {rho!r}")
+    if not 0 < aperture_radius < math.inf:
+        raise DomainError(f"aperture radius must be positive and finite, got {aperture_radius!r}")
+    source = _source(beam, lens, z)
     h = float(_disc_capture([source], np.array([float(rho)]), aperture_radius)[0, 0])
     if math.isnan(h):
         raise _not_converged(z, rho, aperture_radius)
@@ -479,24 +474,27 @@ def distinct_sources(aps: tuple) -> tuple[list[tuple], np.ndarray]:
 
 
 def _integrate(geometry: LinkGeometry, points: list[tuple]) -> list[tuple]:
-    """Each point's (source_of, captures): its APs' indices into its
-    sources (see distinct_sources) and, per batch, one row per source of
-    captures at the batch's distinct offsets.
+    """Each point's (source_of, captures, errors): its APs' indices into
+    its sources (see distinct_sources); per batch, one row per source of
+    captures at the batch's distinct offsets; and per source, the
+    DomainError that put it out of domain, or None.
 
     Each point's sources are checked and transformed once (_source). Per
     batch, the sources of all points that share a mode set go through one
     _disc_capture pass. A source out of domain keeps rows of NaN: the build
-    that reads them raises the error.
+    that reads them raises its error.
     """
     results, sets = [], {}  # modes -> [(captures, row, source)]
     for aps in points:
         pairs, source_of = distinct_sources(aps)
         captures = [np.full((len(pairs), rho.size), np.nan) for *_, rho, _ in geometry.batches]
-        results.append((source_of, captures))
+        errors = [None] * len(pairs)
+        results.append((source_of, captures, errors))
         for row, (beam, lens) in enumerate(pairs):
             try:
                 source = _source(beam, lens, geometry.z)
-            except DomainError:
+            except DomainError as exc:
+                errors[row] = exc
                 continue
             sets.setdefault(source.modes, []).append((captures, row, source))
     for b, (_, _, aperture, rho, _) in enumerate(geometry.batches):
@@ -511,11 +509,13 @@ def build_channel_matrix(scene: Scene, geometry: LinkGeometry | None = None) -> 
     """Evaluate every (user, AP) link in the scene.
 
     Beams point straight down, so the propagation distance is the vertical
-    drop from the ceiling to the receive plane and the lateral offset is the
-    horizontal AP-user distance. Links whose arrival angle at the detector
-    exceeds the user's field-of-view half angle are zeroed. The detector
-    disc lies in the receive plane, perpendicular to the beam axis, so the
-    integral over it is already the captured power: no incidence cosine.
+    drop from the ceiling to the receive plane, measured from each
+    transmitter's exit plane (the VCSEL without a lens, the lens with one;
+    see _source), and the lateral offset is the horizontal AP-user distance.
+    Links whose arrival angle at the detector exceeds the user's
+    field-of-view half angle are zeroed. The detector disc lies in the
+    receive plane, perpendicular to the beam axis, so the integral over it
+    is already the captured power: no incidence cosine.
 
     Links sharing a user aperture form one batch, and each source (beam,
     lens) integrates each distinct offset in a batch once, unless the beam's
@@ -530,10 +530,10 @@ def build_channel_matrix(scene: Scene, geometry: LinkGeometry | None = None) -> 
     captures from the merged pass: the first such build integrates every
     listed point at once, each batch's links of all points in one adaptive
     pass, and later builds only scatter the captures kept for them. Any
-    other scene is integrated as a pass of its own. A build whose links are
-    out of domain raises that DomainError, and one whose links did not
-    converge raises after that check, so a point's errors are raised by its
-    own call.
+    other scene is integrated as a pass of its own. A build raises the
+    DomainError of the first of its links whose source is out of domain,
+    else that of the first link that did not converge, so a point's errors
+    are raised by its own call.
     """
     if geometry is None:
         geometry = link_geometry(scene)
@@ -541,13 +541,13 @@ def build_channel_matrix(scene: Scene, geometry: LinkGeometry | None = None) -> 
         _check_geometry(scene, geometry)
     point = next((p for p, aps in enumerate(geometry.points) if aps is scene.aps), None)
     if point is None:
-        ((source_of, captures),) = _integrate(geometry, [scene.aps])
+        ((source_of, captures, errors),) = _integrate(geometry, [scene.aps])
     else:
         if point not in geometry.captures:
             pending = [p for p in range(len(geometry.points)) if p not in geometry.captures]
             geometry.captures.update(zip(pending, _integrate(
                 geometry, [geometry.points[p] for p in pending])))
-        source_of, captures = geometry.captures[point]
+        source_of, captures, errors = geometry.captures[point]
     gains = np.zeros(geometry.offsets.shape)
     flat = gains.reshape(-1)
     for (links, link_aps, _, _, inverse), values in zip(geometry.batches, captures):
@@ -556,7 +556,9 @@ def build_channel_matrix(scene: Scene, geometry: LinkGeometry | None = None) -> 
     if failed:
         n_aps = len(scene.aps)
         for k in failed:
-            _source(scene.aps[k % n_aps].beam, scene.aps[k % n_aps].lens, geometry.z)
+            error = errors[source_of[k % n_aps]]
+            if error is not None:
+                raise error
         user = scene.users[failed[0] // n_aps]
         raise _not_converged(geometry.z, float(geometry.offsets.flat[failed[0]]),
                              math.sqrt(user.detector_area / math.pi))

@@ -76,8 +76,6 @@ def main(argv: list[str] | None = None) -> int:
             scene = load_scene(args.config.read_text(encoding="utf-8"))
         else:
             scene = load_scene("")
-        for warning in scene.warnings:
-            print(f"warning: {warning}", file=sys.stderr)
 
         modes = ("off", "on") if args.lens == "both" else (args.lens,)
         sweep = SweepSpec(

@@ -4,8 +4,9 @@ The exposure-limiting geometry is evaluated at the most hazardous position
 (MHP): the closer of the 86%-encircled-power distance and a near-point floor.
 The per-emitter power cap follows from the maximum permissible exposure (MPE)
 and the fraction of beam power entering a standard pupil at the MHP. With a
-micro-lens the transformed beam (waist w_l at d2 past the lens) is assessed,
-distances measured from the transformed waist plane.
+micro-lens the transformed beam (waist w_l at d2 past the lens) is assessed.
+Viewing distances start at the emitted waist: the VCSEL's own without a
+lens, the relayed one with it.
 """
 
 from __future__ import annotations
@@ -127,9 +128,9 @@ def max_safe_power(
 ) -> SafetyResult:
     """Per-emitter power cap P_max = MPE * pi * r_p^2 / eta at the MHP.
 
-    With a lens, the transformed beam is assessed (waist w_l, distances from
-    the post-lens waist plane). Raises ConfigError when MPE is unset: the
-    exposure limit is a required input with no default.
+    With a lens, the transformed beam is assessed (waist w_l, viewing
+    distances from that relayed waist). Raises ConfigError when MPE is
+    unset: the exposure limit is a required input with no default.
     """
     if safety.mpe is None:
         raise ConfigError(

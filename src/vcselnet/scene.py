@@ -5,7 +5,8 @@ access points (each an N x N VCSEL array treated as one co-located source),
 user terminals on the receive plane, electrical parameters and the
 eye-safety inputs. Scenes load from a flat INI-style document (sections and
 key = value lines, SI units annotated in each key name) and serialize back
-losslessly; a deprecated key is parsed, ignored and named in a warning.
+losslessly. Loading only parses and validates: no power cap or other
+physics is computed until a scene is evaluated.
 """
 
 from __future__ import annotations
@@ -13,14 +14,14 @@ from __future__ import annotations
 import configparser
 import math
 from collections import defaultdict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
 from .beam_optics import BeamSpec, LensSpec
 from .errors import ConfigError, DomainError, InfeasibleError, require_positive
-from .eye_safety import SafetySpec, max_safe_power
+from .eye_safety import SafetySpec
 
 _DEFAULT_AP_POSITIONS = ((3.0, 3.0, 3.0), (1.0, 3.0, 3.0), (3.0, 1.0, 3.0), (1.0, 1.0, 3.0))
 # Config defaults for the fields BeamSpec and LensSpec leave required.
@@ -50,9 +51,11 @@ class Room:
 class AccessPoint:
     """Ceiling transmitter: an N x N VCSEL array pointing straight down.
 
-    The array is modeled as a single co-located source with one shared beam;
-    its emitted power is array_n^2 * per_vcsel_power. per_vcsel_power = None
-    means "resolve to the eye-safe cap at evaluation time".
+    The array is modeled as a single co-located source with one shared beam,
+    emitting array_n^2 times one VCSEL's power. Sweeps transmit every VCSEL
+    at its eye-safe cap and refuse a scene that sets per_vcsel_power: no
+    evaluation reads it, and it is kept only so that dump_scene writes back
+    every key load_scene read.
     """
 
     position: tuple[float, float, float]
@@ -160,7 +163,6 @@ class Scene:
     lens_design: LensSpec
     seed: int = 0
     placement: str = "explicit"
-    warnings: tuple[str, ...] = field(default=(), compare=False)
 
     def __post_init__(self):
         if self.placement not in ("on-axis", "random", "explicit"):
@@ -299,8 +301,7 @@ class _Key(NamedTuple):
 
     owner names the objects that hold the field (see dump_scene). parse turns
     the raw text into the field value; format turns the field value back into
-    text, or None to omit the key. A key whose format is None is read only;
-    one whose owner is "ignored" sets no field, only a warning (load_scene).
+    text, or None to omit the key. A key whose format is None is read only.
     """
 
     section: str
@@ -330,7 +331,6 @@ _KEYS = (
     _Key("lens", "enabled", "ap", "lens", _boolean, lambda lens: "no" if lens is None else "yes"),
     _Key("lens", "focal_length_m", "lens", "f", _number, _repr),
     _Key("lens", "vcsel_to_lens_m", "lens", "d1", _number, _repr),
-    _Key("lens", "refractive_index", "ignored", "lens.refractive_index", _number, None),
     _Key("transmitters", "positions_m", "ap", "position", _positions(3), _format_positions),
     _Key("receiver", "detector_area_m2", "user", "detector_area", _number, _repr),
     _Key("receiver", "responsivity_a_per_w", "user", "responsivity", _number, _repr),
@@ -338,8 +338,6 @@ _KEYS = (
     _Key("receiver", "fov_half_angle_deg", "user", "fov_half_angle",
          lambda raw: math.radians(_number(raw)), None),
     _Key("electrical", "rx_bandwidth_hz", "electrical", "rx_bandwidth", _number, _repr),
-    _Key("electrical", "vcsel_bandwidth_hz", "ignored", "electrical.vcsel_bandwidth_hz",
-         _number, None),
     _Key("electrical", "load_resistance_ohm", "electrical", "load_resistance", _number, _repr),
     _Key("electrical", "tia_noise_figure_db", "electrical", "noise_figure_db", _number, _repr),
     _Key("electrical", "rin_db_per_hz", "electrical", "rin_db_per_hz", _number, _repr),
@@ -389,10 +387,9 @@ def load_scene(text: str) -> Scene:
     Raises ConfigError for unparseable input (with the offending line), for a
     key or section that is not in the key table, for users.positions_m beside
     users.placement or a differing users.count, or for any field violating
-    its invariant. A deprecated key (lens.refractive_index,
-    electrical.vcsel_bandwidth_hz) must parse as a number and is ignored, and
-    when the exposure limit is configured, explicit per-VCSEL powers above
-    the eye-safe cap are clamped to it: each attaches a warning to the scene.
+    its invariant. Nothing is computed from the parsed values: a beam that a
+    lens cannot relay, or an exposure limit that gives no finite power cap,
+    is found when the scene is evaluated.
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
@@ -424,20 +421,6 @@ def load_scene(text: str) -> Scene:
     electrical = _spec(ElectricalSpec(), "electrical", fields["electrical"], parser)
     safety = _spec(SafetySpec(), "safety", fields["safety"], parser)
 
-    warnings = [f"{name} is ignored and will be removed" for name in fields["ignored"]]
-    if safety.mpe is not None:
-        clamped_aps = []
-        for i, ap in enumerate(aps):
-            cap = max_safe_power(ap.beam, safety, ap.lens).p_max
-            if ap.per_vcsel_power is not None and ap.per_vcsel_power > cap:
-                warnings.append(
-                    f"access point {i}: per_vcsel_power {ap.per_vcsel_power!r} W exceeds "
-                    f"the eye-safe cap {cap!r} W; clamped"
-                )
-                ap = replace(ap, per_vcsel_power=cap)
-            clamped_aps.append(ap)
-        aps = tuple(clamped_aps)
-
     # The one user is the receiver all users share; placement positions them.
     scene = Scene(
         room=room,
@@ -447,7 +430,6 @@ def load_scene(text: str) -> Scene:
         safety=safety,
         lens_design=lens_design,
         seed=fields["scene"].get("seed", Scene.seed),
-        warnings=tuple(warnings),
     )
     placing, positions = fields["placed"], fields["explicit"].get("position")
     if positions is None:
@@ -531,7 +513,6 @@ def dump_scene(scene: Scene) -> str:
         "scene": (scene,),
         "explicit": scene.users if explicit else (),
         "placed": () if explicit else (scene,),
-        "ignored": (),
     }
     sections: dict[str, list[str]] = {}
     for k in _KEYS:

@@ -27,6 +27,7 @@ from vcselnet import (
     default_scene,
     lens_transform,
     max_safe_power,
+    rayleigh_range,
     transformed_source,
 )
 from vcselnet import beam_optics, channel, eye_safety
@@ -222,6 +223,36 @@ class TestCapturedFraction:
         with_lens = captured_fraction(fundamental_beam, table_lens, z, 0.3, APERTURE)
         manual = captured_fraction(moved, None, z - tb.d2, 0.3, APERTURE)
         assert with_lens == pytest.approx(manual, rel=1e-12)
+
+    def test_lens_on_links_are_measured_from_the_lens_by_abcd(self, table_lens):
+        """z runs from the transmitter's exit plane, the lens when there is
+        one: the channel's w^2 at the receive plane is that of the complex
+        beam parameter q = d1 + i z_r taken through the thin lens and then
+        over z, and a centred TEM00 disc captures 1 - exp(-2 a^2 / w^2) of it."""
+
+        def abcd_w_sq(beam, lens, z):
+            q = complex(lens.d1, rayleigh_range(beam))
+            q = q / (1.0 - q / lens.f) + z
+            return beam.wavelength * abs(q) ** 2 / (math.pi * q.imag)
+
+        rng = np.random.default_rng(20261020)
+        checked = 0
+        for _ in range(400):
+            beam = BeamSpec(w0=10.0 ** rng.uniform(-6.0, -4.3), wavelength=850e-9,
+                            modes=FUNDAMENTAL_MODE)
+            f = 10.0 ** rng.uniform(-4.3, -3.3)
+            lens = LensSpec(f=f, d1=f * rng.uniform(0.5, 2.0))
+            z = rng.uniform(0.1, 3.0)
+            if z <= lens_transform(beam, lens).d2:
+                continue
+            w_sq = channel._source(beam, lens, z).consts[0]
+            assert w_sq == pytest.approx(abcd_w_sq(beam, lens, z), rel=1e-12, abs=0.0)
+            checked += 1
+        assert checked > 300
+        beam = BeamSpec(w0=5e-6, wavelength=850e-9, modes=FUNDAMENTAL_MODE)
+        got = captured_fraction(beam, table_lens, 2.0, 0.0, APERTURE)
+        closed = 1.0 - math.exp(-2.0 * APERTURE**2 / abcd_w_sq(beam, table_lens, 2.0))
+        assert got == pytest.approx(closed, rel=0.0, abs=1e-9)
 
     def test_result_never_exceeds_unity(self, multimode_beam):
         z = 1e-3

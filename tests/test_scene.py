@@ -21,6 +21,7 @@ from vcselnet import (
     place_users,
     place_users_on_axis,
 )
+from vcselnet import beam_optics
 from vcselnet.cli import build_parser
 from vcselnet.errors import ConfigError, InfeasibleError
 from vcselnet.scene import _KEYS
@@ -86,15 +87,20 @@ class TestDefaults:
 class TestLoading:
     @pytest.mark.parametrize("section, key", [("lens", "refractive_index"),
                                               ("electrical", "vcsel_bandwidth_hz")])
-    def test_a_deprecated_key_is_parsed_then_ignored_with_one_warning(self, section, key):
-        base = f"[safety]\nmpe_w_per_m2 = {DEFAULT_MPE}\n"
-        scene = load_scene(base + f"[{section}]\n{key} = 1.7\n")
-        assert scene.warnings == (f"{section}.{key} is ignored and will be removed",)
-        plain = load_scene(base)
-        assert scene == plain and plain.warnings == ()
-        assert key not in dump_scene(scene)
-        with pytest.raises(ConfigError, match=rf"^{section}\.{key}: expected a number"):
-            load_scene(base + f"[{section}]\n{key} = high\n")
+    def test_a_removed_key_is_unknown(self, section, key):
+        with pytest.raises(ConfigError, match=rf"^unknown config key {section}\.{key}$"):
+            load_scene(f"[safety]\nmpe_w_per_m2 = {DEFAULT_MPE}\n[{section}]\n{key} = 1.7\n")
+
+    def test_loading_computes_no_power_cap(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("load_scene relayed a beam")
+
+        monkeypatch.setattr(beam_optics, "lens_transform", refuse)
+        scene = load_scene(f"[lens]\nenabled = yes\n[safety]\nmpe_w_per_m2 = {DEFAULT_MPE}\n")
+        assert scene.aps[0].lens == scene.lens_design
+
+    def test_a_scene_carries_no_warnings(self):
+        assert "warnings" not in {f.name for f in dataclasses.fields(Scene)}
 
     def test_overrides(self):
         scene = load_scene(
@@ -281,7 +287,10 @@ class TestLoading:
 
 
 class TestClamping:
-    def test_power_above_cap_is_clamped_with_warning(self):
+    """Loading keeps a fixed per-VCSEL power as read: no evaluation reads it,
+    and sweeps refuse a scene that sets it."""
+
+    def test_power_above_cap_is_kept_as_read(self):
         scene = load_scene(
             f"""
             [vcsel]
@@ -292,10 +301,7 @@ class TestClamping:
             """
         )
         ap = scene.aps[0]
-        cap = max_safe_power(ap.beam, scene.safety, ap.lens).p_max
-        assert ap.per_vcsel_power == cap
-        assert len(scene.warnings) == len(scene.aps)
-        assert "clamped" in scene.warnings[0]
+        assert ap.per_vcsel_power == 1.0 > max_safe_power(ap.beam, scene.safety, ap.lens).p_max
 
     def test_power_below_cap_is_kept(self):
         scene = load_scene(
@@ -308,12 +314,10 @@ class TestClamping:
             """
         )
         assert scene.aps[0].per_vcsel_power == 1e-6
-        assert scene.warnings == ()
 
     def test_no_mpe_means_no_clamping(self):
         scene = load_scene("[vcsel]\nper_vcsel_power_w = 1.0")
         assert scene.aps[0].per_vcsel_power == 1.0
-        assert scene.warnings == ()
 
 
 class TestPlacementHelpers:
@@ -517,11 +521,6 @@ class TestDirectConstruction:
                       lens_design=scene.lens_design)
         assert built.placement == "explicit"
 
-    def test_warnings_do_not_affect_equality(self):
-        scene = default_scene()
-        tagged = dataclasses.replace(scene, warnings=("note",))
-        assert tagged == scene
-
 
 class TestValidatedCopies:
     """with_source and with_aps equal dataclasses.replace's copies; with_aps
@@ -537,7 +536,7 @@ class TestValidatedCopies:
             assert ap.position is scene.aps[1].position
 
     def test_with_aps_equals_replace(self):
-        scene = dataclasses.replace(default_scene(), warnings=("note",))
+        scene = default_scene()
         aps = tuple(ap.with_source(ap.beam, None) for ap in scene.aps)
         copy = scene.with_aps(aps)
         assert type(copy) is Scene and copy.aps is aps
@@ -584,4 +583,4 @@ class TestReadme:
         blocks = re.findall(r"```ini\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
         assert blocks
         for block in blocks:
-            assert load_scene(block).warnings == ()
+            load_scene(block)

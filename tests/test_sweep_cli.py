@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import itertools
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -789,10 +790,11 @@ def coincident_users_config(height=2.999):
             + "\n[users]\npositions_m = (0.25, 0.25); (0.25, 0.25)\n")
 
 
-def test_an_out_of_domain_source_beside_another_raises_its_domain_error():
+def test_an_out_of_domain_source_beside_another_raises_its_domain_error(monkeypatch):
     """1 mm below the APs, the lens relays a 1 um waist 2.1 mm past itself
     and a 5 um waist 0.14 mm: the first source is out of domain, the second
-    is not. A listed build and an unlisted one both name the first."""
+    is not. A listed build and an unlisted one both name the first, and
+    each derives each source once: the error raised is the one kept."""
     scene = load_scene(coincident_users_config())
     narrow = dataclasses.replace(scene.aps[0].beam, w0=1e-6)
     aps = tuple(dataclasses.replace(ap, beam=narrow if a == 0 else ap.beam,
@@ -800,9 +802,14 @@ def test_an_out_of_domain_source_beside_another_raises_its_domain_error():
                 for a, ap in enumerate(scene.aps))
     scene = dataclasses.replace(scene, aps=aps)
     assert len(channel.distinct_sources(aps)[0]) == 2
+    derived = []
+    source = channel._source
+    monkeypatch.setattr(channel, "_source", lambda *args: derived.append(args) or source(*args))
     for geometry in (link_geometry(scene, (aps,)), link_geometry(scene), None):
+        derived.clear()
         with pytest.raises(DomainError, match="does not reach past"):
             build_channel_matrix(scene, geometry)
+        assert len(derived) == 2
 
 
 def test_an_earlier_precoder_failure_comes_before_a_later_link_error():
@@ -924,17 +931,63 @@ def compact_sweeps(draw):
 @settings(max_examples=150, deadline=None)
 @given(case=compact_sweeps(), rate_model=st.sampled_from(["shannon", "ook"]))
 def test_a_random_compact_sweep_raises_or_reports_finite_rows(case, rate_model):
-    """Over about 2 s of random scenes, a sweep either refuses with a
+    """Over a few seconds of random scenes, a sweep either refuses with a
     VcselNetError (mostly a rank-deficient channel) or writes rows whose
-    rates, efficiencies, spreads and caps are finite and non-negative."""
+    rates, efficiencies, spreads and caps are finite and non-negative, and
+    every point it writes holds:
+
+    - every gain lies in [0, 1];
+    - max |H G0 - I| <= 4 n eps cond(H), n the AP count: each product that
+      forms or checks G0 (two in the Newton-Schulz step, one here) rounds an
+      entry by at most n eps / 2 times an entry of |H| |G0|, and no entry
+      of that exceeds |H|_2 |G0|_2 = cond(H); the raw inverse's residual,
+      at most n cond eps, is squared by the step, which leaves less than
+      n cond eps while cond(H) <= 1e10, the rank check's limit;
+    - each AP's row sum of |g| is at most its cap, array_n^2 times
+      max_safe_power of the point's beam and lens, times 1 + 1e-12;
+
+    and a repeated sweep gives identical rows."""
     text, sweep = case
     try:
-        result = run_sweep(load_scene(text), sweep, rate_model=rate_model)
+        scene = load_scene(text)
+        result = run_sweep(scene, sweep, rate_model=rate_model, collect_artifacts=True)
     except VcselNetError:
         return
     for row in result.rows:
         values = (row.sum_rate, row.sum_rate_std, row.ee, row.ee_std, row.p_max)
         assert all(math.isfinite(v) and v >= 0.0 for v in values), (row, text)
+    waists = np.linspace(sweep.waist_start, sweep.waist_end, sweep.steps)
+    for (w_idx, mode), (h, precoder) in result.artifacts.items():
+        gains = h.gains
+        assert ((gains >= 0.0) & (gains <= 1.0)).all(), text
+        n_users, n_aps = gains.shape
+        residual = np.abs(gains @ precoder.g0 - np.eye(n_users)).max()
+        assert residual <= 4 * n_aps * np.finfo(float).eps * np.linalg.cond(gains), text
+        waist, lens = float(waists[w_idx]), scene.lens_design if mode == "on" else None
+        caps = np.array([max_safe_power(dataclasses.replace(ap.beam, w0=waist), scene.safety,
+                                        lens).p_max * ap.array_n**2 for ap in scene.aps])
+        assert (np.abs(precoder.g).sum(axis=1) <= caps * (1 + 1e-12)).all(), text
+    again = run_sweep(scene, sweep, rate_model=rate_model)
+    assert again.rows == result.rows, text
+
+
+def test_importing_the_cli_loads_no_third_party_module_but_numpy():
+    """A fresh interpreter's import of vcselnet.cli adds numpy and the
+    package alone: any other third-party module would add to every CLI run's
+    start-up time and to the runtime dependencies."""
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import vcselnet.cli\n"
+        "added = {name.split('.')[0] for name in set(sys.modules) - before}\n"
+        "print(sorted(added - set(sys.stdlib_module_names)))\n"
+    )
+    src = str(Path(vcselnet.sweep.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "['numpy', 'vcselnet']"
 
 
 class TestCli:
@@ -1039,6 +1092,16 @@ class TestCli:
         assert "per_vcsel_power_w" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("section, key", [("lens", "refractive_index"),
+                                              ("electrical", "vcsel_bandwidth_hz")])
+    def test_a_removed_key_exits_3_naming_it(self, tmp_path, capsys, section, key):
+        config = tmp_path / "removed.ini"
+        config.write_text(CONFIG_TEXT + f"\n[{section}]\n{key} = 1.7\n", encoding="utf-8")
+        code, out = self.run_cli(tmp_path, config)
+        assert code == 3
+        assert f"unknown config key {section}.{key}" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "section, key, value, message",
         [
@@ -1100,8 +1163,8 @@ class TestCli:
              ("lens f=0.000127 m, d1=0.000133 m", "wavelength 1e-300 m")),
             ((), "[lens]\nfocal_length_m = 1e300\n", ("lens f=1e+300 m",)),
             ((), "[lens]\nfocal_length_m = 1e-300\n",
-             ("lens f=1e-300 m, d1=0.000133 m relays w0 5e-06 m",
-              "waist of 3.08743635628193e-302 m whose Rayleigh range")),
+             ("waist=3e-06 m, lens=on", "lens f=1e-300 m, d1=0.000133 m relays w0 3e-06 m",
+              "waist of 2.1882374463891946e-302 m whose Rayleigh range")),
             # r_p^2 and the linear noise figure overflow.
             ((), "pupil_radius_m = 1e200\n", ("pupil_radius 1e+200 m overflows",)),
             ((), "[electrical]\ntia_noise_figure_db = 1e300\n",
