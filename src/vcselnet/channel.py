@@ -14,6 +14,7 @@ visible links batched by receiver aperture with each batch's distinct
 offsets. The build groups its own APs into sources, (beam, lens) pairs
 equal by value (distinct_sources), and integrates each source once per
 distinct offset, reading the source's beam constants from one table row.
+The plan keeps each source's captures, by value, for later builds on it.
 
 Every gain below _GAIN_FLOOR (1e-30) is exactly +0.0. Most such links are
 never integrated: the beam's closed-form tail T(X), the fraction of its power
@@ -390,9 +391,10 @@ class LinkGeometry(NamedTuple):
     (ascending) and each link's index into them. Which APs share a source
     is left to each build.
 
-    points lists the AP tuples of the scenes a sweep will build on it, and
-    captures maps each integrated point's index to what _integrate returned
-    for it (see build_channel_matrix).
+    sources announces the (beam, lens) pairs its builds will need, such as a
+    sweep's, and captures is the memo of the builds made on it: each
+    integrated source, by value, maps to what _integrate returned for it
+    (see build_channel_matrix).
     """
 
     users: tuple
@@ -401,14 +403,15 @@ class LinkGeometry(NamedTuple):
     z: float
     offsets: np.ndarray
     batches: tuple[tuple, ...]
-    points: tuple[tuple, ...]
+    sources: tuple[tuple, ...]
     captures: dict
 
 
-def link_geometry(scene: Scene, points: tuple[tuple, ...] = ()) -> LinkGeometry:
+def link_geometry(scene: Scene, sources: tuple[tuple, ...] = ()) -> LinkGeometry:
     """The scene's link geometry and batch plan (see build_channel_matrix),
-    listing points: the AP tuples of scenes that differ from this one only
-    in their beams and lenses and will be built on it, such as a sweep's.
+    announcing sources: the (beam, lens) pairs of scenes that differ from
+    this one only in their beams and lenses and will be built on it, such as
+    a sweep's points.
 
     Every AP sits at the ceiling (see Scene), so every link drops the same
     z. math.hypot runs once per distinct (dx, dy) and math.atan2 once per
@@ -441,22 +444,18 @@ def link_geometry(scene: Scene, points: tuple[tuple, ...] = ()) -> LinkGeometry:
             batches.append((links, links % len(aps), aperture, distinct[present],
                             (np.cumsum(present) - 1)[index]))
     return LinkGeometry(users, aps, scene.room.rx_plane_height, z, distinct[offset_of],
-                        tuple(batches), tuple(points), {})
+                        tuple(batches), tuple(sources), {})
 
 
 def _check_geometry(scene: Scene, geometry: LinkGeometry) -> None:
     """Raise DomainError unless geometry was built for this scene's users, AP
-    positions and receive plane.
-
-    Users and AP positions are compared by identity, which keeps the check
-    cheap: a scene rebuilt with other beams or lenses keeps them.
-    """
-    aps = scene.aps
+    positions and receive plane, compared by value (a scene rebuilt with
+    other beams or lenses shares the objects, so each element compares by
+    identity at once)."""
     if (
-        scene.users is not geometry.users
+        scene.users != geometry.users
         or scene.room.rx_plane_height != geometry.rx_plane_height
-        or len(aps) != len(geometry.aps)
-        or not all(map(operator.is_, map(_POSITION, aps), map(_POSITION, geometry.aps)))
+        or list(map(_POSITION, scene.aps)) != list(map(_POSITION, geometry.aps))
     ):
         raise DomainError("link geometry was built for another scene's users or access points")
 
@@ -473,35 +472,31 @@ def distinct_sources(aps: tuple) -> tuple[list[tuple], np.ndarray]:
     return list(sources), np.array(list(map(index.__getitem__, keys)))
 
 
-def _integrate(geometry: LinkGeometry, points: list[tuple]) -> list[tuple]:
-    """Each point's (source_of, captures, errors): its APs' indices into
-    its sources (see distinct_sources); per batch, one row per source of
-    captures at the batch's distinct offsets; and per source, the
-    DomainError that put it out of domain, or None.
+def _integrate(geometry: LinkGeometry, pairs: list[tuple]) -> dict:
+    """Each distinct (beam, lens) pair's (rows, error): per batch, its
+    captures at the batch's distinct offsets, and the DomainError that put
+    it out of domain, or None.
 
-    Each point's sources are checked and transformed once (_source). Per
-    batch, the sources of all points that share a mode set go through one
-    _disc_capture pass. A source out of domain keeps rows of NaN: the build
-    that reads them raises its error.
+    Each source is checked and transformed once (_source). Per batch, the
+    sources that share a mode set go through one _disc_capture pass. A
+    source out of domain keeps rows of NaN: a build that reads them raises
+    its error.
     """
-    results, sets = [], {}  # modes -> [(captures, row, source)]
-    for aps in points:
-        pairs, source_of = distinct_sources(aps)
-        captures = [np.full((len(pairs), rho.size), np.nan) for *_, rho, _ in geometry.batches]
-        errors = [None] * len(pairs)
-        results.append((source_of, captures, errors))
-        for row, (beam, lens) in enumerate(pairs):
-            try:
-                source = _source(beam, lens, geometry.z)
-            except DomainError as exc:
-                errors[row] = exc
-                continue
-            sets.setdefault(source.modes, []).append((captures, row, source))
+    results, sets = {}, {}  # modes -> [(rows, source)]
+    for pair in pairs:
+        try:
+            source = _source(*pair, geometry.z)
+        except DomainError as exc:
+            results[pair] = [np.full(rho.size, np.nan) for *_, rho, _ in geometry.batches], exc
+            continue
+        rows = [None] * len(geometry.batches)
+        results[pair] = rows, None
+        sets.setdefault(source.modes, []).append((rows, source))
     for b, (_, _, aperture, rho, _) in enumerate(geometry.batches):
         for members in sets.values():
-            captured = _disc_capture([source for *_, source in members], rho, aperture)
-            for (captures, row, _), got in zip(members, captured):
-                captures[b][row] = got
+            captured = _disc_capture([source for _, source in members], rho, aperture)
+            for (rows, _), got in zip(members, captured):
+                rows[b] = got
     return results
 
 
@@ -526,32 +521,30 @@ def build_channel_matrix(scene: Scene, geometry: LinkGeometry | None = None) -> 
     once. DomainError if it was built for other users, AP positions or
     receive plane.
 
-    A scene whose APs are one of the geometry's listed points takes its
-    captures from the merged pass: the first such build integrates every
-    listed point at once, each batch's links of all points in one adaptive
-    pass, and later builds only scatter the captures kept for them. Any
-    other scene is integrated as a pass of its own. A build raises the
-    DomainError of the first of its links whose source is out of domain,
-    else that of the first link that did not converge, so a point's errors
-    are raised by its own call.
+    Captures are memoized in geometry by source value. A build whose
+    sources are all in the memo only scatters their rows. Any other build
+    integrates, in one pass, its own missing sources and every announced
+    source not yet integrated, each batch's links of all of them in one
+    adaptive pass. Each row is what its source gives alone, so results do
+    not depend on the order of builds. A build raises the DomainError of the
+    first of its links whose source is out of domain, else that of the
+    first link that did not converge, so a point's errors are raised by its
+    own call.
     """
     if geometry is None:
         geometry = link_geometry(scene)
     else:
         _check_geometry(scene, geometry)
-    point = next((p for p, aps in enumerate(geometry.points) if aps is scene.aps), None)
-    if point is None:
-        ((source_of, captures, errors),) = _integrate(geometry, [scene.aps])
-    else:
-        if point not in geometry.captures:
-            pending = [p for p in range(len(geometry.points)) if p not in geometry.captures]
-            geometry.captures.update(zip(pending, _integrate(
-                geometry, [geometry.points[p] for p in pending])))
-        source_of, captures, errors = geometry.captures[point]
+    pairs, source_of = distinct_sources(scene.aps)
+    memo = geometry.captures
+    if not all(map(memo.__contains__, pairs)):
+        pending = dict.fromkeys(pair for pair in (*pairs, *geometry.sources) if pair not in memo)
+        memo.update(_integrate(geometry, list(pending)))
+    captures, errors = zip(*map(memo.__getitem__, pairs))
     gains = np.zeros(geometry.offsets.shape)
     flat = gains.reshape(-1)
-    for (links, link_aps, _, _, inverse), values in zip(geometry.batches, captures):
-        flat[links] = values[source_of[link_aps], inverse]
+    for b, (links, link_aps, _, _, inverse) in enumerate(geometry.batches):
+        flat[links] = np.array([rows[b] for rows in captures])[source_of[link_aps], inverse]
     failed = np.flatnonzero(np.isnan(flat)).tolist()
     if failed:
         n_aps = len(scene.aps)

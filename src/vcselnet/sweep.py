@@ -166,18 +166,18 @@ def run_sweep(
     # Only random placement depends on the seed: any other scene is evaluated
     # once, and that evaluation stands for every seed. Users and link
     # geometry depend on positions alone, so both are made once per seed.
-    # Each geometry lists the points' APs, so that the first point's channel
-    # build integrates the links of every point at once (see
+    # Each geometry announces every point's sources, so that the first
+    # point's channel build integrates the links of every point at once (see
     # build_channel_matrix); each point's own build still raises its errors.
     points = [(w_idx, waist, mode, _configure(scene, waist, mode))
               for w_idx, waist in enumerate(float(w) for w in waists) for mode in modes]
-    listed = tuple(point.aps for *_, point in points)
-    _, source_of = distinct_sources(listed[0])
+    _, source_of = distinct_sources(points[0][-1].aps)
     firsts = np.unique(source_of, return_index=True)[1].tolist()
+    sources = tuple((point.aps[a].beam, point.aps[a].lens) for *_, point in points for a in firsts)
     bases = []
     for seed in seeds if scene.placement == "random" else (None,):
         base = scene if seed is None else place_users(scene, len(scene.users), seed)
-        bases.append((seed, base, link_geometry(base, listed)))
+        bases.append((seed, base, link_geometry(base, sources)))
     elements = np.array([ap.array_n**2 for ap in scene.aps], dtype=float)  # VCSELs per AP
     for w_idx, waist, mode, point in points:
         seed = None

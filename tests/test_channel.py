@@ -1116,12 +1116,15 @@ class TestLinkGeometry:
                               for name in ("gains", "distances", "offsets")])
 
     def test_listed_points_with_other_modes_are_integrated_apart(self, scene):
-        # A batch's listed points go through one pass per mode set.
+        # A batch's announced sources go through one pass per mode set; the
+        # first build integrates both, and the memo is keyed by their values.
         points = [scene, dataclasses.replace(scene, aps=tuple(
             dataclasses.replace(ap, beam=dataclasses.replace(ap.beam, modes=FUNDAMENTAL_MODE))
             for ap in scene.aps))]
-        geometry = link_geometry(scene, tuple(point.aps for point in points))
+        sources = [(point.aps[0].beam, point.aps[0].lens) for point in points]
+        assert sources[0] != sources[1]
+        geometry = link_geometry(scene, tuple(sources))
         for point in reversed(points):
             h = build_channel_matrix(point, geometry)
-            assert sorted(geometry.captures) == [0, 1]
+            assert geometry.captures.keys() == set(sources)
             assert h.gains.tobytes() == build_channel_matrix(point).gains.tobytes()

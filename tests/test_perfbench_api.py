@@ -13,6 +13,7 @@ import dataclasses
 import importlib
 import math
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -27,8 +28,11 @@ from vcselnet import (
     link_report,
     load_scene,
     max_safe_power,
+    place_users,
     zf_precoder,
 )
+from vcselnet import channel
+from vcselnet.beam_optics import mode_sum
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -97,6 +101,45 @@ def test_a_traced_sweep_reports_every_layer_per_point(perfbench):
     metrics = tracing.layer_metrics(tracer, ops=1)
     assert metrics["channel.calls"] == metrics["precoding.calls"] == points
     assert metrics["channel.links"] == points * len(scene.aps) * len(scene.users)
+
+
+def test_a_traced_random_sweep_keeps_every_kernel_call_in_a_channel_span(perfbench,
+                                                                        compact_scene,
+                                                                        monkeypatch):
+    """Under the benchmark's tracer, a randomly placed scene swept over two
+    seeds has one channel, precoding and link_budget span per point and
+    seed, one eye_safety span per point and source, and every disc-kernel
+    call inside a channel span: perfbench bills the merged pass's time to
+    channel.busy_s through that span."""
+    tracing = importlib.import_module("tracing")
+    aps = list(compact_scene.aps)
+    aps[0] = dataclasses.replace(aps[0], beam=dataclasses.replace(aps[0].beam, wavelength=940e-9))
+    scene = place_users(dataclasses.replace(compact_scene, aps=tuple(aps)), 3, seed=0)
+    seeds = (0, 1)
+    # Lens off: with it on, some of these draws leave a user unreached.
+    sweep = SweepSpec(waist_start=1e-6, waist_end=3e-6, steps=4, lens_modes=("off",),
+                      seeds=seeds)
+    kernel_times = []
+
+    def kernel(*args):
+        kernel_times.append(time.perf_counter())
+        return mode_sum(*args)
+
+    monkeypatch.setattr(channel, "mode_sum", kernel)
+    tracer = tracing.Tracer()
+    try:
+        result = tracing.instrument(tracer).run_sweep(scene, sweep)
+    finally:
+        tracing.restore()
+    points, sources = len(result.rows), len({ap.beam for ap in scene.aps})
+    assert (points, sources) == (4, 2)
+    calls = collections.Counter(name for name, *_ in tracer.spans)
+    runs = points * len(seeds)
+    assert calls == {"sweep.run": 1, "scene.place": len(seeds), "eye_safety": points * sources,
+                     "channel": runs, "precoding": runs, "link_budget": runs}
+    channels = [(start, end) for name, start, end, *_ in tracer.spans if name == "channel"]
+    assert kernel_times
+    assert all(any(start <= t <= end for start, end in channels) for t in kernel_times)
 
 
 def test_random_seeds_reads_a_link_report(perfbench, scene_with_mpe):

@@ -754,8 +754,12 @@ def test_merged_channels_equal_fresh_builds(make):
     seeds = len(sweep.seeds or (None,))
     geometries = {id(geometry): geometry for _, geometry, _ in built}
     assert len(geometries) == seeds and len(built) == 4 * seeds
+    per_point = len(channel.distinct_sources(scene.aps)[0])
     for geometry in geometries.values():
-        assert sorted(geometry.captures) == list(range(len(geometry.points))) == [0, 1, 2, 3]
+        # Every point's sources are announced and integrated, and no other.
+        sources = {(ap.beam, ap.lens) for scn, g, _ in built if g is geometry for ap in scn.aps}
+        assert len(geometry.sources) == len(sources) == 4 * per_point
+        assert geometry.captures.keys() == set(geometry.sources) == sources
     for scn, _, h in built:
         want = build_channel_matrix(scn)
         for name in ("gains", "distances", "offsets"):
@@ -765,21 +769,53 @@ def test_merged_channels_equal_fresh_builds(make):
 @settings(max_examples=30, deadline=None)
 @given(case=sweep_cases(), order=st.randoms(use_true_random=False))
 def test_listed_points_built_in_any_order_match_fresh_builds(case, order):
-    """Whichever listed point is built first integrates them all; each
-    build then equals a fresh build of its scene bit for bit."""
+    """Whichever listed point is built first integrates every announced
+    source; each build then equals a fresh build of its scene bit for bit."""
     scene, sweep = case
-    seed = (sweep.seeds or (scene.seed,))[0]
-    base = scene if scene.placement != "random" else place_users(scene, len(scene.users), seed)
-    waists = np.linspace(sweep.waist_start, sweep.waist_end, sweep.steps).tolist()
-    points = [vcselnet.sweep._configure(scene, waist, mode)
-              for waist in waists for mode in sorted(sweep.lens_modes)]
-    geometry = link_geometry(base, tuple(point.aps for point in points))
+    base, points = sweep_points(scene, sweep)
+    sources = announced(points)
+    geometry = link_geometry(base, sources)
     order.shuffle(points)
     for point in points:
         placed = point if base is scene else base.with_aps(point.aps)
         h = build_channel_matrix(placed, geometry)
-        assert len(geometry.captures) == len(points)
+        assert geometry.captures.keys() == set(sources)
         assert h.gains.tobytes() == build_channel_matrix(placed).gains.tobytes()
+
+
+def sweep_points(scene, sweep):
+    """The first seed's base scene and the sweep's points, as run_sweep makes them."""
+    seed = (sweep.seeds or (scene.seed,))[0]
+    base = scene if scene.placement != "random" else place_users(scene, len(scene.users), seed)
+    waists = np.linspace(sweep.waist_start, sweep.waist_end, sweep.steps).tolist()
+    return base, [vcselnet.sweep._configure(scene, waist, mode)
+                  for waist in waists for mode in sorted(sweep.lens_modes)]
+
+
+def announced(scenes):
+    """Every scene's distinct (beam, lens) sources, in order."""
+    return tuple(pair for scn in scenes for pair in channel.distinct_sources(scn.aps)[0])
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=sweep_cases(), order=st.randoms(use_true_random=False))
+def test_listed_and_unlisted_builds_in_any_order_share_one_memo(case, order):
+    """Builds on one geometry, listed points and unlisted scenes (the base
+    scene itself, and a point with one AP at 940 nm) in any order, each
+    equal a fresh build bit for bit, and the memo ends up keyed by exactly
+    the distinct sources announced or built."""
+    scene, sweep = case
+    base, points = sweep_points(scene, sweep)
+    aps = list(points[0].aps)
+    aps[0] = dataclasses.replace(aps[0], beam=dataclasses.replace(aps[0].beam, wavelength=940e-9))
+    scenes = [*points, base, points[0].with_aps(tuple(aps))]
+    geometry = link_geometry(base, announced(points))
+    order.shuffle(scenes)
+    for scn in scenes:
+        placed = scn if base is scene else base.with_aps(scn.aps)
+        h = build_channel_matrix(placed, geometry)
+        assert h.gains.tobytes() == build_channel_matrix(placed).gains.tobytes()
+    assert geometry.captures.keys() == set(announced(points)) | set(announced(scenes))
 
 
 def coincident_users_config(height=2.999):
@@ -793,8 +829,9 @@ def coincident_users_config(height=2.999):
 def test_an_out_of_domain_source_beside_another_raises_its_domain_error(monkeypatch):
     """1 mm below the APs, the lens relays a 1 um waist 2.1 mm past itself
     and a 5 um waist 0.14 mm: the first source is out of domain, the second
-    is not. A listed build and an unlisted one both name the first, and
-    each derives each source once: the error raised is the one kept."""
+    is not. A build on a geometry that announced both sources, or none,
+    names the first and derives each source once: the error raised is the
+    one kept in the memo."""
     scene = load_scene(coincident_users_config())
     narrow = dataclasses.replace(scene.aps[0].beam, w0=1e-6)
     aps = tuple(dataclasses.replace(ap, beam=narrow if a == 0 else ap.beam,
@@ -805,11 +842,15 @@ def test_an_out_of_domain_source_beside_another_raises_its_domain_error(monkeypa
     derived = []
     source = channel._source
     monkeypatch.setattr(channel, "_source", lambda *args: derived.append(args) or source(*args))
-    for geometry in (link_geometry(scene, (aps,)), link_geometry(scene), None):
+    pairs = channel.distinct_sources(aps)[0]
+    for geometry in (link_geometry(scene, tuple(pairs)), link_geometry(scene), None):
         derived.clear()
-        with pytest.raises(DomainError, match="does not reach past"):
+        with pytest.raises(DomainError, match="does not reach past") as info:
             build_channel_matrix(scene, geometry)
         assert len(derived) == 2
+        if geometry is not None:
+            assert geometry.captures.keys() == set(pairs)
+            assert [error for _, error in map(geometry.captures.get, pairs)] == [info.value, None]
 
 
 def test_an_earlier_precoder_failure_comes_before_a_later_link_error():
