@@ -38,7 +38,6 @@ from .eye_safety import (
     max_safe_power,
     most_hazardous_position,
     pupil_fraction,
-    subtense_angle,
 )
 from .link_budget import (
     LinkReport,
@@ -119,7 +118,6 @@ __all__ = [
     "q_function",
     "rayleigh_range",
     "run_sweep",
-    "subtense_angle",
     "transformed_source",
     "user_rate",
     "zf_precoder",

@@ -551,7 +551,9 @@ def build_channel_matrix(scene: Scene, geometry: LinkGeometry | None = None) -> 
         for k in failed:
             error = errors[source_of[k % n_aps]]
             if error is not None:
-                raise error
+                # The memo keeps one error object: drop the frames of its last
+                # raise, so each build's traceback holds only its own.
+                raise error.with_traceback(None)
         user = scene.users[failed[0] // n_aps]
         raise _not_converged(geometry.z, float(geometry.offsets.flat[failed[0]]),
                              math.sqrt(user.detector_area / math.pi))

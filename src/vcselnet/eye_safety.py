@@ -7,6 +7,9 @@ and the fraction of beam power entering a standard pupil at the MHP. With a
 micro-lens the transformed beam (waist w_l at d2 past the lens) is assessed.
 Viewing distances start at the emitted waist: the VCSEL's own without a
 lens, the relayed one with it.
+The source's angular subtense is not assessed: under IEC 60825-1 it can
+only raise the limit (C6, above 1.5 mrad), and 1-200 um waists, lens on or
+off, subtend at most 0.153 mrad at their MHP.
 """
 
 from __future__ import annotations
@@ -48,15 +51,12 @@ class SafetyResult:
 
     d86    distance at which the pupil captures 86% of beam power, m
     mhp    most hazardous position, m
-    alpha  angular subtense of the source at the MHP, rad (reported only;
-           nothing downstream consumes it)
     eta    pupil capture fraction at the MHP
     p_max  per-emitter power cap, W
     """
 
     d86: float
     mhp: float
-    alpha: float
     eta: float
     p_max: float
 
@@ -99,13 +99,6 @@ def most_hazardous_position(beam: BeamSpec, safety: SafetySpec) -> float:
     return max(d86_distance(beam, safety), safety.mhp_floor)
 
 
-def subtense_angle(beam: BeamSpec, mhp: float) -> float:
-    """Angular subtense of the waist seen from the MHP: 2 atan(w0 / mhp), rad."""
-    if not mhp > 0:
-        raise DomainError(f"viewing distance must be positive, got {mhp!r}")
-    return 2.0 * math.atan(beam.w0 / mhp)
-
-
 def pupil_fraction(beam: BeamSpec, mhp: float, safety: SafetySpec) -> float:
     """Fraction of beam power entering the pupil at distance mhp.
 
@@ -140,7 +133,6 @@ def max_safe_power(
     eff_beam, _ = transformed_source(beam, lens)
     d86 = d86_distance(eff_beam, safety)
     mhp = most_hazardous_position(eff_beam, safety)
-    alpha = subtense_angle(eff_beam, mhp)
     eta = pupil_fraction(eff_beam, mhp, safety)
     p_max = safety.mpe * math.pi * _pupil_radius_sq(safety) / eta
-    return SafetyResult(d86=d86, mhp=mhp, alpha=alpha, eta=eta, p_max=p_max)
+    return SafetyResult(d86=d86, mhp=mhp, eta=eta, p_max=p_max)

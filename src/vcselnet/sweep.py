@@ -13,13 +13,12 @@ Output files are deterministic byte-for-byte for identical inputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
-from .channel import (ChannelMatrix, LinkGeometry, build_channel_matrix, distinct_sources,
-                      link_geometry)
+from .channel import ChannelMatrix, build_channel_matrix, distinct_sources, link_geometry
 from .errors import ConfigError, DomainError, SweepPointError, VcselNetError
 from .eye_safety import max_safe_power
 from .link_budget import LinkReport, link_report
@@ -82,7 +81,8 @@ class SweepSpec:
 
 @dataclass(frozen=True)
 class SweepRow:
-    """One (waist, lens mode) grid point aggregated over seeds."""
+    """One (waist, lens mode) grid point aggregated over seeds. Its fields
+    are the columns of results.csv, in order (see _CSV_COLUMNS)."""
 
     waist: float
     lens_mode: str
@@ -117,14 +117,6 @@ def _configure(scene: Scene, waist: float, lens_mode: str) -> Scene:
     rebuilt = {key: replace(beam, w0=waist) for key, beam in beams.items()}
     lens = scene.lens_design if lens_mode == "on" else None
     return scene.with_aps(tuple(ap.with_source(rebuilt[id(ap.beam)], lens) for ap in scene.aps))
-
-
-def _evaluate(
-    scene: Scene, geometry: LinkGeometry, caps: np.ndarray, rate_model: str
-) -> tuple[ChannelMatrix, Precoder, LinkReport]:
-    h = build_channel_matrix(scene, geometry)
-    precoder = zf_precoder(h, caps)
-    return h, precoder, link_report(scene, h, precoder, rate_model)
 
 
 def _min_snr_db(report: LinkReport) -> float:
@@ -192,10 +184,11 @@ def run_sweep(
             reports = []
             for seed, base, geometry in bases:
                 placed = point if base is scene else base.with_aps(point.aps)
-                h, precoder, report = _evaluate(placed, geometry, caps, rate_model)
+                h = build_channel_matrix(placed, geometry)
+                precoder = zf_precoder(h, caps)
                 if collect_artifacts and not reports:
                     artifacts[(w_idx, mode)] = (h, precoder)
-                reports.append(report)
+                reports.append(link_report(placed, h, precoder, rate_model))
         except VcselNetError as exc:
             where = f"waist={waist!r} m, lens={mode}" + (
                 f", seed={seed}" if seed is not None else ""
@@ -230,6 +223,16 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
+def _write_csv(path: Path, comment: str, header, rows) -> Path:
+    """Write one CSV file: a '# ' comment line, the header and one line per
+    row, each a sequence of cell strings; UTF-8, LF line endings and one
+    trailing newline. Every output file goes through here."""
+    lines = [f"# {comment}", ",".join(header), *map(",".join, rows)]
+    path = Path(path)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    return path
+
+
 def emit_outputs(result: SweepResult, out_dir: Path) -> list[Path]:
     """Write results.csv plus per-figure two-column series files.
 
@@ -242,63 +245,37 @@ def emit_outputs(result: SweepResult, out_dir: Path) -> list[Path]:
         raise DomainError("sweep produced no rows; nothing to write")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
+    columns = fields(SweepRow)
+    # Annotations are strings here (from __future__ import annotations).
+    formats = [_fmt if column.type == "float" else str for column in columns]
+    rows = ([fmt(getattr(row, column.name)) for fmt, column in zip(formats, columns)]
+            for row in result.rows)
+    written = [_write_csv(out_dir / "results.csv", result.metadata, _CSV_COLUMNS, rows)]
 
-    lines = [f"# {result.metadata}", ",".join(_CSV_COLUMNS)]
-    for row in result.rows:
-        lines.append(
-            ",".join(
-                (
-                    _fmt(row.waist),
-                    row.lens_mode,
-                    str(row.seed_count),
-                    _fmt(row.sum_rate),
-                    _fmt(row.sum_rate_std),
-                    _fmt(row.ee),
-                    _fmt(row.ee_std),
-                    _fmt(row.min_user_snr_db),
-                    _fmt(row.p_max),
-                )
-            )
-        )
-    results_path = out_dir / "results.csv"
-    results_path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
-    written.append(results_path)
-
+    column_of = dict(zip((column.name for column in columns), _CSV_COLUMNS))
     modes = sorted({row.lens_mode for row in result.rows})
-    for metric, column in (("sum_rate", "sum_rate_bps"), ("energy_efficiency", "ee_bpj")):
+    for metric, name in (("sum_rate", "sum_rate"), ("energy_efficiency", "ee")):
         for mode in modes:
-            series = [f"# schema={SCHEMA_VERSION} series={metric} lens={mode}",
-                      f"waist_m,{column}"]
-            for row in result.rows:
-                if row.lens_mode != mode:
-                    continue
-                value = row.sum_rate if metric == "sum_rate" else row.ee
-                series.append(f"{_fmt(row.waist)},{_fmt(value)}")
-            path = out_dir / f"fig_{metric}.lens_{mode}.csv"
-            path.write_text("\n".join(series) + "\n", encoding="utf-8", newline="\n")
-            written.append(path)
+            series = ((_fmt(row.waist), _fmt(getattr(row, name)))
+                      for row in result.rows if row.lens_mode == mode)
+            written.append(_write_csv(out_dir / f"fig_{metric}.lens_{mode}.csv",
+                                      f"schema={SCHEMA_VERSION} series={metric} lens={mode}",
+                                      (column_of["waist"], column_of[name]), series))
     return written
 
 
 def dump_channel_csv(h: ChannelMatrix, path: Path) -> None:
     """Channel gains as CSV: one row per user, one column per AP."""
     n_users, n_aps = h.gains.shape
-    lines = [f"# schema={SCHEMA_VERSION} matrix=channel users={n_users} aps={n_aps}",
-             "user," + ",".join(f"ap_{a}" for a in range(n_aps))]
-    for u in range(n_users):
-        lines.append(f"{u}," + ",".join(_fmt(v) for v in h.gains[u]))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    _write_csv(path, f"schema={SCHEMA_VERSION} matrix=channel users={n_users} aps={n_aps}",
+               ["user", *(f"ap_{a}" for a in range(n_aps))],
+               ([str(u), *map(_fmt, gains)] for u, gains in enumerate(h.gains)))
 
 
 def dump_precoder_csv(precoder: Precoder, path: Path) -> None:
     """Precoder weights as CSV: one row per AP, one column per user stream."""
     n_aps, n_users = precoder.g.shape
-    lines = [
-        f"# schema={SCHEMA_VERSION} matrix=precoder aps={n_aps} users={n_users} "
-        f"beta={_fmt(precoder.beta)}",
-        "ap," + ",".join(f"user_{u}" for u in range(n_users)),
-    ]
-    for a in range(n_aps):
-        lines.append(f"{a}," + ",".join(_fmt(v) for v in precoder.g[a]))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    _write_csv(path, f"schema={SCHEMA_VERSION} matrix=precoder aps={n_aps} users={n_users} "
+                     f"beta={_fmt(precoder.beta)}",
+               ["ap", *(f"user_{u}" for u in range(n_users))],
+               ([str(a), *map(_fmt, weights)] for a, weights in enumerate(precoder.g)))

@@ -15,7 +15,6 @@ from vcselnet import (
     max_safe_power,
     most_hazardous_position,
     pupil_fraction,
-    subtense_angle,
 )
 from vcselnet.errors import ConfigError, DomainError
 
@@ -67,17 +66,6 @@ class TestMostHazardousPosition:
         assert most_hazardous_position(fundamental_beam, safety) == 0.5
 
 
-class TestSubtense:
-    def test_matches_closed_form(self, fundamental_beam):
-        assert subtense_angle(fundamental_beam, 0.1) == pytest.approx(
-            2.0 * math.atan(5e-6 / 0.1), rel=1e-15
-        )
-
-    def test_rejects_nonpositive_distance(self, fundamental_beam):
-        with pytest.raises(DomainError):
-            subtense_angle(fundamental_beam, 0.0)
-
-
 class TestPupilFraction:
     def test_frozen_values(self, fundamental_beam, safety):
         assert pupil_fraction(fundamental_beam, 0.1, safety) == pytest.approx(
@@ -109,7 +97,6 @@ class TestMaxSafePower:
         assert res.mhp == 0.1
         assert res.d86 == pytest.approx(D86, rel=1e-12)
         assert res.eta == pytest.approx(ETA_AT_FLOOR, rel=1e-12)
-        assert res.alpha == pytest.approx(subtense_angle(fundamental_beam, 0.1), rel=1e-15)
 
     def test_cap_balances_pupil_power(self, fundamental_beam, safety):
         # By construction p_max * eta = MPE * pi * r_p^2: the pupil at the MHP
@@ -170,10 +157,10 @@ class TestSpecValidation:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            dict(d86=0.05, mhp=0.0, alpha=1e-4, eta=0.5, p_max=1e-3),
-            dict(d86=0.05, mhp=0.1, alpha=1e-4, eta=0.0, p_max=1e-3),
-            dict(d86=0.05, mhp=0.1, alpha=1e-4, eta=1.5, p_max=1e-3),
-            dict(d86=0.05, mhp=0.1, alpha=1e-4, eta=0.5, p_max=0.0),
+            dict(d86=0.05, mhp=0.0, eta=0.5, p_max=1e-3),
+            dict(d86=0.05, mhp=0.1, eta=0.0, p_max=1e-3),
+            dict(d86=0.05, mhp=0.1, eta=1.5, p_max=1e-3),
+            dict(d86=0.05, mhp=0.1, eta=0.5, p_max=0.0),
         ],
     )
     def test_safety_result_rejects_invalid(self, kwargs):

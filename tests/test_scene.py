@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+import vcselnet
 from vcselnet import (
     AccessPoint,
     BeamSpec,
@@ -578,6 +579,16 @@ class TestReadme:
             if flag.startswith("--")
         }
         assert documented == options
+
+    def test_public_names_resolve_once_and_cover_the_readme_list(self):
+        # A deleted API name must leave no entry in __all__ or in the README.
+        assert [name for name in vcselnet.__all__ if not hasattr(vcselnet, name)] == []
+        assert len(set(vcselnet.__all__)) == len(vcselnet.__all__)
+        text = " ".join(README.read_text(encoding="utf-8").split())
+        listed = re.findall(r"`([^`]+)`", re.search(
+            r"Lower-level pieces are importable directly: ([^;]*);", text)[1])
+        assert "load_scene" in listed
+        assert [name for name in listed if name not in vcselnet.__all__] == []
 
     def test_ini_examples_load(self):
         blocks = re.findall(r"```ini\n(.*?)```", README.read_text(encoding="utf-8"), re.S)

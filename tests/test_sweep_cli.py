@@ -4,8 +4,10 @@ import hashlib
 import itertools
 import math
 import os
+import re
 import subprocess
 import sys
+import traceback
 from pathlib import Path
 
 import numpy as np
@@ -853,6 +855,24 @@ def test_an_out_of_domain_source_beside_another_raises_its_domain_error(monkeypa
             assert [error for _, error in map(geometry.captures.get, pairs)] == [info.value, None]
 
 
+def test_an_out_of_domain_build_repeated_on_one_geometry_keeps_its_traceback_length():
+    """With every AP at 1 um and the lens on, 1 mm below the APs, the one
+    source is out of domain. Three builds on one geometry raise the error
+    object its memo keeps, each with a traceback of its own build only."""
+    scene = load_scene(coincident_users_config())
+    narrow = dataclasses.replace(scene.aps[0].beam, w0=1e-6)
+    scene = dataclasses.replace(scene, aps=tuple(
+        dataclasses.replace(ap, beam=narrow, lens=scene.lens_design) for ap in scene.aps))
+    geometry = link_geometry(scene)
+    lengths = []
+    for _ in range(3):
+        with pytest.raises(DomainError, match="does not reach past") as info:
+            build_channel_matrix(scene, geometry)
+        lengths.append(len(traceback.extract_tb(info.value.__traceback__)))
+        assert [error for _, error in geometry.captures.values()] == [info.value]
+    assert lengths[0] == lengths[1] == lengths[2]
+
+
 def test_an_earlier_precoder_failure_comes_before_a_later_link_error():
     scene = load_scene(coincident_users_config())
     sweep = SweepSpec(waist_start=1e-6, waist_end=2e-6, steps=2)
@@ -1288,6 +1308,27 @@ class TestCli:
         channel_lines = (out / "channel_w00_on.csv").read_text().splitlines()
         assert channel_lines[1] == "user,ap_0,ap_1,ap_2,ap_3"
         assert len(channel_lines) == 2 + 4
+
+    def test_every_output_file_keeps_the_csv_format(self, tmp_path, config_file, capsys):
+        """The default sweep with both dumps writes 37 files. Each is UTF-8
+        with LF line endings and one trailing newline, and holds a
+        '# schema=v1 ' comment line, a header and rows as wide as it."""
+        out = tmp_path / "out"
+        argv = ["--config", str(config_file), "--out", str(out), "--dump-channel",
+                "--dump-precoder"]
+        assert main(argv) == 0
+        files = sorted(out.iterdir())
+        assert len(files) == 37
+        for path in files:
+            text = path.read_bytes().decode("utf-8")
+            assert "\r" not in text, path.name
+            assert text.endswith("\n") and not text.endswith("\n\n"), path.name
+            comment, header, *rows = text[:-1].split("\n")
+            assert comment.startswith("# schema=v1 "), path.name
+            cells = header.split(",")
+            assert all(re.fullmatch(r"[a-z][a-z0-9_]*", cell) for cell in cells), path.name
+            assert rows, path.name
+            assert all(len(row.split(",")) == len(cells) for row in rows), path.name
 
     def test_module_entry_point(self):
         proc = subprocess.run(
