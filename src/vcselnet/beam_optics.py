@@ -12,11 +12,11 @@ range, beam radius or lens relay that a float cannot hold raises DomainError.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, require_positive
+from .errors import DomainError, replace_unchecked, require_positive
 
 # Radial index guard: keeps every (p + l)! used by the default mode sets inside
 # the exact-integer range of a double. The explicit alternating sum for
@@ -270,7 +270,10 @@ def transformed_source(beam: BeamSpec, lens: LensSpec | None) -> tuple[BeamSpec,
     if lens is None:
         return beam, 0.0
     tb = lens_transform(beam, lens)
-    relayed = replace(beam, w0=tb.w_l)
+    # Only w0 changes: w_l > 0 (TransformedBeam), and the Rayleigh range
+    # check below rejects a w_l that is not finite, so the copy skips
+    # BeamSpec's re-validation.
+    relayed = replace_unchecked(beam, w0=tb.w_l)
     try:
         rayleigh_range(relayed)
     except DomainError:

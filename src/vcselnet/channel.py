@@ -204,10 +204,10 @@ def _radial_capture(modes, consts: np.ndarray, rho: np.ndarray, aperture_radius:
     """
     a = aperture_radius
     t, w_t, c, w_c = _radial_nodes(orders)
-    inner = np.clip(a - rho, 0.0, r_cut)
+    inner = np.minimum(np.maximum(a - rho, 0.0), r_cut)
     lo = np.abs(rho - a)
     hi = np.maximum(lo, np.minimum(rho + a, r_cut))
-    circle, arc = np.flatnonzero(inner > 0.0), np.flatnonzero(hi > lo)
+    circle, arc = (inner > 0.0).nonzero()[0], (hi > lo).nonzero()[0]
     inner = inner[circle, None]
     r_in = inner * t
     # rho > 0 on every arc row: at rho = 0, hi = lo = a.
@@ -217,7 +217,7 @@ def _radial_capture(modes, consts: np.ndarray, rho: np.ndarray, aperture_radius:
     s = mid + half * c
     r_arc = hi * (s * s)
     cos_psi = (r_arc * r_arc + (rho - a) * (rho + a)) / (2.0 * r_arc * rho)
-    psi = np.arccos(np.clip(cos_psi, -1.0, 1.0))
+    psi = np.arccos(np.minimum(np.maximum(cos_psi, -1.0), 1.0))
     r = np.concatenate([r_in, r_arc])
     # dr = 2 hi s ds
     weights = np.concatenate([inner * w_t * r_in, half * w_c * psi * r_arc * (2.0 * hi * s)])
@@ -259,7 +259,7 @@ def _disc_capture(sources: list[_Source], rho: np.ndarray, aperture_radius: floa
     # consts[:, :1] holds each source's w_z^2.
     dark = (gap > 0.0) & (2.0 * gap**2 / consts[:, :1] > _dark_x(modes))
     result = np.where(dark, 0.0, np.nan)
-    active = np.flatnonzero(~dark)  # links, numbered source-major
+    active = (~dark).reshape(-1).nonzero()[0]  # links, numbered source-major
     flat = result.reshape(-1)
     orders: tuple[int, ...] = (_QUAD_START_ORDER, 2 * _QUAD_START_ORDER)
     while active.size and orders[-1] <= _QUAD_MAX_ORDER:
@@ -271,7 +271,7 @@ def _disc_capture(sources: list[_Source], rho: np.ndarray, aperture_radius: floa
         if earlier:
             prev = earlier[-1]
         done = np.abs(cur - prev) <= _QUAD_RTOL * np.abs(cur) + 1e-16
-        flat[active[done]] = np.clip(cur[done], 0.0, 1.0)
+        flat[active[done]] = np.minimum(np.maximum(cur[done], 0.0), 1.0)
         active, prev = active[~done], cur[~done]
         orders = (2 * orders[-1],)
     result[result < _GAIN_FLOOR] = 0.0
@@ -415,7 +415,9 @@ def link_geometry(scene: Scene, sources: tuple[tuple, ...] = ()) -> LinkGeometry
 
     Every AP sits at the ceiling (see Scene), so every link drops the same
     z. math.hypot runs once per distinct (dx, dy) and math.atan2 once per
-    distinct offset: numpy's forms can differ by an ulp.
+    distinct offset: numpy's forms can differ by an ulp. The distinct
+    offsets are ranked by sorted(set(...)) and a dict, the floats and ranks
+    np.unique(return_inverse=True) gives, without its per-call cost.
     """
     aps, users = scene.aps, scene.users
     z = aps[0].position[2] - scene.room.rx_plane_height
@@ -424,10 +426,13 @@ def link_geometry(scene: Scene, sources: tuple[tuple, ...] = ()) -> LinkGeometry
     dx = user_xy[:, None, 0] - ap_xy[None, :, 0]
     dy = user_xy[:, None, 1] - ap_xy[None, :, 1]
     step_x, step_y, step_of = _distinct(dx, dy)
-    distinct, step_offset = np.unique([math.hypot(x, y) for x, y in zip(step_x, step_y)],
-                                      return_inverse=True)
-    offset_of = step_offset[step_of]  # each link's index into the sorted distinct offsets
-    angles = np.array([math.atan2(rho, z) for rho in distinct.tolist()])
+    step_rho = list(map(math.hypot, step_x, step_y))
+    ranked = sorted(set(step_rho))
+    rank = dict(zip(ranked, range(len(ranked))))
+    # Each link's index into the sorted distinct offsets.
+    offset_of = np.array(list(map(rank.__getitem__, step_rho)))[step_of]
+    distinct = np.array(ranked)
+    angles = np.array([math.atan2(rho, z) for rho in ranked])
     fov = np.array([user.fov_half_angle for user in users], dtype=float)
     visible = ~(angles[offset_of] > fov[:, None])
     discs: dict = {}  # aperture -> index, in the order of each one's first user
@@ -435,7 +440,7 @@ def link_geometry(scene: Scene, sources: tuple[tuple, ...] = ()) -> LinkGeometry
                           for user in users])
     batches = []
     for d, aperture in enumerate(discs):
-        links = np.flatnonzero(visible & (user_disc == d)[:, None])
+        links = (visible & (user_disc == d)[:, None]).reshape(-1).nonzero()[0]
         if links.size:
             # The distinct offsets are sorted, so a batch's are those its links
             # use, and each keeps its rank among them.
@@ -545,7 +550,7 @@ def build_channel_matrix(scene: Scene, geometry: LinkGeometry | None = None) -> 
     flat = gains.reshape(-1)
     for b, (links, link_aps, _, _, inverse) in enumerate(geometry.batches):
         flat[links] = np.array([rows[b] for rows in captures])[source_of[link_aps], inverse]
-    failed = np.flatnonzero(np.isnan(flat)).tolist()
+    failed = np.isnan(flat).nonzero()[0].tolist()
     if failed:
         n_aps = len(scene.aps)
         for k in failed:

@@ -1,4 +1,5 @@
-"""Exception hierarchy, the positive-and-finite field check and CLI exit codes."""
+"""Exception hierarchy, the positive-and-finite field check, the copy that
+skips the checks, and CLI exit codes."""
 
 from __future__ import annotations
 
@@ -43,6 +44,16 @@ def require_positive(error: type[VcselNetError], owner, *names: str) -> None:
         value = getattr(owner, name)
         if not 0 < value < math.inf:
             raise error(f"{name} must be positive and finite, got {value!r}")
+
+
+def replace_unchecked(spec, **changes):
+    """dataclasses.replace(spec, **changes), built without __init__, so no
+    __post_init__ check runs: for a frozen spec whose changed fields the
+    caller knows keep it valid. The copy compares and hashes equal to
+    replace's."""
+    copy = object.__new__(type(spec))
+    copy.__dict__.update(spec.__dict__, **changes)
+    return copy
 
 
 # CLI exit codes, one category per error class.

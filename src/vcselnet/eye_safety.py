@@ -132,7 +132,7 @@ def max_safe_power(
         )
     eff_beam, _ = transformed_source(beam, lens)
     d86 = d86_distance(eff_beam, safety)
-    mhp = most_hazardous_position(eff_beam, safety)
+    mhp = max(d86, safety.mhp_floor)  # most_hazardous_position, d86 computed once
     eta = pupil_fraction(eff_beam, mhp, safety)
     p_max = safety.mpe * math.pi * _pupil_radius_sq(safety) / eta
     return SafetyResult(d86=d86, mhp=mhp, eta=eta, p_max=p_max)

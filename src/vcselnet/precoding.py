@@ -6,7 +6,10 @@ non-negative, so an AP's emitted power for unit-power streams is the L1 norm
 of its row of the precoder; the whole precoder is scaled by the largest beta
 keeping every AP within its cap. After scaling, diag(H G) = beta.
 
-G0 comes from one of three paths, the cheapest that applies:
+A channel with fewer lit AP columns (APs that reach a user) than users has
+rank at most that count: it is rejected as rank deficient without any
+factorization. Otherwise G0 comes from one of three paths, the cheapest
+that applies:
 
 - A channel in which every user is reached by exactly one AP, and every AP
   reaches at most one user (a scaled partial permutation, as in a grid whose
@@ -18,8 +21,8 @@ G0 comes from one of three paths, the cheapest that applies:
   as the 8 x 8 grid's at 1 and 8 um. Elsewhere gesdd rounds a Householder
   reflector or its divide-and-conquer scaling, and the two paths differ by
   at most an ulp, the short-cut never the farther from 1/h.
-- Any other square channel (as many users as APs) in which every AP
-  reaches a user is inverted by one LU factorization, np.linalg.inv, whose
+- Any other square channel (as many users as APs, each AP reaching a
+  user) is inverted by one LU factorization, np.linalg.inv, whose
   result is kept only when the Frobenius condition number it implies,
   |H|_F |inv|_F, is at most _MAX_INV_COND. Since the 2-norm condition
   number never exceeds the Frobenius one, a channel kept here is one the
@@ -117,7 +120,8 @@ def zf_precoder(h, per_ap_power_cap) -> Precoder:
     not positive and finite; InfeasibleError when there are more users than
     APs; and SingularChannelError when the channel is rank deficient at
     relative tolerance 1e-10, naming the most dependent user pair or the
-    weakest user (see _rank_deficiency).
+    weakest user (see _rank_deficiency). A channel with fewer lit AP
+    columns than users raises that error without a factorization.
 
     A scaled partial permutation (one nonzero gain per user, in distinct AP
     columns) skips the SVD: G0 holds 1/h at each transposed nonzero. That is
@@ -147,17 +151,20 @@ def zf_precoder(h, per_ap_power_cap) -> Precoder:
             f"{n_users} users cannot be zero-forced by {n_aps} access points"
         )
 
-    zero_rows = np.flatnonzero(~mat.any(axis=1))
+    zero_rows = (~mat.any(axis=1)).nonzero()[0]
     if zero_rows.size:
         u = int(zero_rows[0])
         raise SingularChannelError(
             f"user {u} has an all-zero channel row (no AP reaches it)", pair=(u, u)
         )
 
-    # With no zero row, n_users nonzeros are one per row; n_users nonzero
-    # columns put them in distinct columns.
-    lit_aps = np.count_nonzero(mat.any(axis=0))
-    if np.count_nonzero(mat) == n_users and lit_aps == n_users:
+    if np.count_nonzero(mat.any(axis=0)) < n_users:
+        # rank(H) <= the lit AP columns: the SVD's rank check could only
+        # reject it.
+        raise _rank_deficiency(mat)
+    # With no zero row, n_users nonzeros are one per row, and with at least
+    # n_users lit columns they sit in distinct columns.
+    if np.count_nonzero(mat) == n_users:
         # One nonzero per row: argmax of the row's mask finds it.
         users, aps = np.arange(n_users), np.argmax(mat != 0.0, axis=1)
         h_nz = mat[users, aps]
@@ -167,9 +174,8 @@ def zf_precoder(h, per_ap_power_cap) -> Precoder:
         g0 = np.zeros((n_aps, n_users))
         g0[aps, users] = 1.0 / h_nz
     else:
-        # A square channel with an AP that reaches no user is singular, which
-        # LU would only confirm.
-        g0 = _screened_inverse(mat) if lit_aps == n_users == n_aps else None
+        # Every AP of a square channel reaching this point reaches a user.
+        g0 = _screened_inverse(mat) if n_users == n_aps else None
         if g0 is None:
             # One rank-revealing factorization serves both the rank check and
             # the pseudo-inverse.

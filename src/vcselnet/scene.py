@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import configparser
 import math
+import numbers
 from collections import defaultdict
 from dataclasses import dataclass, replace
 from typing import Any, Callable, NamedTuple
@@ -20,7 +21,8 @@ from typing import Any, Callable, NamedTuple
 import numpy as np
 
 from .beam_optics import BeamSpec, LensSpec
-from .errors import ConfigError, DomainError, InfeasibleError, require_positive
+from .errors import (ConfigError, DomainError, InfeasibleError, replace_unchecked,
+                     require_positive)
 from .eye_safety import SafetySpec
 
 _DEFAULT_AP_POSITIONS = ((3.0, 3.0, 3.0), (1.0, 3.0, 3.0), (3.0, 1.0, 3.0), (1.0, 1.0, 3.0))
@@ -78,9 +80,7 @@ class AccessPoint:
         """This AP with another beam and lens: dataclasses.replace's copy,
         built without __init__. __post_init__ checks neither field, and both
         validate themselves."""
-        ap = object.__new__(AccessPoint)
-        ap.__dict__.update(self.__dict__, beam=beam, lens=lens)
-        return ap
+        return replace_unchecked(self, beam=beam, lens=lens)
 
 
 @dataclass(frozen=True)
@@ -176,8 +176,7 @@ class Scene:
                 f"{len(self.users)} users exceed {len(self.aps)} access points; "
                 "zero-forcing needs users <= access points"
             )
-        if self.seed < 0:
-            raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
+        _check_seed(self.seed)
         for i, ap in enumerate(self.aps):
             x, y, z = ap.position
             if not (0.0 <= x <= self.room.width and 0.0 <= y <= self.room.length):
@@ -203,10 +202,14 @@ class Scene:
         if len(aps) == len(self.aps) and all(
             ap.position is ref.position for ap, ref in zip(aps, self.aps)
         ):
-            scene = object.__new__(Scene)
-            scene.__dict__.update(self.__dict__, aps=aps)
-            return scene
+            return replace_unchecked(self, aps=aps)
         return replace(self, aps=aps)
+
+
+def _check_seed(seed) -> None:
+    """ConfigError unless seed is a non-negative integer."""
+    if not (isinstance(seed, numbers.Integral) and seed >= 0):
+        raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -460,19 +463,26 @@ def default_scene() -> Scene:
 def _place(scene: Scene, placement: str, count: int, seed: int) -> Scene:
     """Scene copy with `count` users like its first: under the first APs
     ("on-axis") or drawn uniformly over the room footprint from `seed`
-    ("random")."""
+    ("random").
+
+    The users and the scene are copied without re-validation
+    (replace_unchecked): with count and seed checked here, every user sits
+    inside the room, under a validated AP or drawn over [0, width] x
+    [0, length], so each copy equals its dataclasses.replace rebuild.
+    """
     if count < 1:
         raise ConfigError(f"user count must be >= 1, got {count}")
     if count > len(scene.aps):
         raise InfeasibleError(f"cannot place {count} users under {len(scene.aps)} access points")
+    _check_seed(seed)
     if placement == "random":
         rng = np.random.default_rng(seed)
         positions = zip(rng.uniform(0.0, scene.room.width, count).tolist(),
                         rng.uniform(0.0, scene.room.length, count).tolist())
     else:
         positions = ((ap.position[0], ap.position[1]) for ap in scene.aps[:count])
-    users = tuple(replace(scene.users[0], position=pos) for pos in positions)
-    return replace(scene, users=users, seed=seed, placement=placement)
+    users = tuple(replace_unchecked(scene.users[0], position=pos) for pos in positions)
+    return replace_unchecked(scene, users=users, seed=seed, placement=placement)
 
 
 def place_users(scene: Scene, count: int, seed: int) -> Scene:

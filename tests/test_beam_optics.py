@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -9,6 +10,8 @@ from scipy import integrate
 from scipy.special import eval_genlaguerre
 
 from vcselnet import (
+    DEFAULT_MODES,
+    FUNDAMENTAL_MODE,
     BeamSpec,
     LensSpec,
     MAX_RADIAL_INDEX,
@@ -498,6 +501,20 @@ class TestLensTransform:
         assert eff.wavelength == fundamental_beam.wavelength
         assert eff.modes == fundamental_beam.modes
         assert offset == tb.d2
+
+    @settings(max_examples=200, deadline=None)
+    @given(w0=st.floats(5e-7, 1e-3), wavelength=st.floats(4e-7, 2e-6),
+           f=st.floats(1e-5, 1e-2), d1=st.floats(0.0, 1e-2),
+           modes=st.sampled_from([FUNDAMENTAL_MODE, DEFAULT_MODES, ((0, 2, 0.25), (1, 0, 0.75))]))
+    def test_the_relayed_beam_is_the_replace_copy(self, w0, wavelength, f, d1, modes):
+        """The relayed beam, copied without BeamSpec's re-validation, equals
+        and hashes as dataclasses.replace(beam, w0=w_l), field by field."""
+        beam, lens = BeamSpec(w0, wavelength, modes), LensSpec(f, d1)
+        relayed, _ = transformed_source(beam, lens)
+        want = dataclasses.replace(beam, w0=lens_transform(beam, lens).w_l)
+        assert type(relayed) is BeamSpec
+        assert vars(relayed) == vars(want)
+        assert relayed == want and hash(relayed) == hash(want)
 
 
 class TestLensSpecValidation:

@@ -1051,6 +1051,55 @@ def test_batch_plan_is_the_unique_plan(scene):
     assert_plan(geometry)
 
 
+def unique_plan(scene):
+    """link_geometry's offsets and batches as np.unique ranked the distinct
+    offsets, before link_geometry ranked them with sorted(set(...)) and a
+    dict: the reference the plan must match bit for bit."""
+    aps, users = scene.aps, scene.users
+    z = aps[0].position[2] - scene.room.rx_plane_height
+    ap_xy = np.array([ap.position[:2] for ap in aps], dtype=float)
+    user_xy = np.array([user.position for user in users], dtype=float)
+    dx = user_xy[:, None, 0] - ap_xy[None, :, 0]
+    dy = user_xy[:, None, 1] - ap_xy[None, :, 1]
+    step_x, step_y, step_of = _distinct(dx, dy)
+    distinct, step_offset = np.unique([math.hypot(x, y) for x, y in zip(step_x, step_y)],
+                                      return_inverse=True)
+    offset_of = step_offset[step_of]
+    angles = np.array([math.atan2(rho, z) for rho in distinct.tolist()])
+    fov = np.array([user.fov_half_angle for user in users], dtype=float)
+    visible = ~(angles[offset_of] > fov[:, None])
+    discs: dict = {}
+    user_disc = np.array([discs.setdefault(math.sqrt(user.detector_area / math.pi), len(discs))
+                          for user in users])
+    batches = []
+    for d, aperture in enumerate(discs):
+        links = np.flatnonzero(visible & (user_disc == d)[:, None])
+        if links.size:
+            index = offset_of.flat[links]
+            present = np.bincount(index, minlength=distinct.size) > 0
+            batches.append((links, links % len(aps), aperture, distinct[present],
+                            (np.cumsum(present) - 1)[index]))
+    return distinct[offset_of], batches
+
+
+@settings(max_examples=60, deadline=None)
+@given(scene=scenes(counts=st.integers(1, 12)))
+def test_batch_plan_matches_the_np_unique_plan_bit_for_bit(scene):
+    """Coincident users and offsets repeated across links and users, below
+    and above _DEDUP_MIN_LINKS: every array of the plan has the bytes and
+    dtype of np.unique's plan."""
+    geometry = link_geometry(scene)
+    offsets, batches = unique_plan(scene)
+    assert geometry.offsets.dtype == offsets.dtype
+    assert geometry.offsets.tobytes() == offsets.tobytes()
+    assert len(geometry.batches) == len(batches)
+    for got, want in zip(geometry.batches, batches):
+        assert got[2] == want[2]
+        for got_array, want_array in zip(got[:2] + got[3:], want[:2] + want[3:]):
+            assert got_array.dtype == want_array.dtype
+            assert got_array.tobytes() == want_array.tobytes()
+
+
 def test_a_small_scene_still_integrates_each_offset_once():
     # 16 links, below _DEDUP_MIN_LINKS, so one group per link; the plan
     # still merges equal offsets: 0, 2 and 2 sqrt(2) m.

@@ -317,12 +317,18 @@ class TestScaledPermutations:
         assert s[-1] <= RANK_RTOL * s[0]  # the SVD path agrees
 
     def test_users_sharing_their_only_ap_name_the_pair(self, svd_calls):
+        # One lit AP column for two users: rank 1, rejected without an SVD,
+        # with the SVD path's error.
         h = np.array([[0.0, 0.3, 0.0], [0.0, 0.7, 0.0]])
         with pytest.raises(SingularChannelError) as exc_info:
             zf_precoder(h, 1.0)
         assert exc_info.value.pair == (0, 1)
         assert "users 0 and 1" in str(exc_info.value)
-        assert len(svd_calls) == 1
+        assert svd_calls == []
+        with pytest.raises(SingularChannelError) as want:
+            oracle_svd_precoder(h, 1.0)
+        assert str(exc_info.value) == str(want.value)
+        assert exc_info.value.pair == want.value.pair
 
     def test_a_row_with_two_gains_takes_the_svd(self, svd_calls):
         h = np.array([[0.0, 0.4, 0.0, 0.1], [0.0, 0.0, 0.9, 0.0]])
@@ -432,13 +438,40 @@ class TestSquareScreen:
         assert pre.beta == beta
 
     def test_an_ap_reaching_no_user_skips_the_inverse(self, svd_calls, inv_calls):
-        # AP 2 reaches nobody, so the square channel is singular: the SVD
-        # alone decides, and names the weak user as it always has.
+        # AP 2 reaches nobody, so the square channel has rank <= 2: it is
+        # rejected without a factorization, with the error the SVD path
+        # raises.
         h = np.array([[0.5, 0.2, 0.0], [0.1, 0.4, 0.0], [0.3, 0.3, 0.0]])
         with pytest.raises(SingularChannelError) as exc_info:
             zf_precoder(h, 1.0)
-        assert inv_calls == [] and len(svd_calls) == 1
+        assert inv_calls == [] and svd_calls == []
         with pytest.raises(SingularChannelError) as want:
             oracle_svd_precoder(h, 1.0)
         assert str(exc_info.value) == str(want.value)
         assert exc_info.value.pair == want.value.pair
+
+
+@settings(max_examples=200, deadline=None)
+@given(n_aps=st.integers(2, 8), data=st.data())
+def test_fewer_lit_aps_than_users_raise_the_svd_paths_error(n_aps, data):
+    """A channel whose users are reached by fewer AP columns than there are
+    users has rank below the user count: no SVD or LU runs, and the error
+    is the one the SVD path raises, message and pair."""
+    n_users = data.draw(st.integers(2, n_aps))
+    lit = data.draw(st.integers(1, n_users - 1))
+    columns = data.draw(st.permutations(range(n_aps)))[:lit]
+    gains = st.one_of(st.just(0.0), st.floats(1e-6, 1.0))
+    h = np.zeros((n_users, n_aps))
+    for u in range(n_users):
+        row = data.draw(st.lists(gains, min_size=lit, max_size=lit)
+                        .filter(lambda row: any(row)))
+        h[u, columns] = row
+    with pytest.raises(SingularChannelError) as want:
+        oracle_svd_precoder(h, 1.0)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.linalg, "svd", None)
+        mp.setattr(np.linalg, "inv", None)
+        with pytest.raises(SingularChannelError) as exc_info:
+            zf_precoder(h, 1.0)
+    assert str(exc_info.value) == str(want.value)
+    assert exc_info.value.pair == want.value.pair

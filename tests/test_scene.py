@@ -3,7 +3,10 @@ import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import vcselnet
 from vcselnet import (
@@ -25,7 +28,7 @@ from vcselnet import (
 from vcselnet import beam_optics
 from vcselnet.cli import build_parser
 from vcselnet.errors import ConfigError, InfeasibleError
-from vcselnet.scene import _KEYS
+from vcselnet.scene import _KEYS, _place
 
 from conftest import DEFAULT_MPE
 
@@ -348,6 +351,14 @@ class TestPlacementHelpers:
         with pytest.raises(InfeasibleError):
             place_users(scene_with_mpe, 5, seed=0)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5])
+    def test_place_users_rejects_a_bad_seed_as_the_scene_does(self, scene_with_mpe, seed):
+        message = re.escape(f"seed must be a non-negative integer, got {seed!r}")
+        with pytest.raises(ConfigError, match=message):
+            place_users(scene_with_mpe, 2, seed)
+        with pytest.raises(ConfigError, match=message):
+            dataclasses.replace(scene_with_mpe, seed=seed)
+
     def test_place_users_positions_inside_room(self, scene_with_mpe):
         placed = place_users(scene_with_mpe, 4, seed=123)
         for u in placed.users:
@@ -358,6 +369,33 @@ class TestPlacementHelpers:
         placed = place_users_on_axis(dataclasses.replace(scene_with_mpe, placement="random"), 2)
         assert [u.position for u in placed.users] == [(3.0, 3.0), (1.0, 3.0)]
         assert placed.placement == "on-axis"
+
+
+@settings(max_examples=60, deadline=None)
+@given(placement=st.sampled_from(["random", "on-axis"]), count=st.integers(1, 4),
+       seed=st.integers(0, 2**64), explicit=st.booleans())
+def test_placing_copies_what_replace_builds(placement, count, seed, explicit):
+    """_place copies the users and the scene without re-validation; each
+    copy equals, field by field, and hashes as its dataclasses.replace
+    rebuild, and the placed scene still round-trips through dump_scene."""
+    scene = load_scene(f"[safety]\nmpe_w_per_m2 = {DEFAULT_MPE}\n")
+    if explicit:
+        scene = dataclasses.replace(scene, placement="explicit")
+    placed = _place(scene, placement, count, seed)
+    if placement == "random":
+        rng = np.random.default_rng(seed)
+        positions = zip(rng.uniform(0.0, scene.room.width, count).tolist(),
+                        rng.uniform(0.0, scene.room.length, count).tolist())
+    else:
+        positions = (ap.position[:2] for ap in scene.aps[:count])
+    users = tuple(dataclasses.replace(scene.users[0], position=pos) for pos in positions)
+    want = dataclasses.replace(scene, users=users, seed=seed, placement=placement)
+    assert type(placed) is Scene
+    assert [type(user) for user in placed.users] == [UserTerminal] * count
+    assert [vars(user) for user in placed.users] == [vars(user) for user in want.users]
+    assert vars(placed) == vars(want)
+    assert placed == want and hash(placed) == hash(want)
+    assert load_scene(dump_scene(placed)) == placed
 
 
 class TestRoundTrip:

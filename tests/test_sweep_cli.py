@@ -584,8 +584,8 @@ def test_point_scene_equals_its_rebuild(case, waist, mode):
 @pytest.mark.parametrize("placement", ["on-axis", "random"])
 def test_a_point_validates_no_access_point(compact_scene, monkeypatch, placement):
     """Only the beams and lens change between points, so no point runs
-    AccessPoint.__post_init__, and Scene.__post_init__ runs only where a
-    random scene's users are placed, once per seed."""
+    AccessPoint.__post_init__, and placing a random scene's users, once per
+    seed, copies the scene without Scene.__post_init__."""
     calls = {AccessPoint: 0, Scene: 0}
     for cls in calls:
         def counting(self, cls=cls, validate=cls.__post_init__):
@@ -602,7 +602,41 @@ def test_a_point_validates_no_access_point(compact_scene, monkeypatch, placement
         sweep = SweepSpec(waist_start=1e-6, waist_end=8e-6, steps=2)
     calls.update({AccessPoint: 0, Scene: 0})
     assert len(run_sweep(scene, sweep).rows) == sweep.steps * len(sweep.lens_modes)
-    assert calls == {AccessPoint: 0, Scene: len(sweep.seeds or ())}
+    assert calls == {AccessPoint: 0, Scene: 0}
+
+
+@pytest.mark.parametrize("mode", ["off", "on"])
+def test_a_random_point_makes_no_replace_and_no_revalidation(compact_scene, mode):
+    """One random-placement point through the public calls, in run_sweep's
+    order: place_users, the cap of each AP, the channel, ZF and the link
+    report. Every copy it makes is of a spec already valid, so it calls
+    dataclasses.replace nowhere and runs no Scene, UserTerminal or BeamSpec
+    check (with the lens on, neither for the relayed beam)."""
+    # A waist no other test uses, so the channel derives its source afresh.
+    beam = dataclasses.replace(compact_scene.aps[0].beam, w0=5.5e-6)
+    lens = compact_scene.lens_design if mode == "on" else None
+    scene = compact_scene.with_aps(tuple(ap.with_source(beam, lens) for ap in compact_scene.aps))
+    watched = {dataclasses.replace.__code__: "dataclasses.replace"}
+    watched.update((cls.__post_init__.__code__, f"{cls.__name__}.__post_init__")
+                   for cls in (Scene, UserTerminal, BeamSpec))
+    seen = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in watched:
+            seen.append(watched[frame.f_code])
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        placed = place_users(scene, len(scene.aps), 3)
+        caps = np.array([ap.array_n**2 * max_safe_power(ap.beam, placed.safety, ap.lens).p_max
+                         for ap in placed.aps])
+        h = build_channel_matrix(placed)
+        report = link_report(placed, h, zf_precoder(h, caps), "shannon")
+    finally:
+        sys.setprofile(previous)
+    assert report.sum_rate > 0.0
+    assert seen == []
 
 
 @pytest.mark.parametrize("placement", ["on-axis", "random"])
