@@ -89,17 +89,9 @@ def user_rate(sinr: float, elec: ElectricalSpec, model: str = "shannon") -> floa
 
 
 def consumed_power(scene: Scene) -> float:
-    """Electrical power drawn by all arrays, W.
-
-    Per VCSEL: bias_current * drive_voltage, unless the per-VCSEL consumption
-    override is configured.
-    """
-    elec = scene.electrical
-    per_vcsel = (
-        elec.per_vcsel_consumption
-        if elec.per_vcsel_consumption is not None
-        else elec.bias_current * elec.drive_voltage
-    )
+    """Electrical power drawn by all arrays, W: bias_current * drive_voltage
+    per VCSEL."""
+    per_vcsel = scene.electrical.bias_current * scene.electrical.drive_voltage
     total = sum(ap.array_n**2 * per_vcsel for ap in scene.aps)
     if not total > 0:
         raise DomainError(f"consumed power must be positive, got {total!r}")

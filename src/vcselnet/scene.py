@@ -54,17 +54,17 @@ class AccessPoint:
     """Ceiling transmitter: an N x N VCSEL array pointing straight down.
 
     The array is modeled as a single co-located source with one shared beam,
-    emitting array_n^2 times one VCSEL's power. Sweeps transmit every VCSEL
-    at its eye-safe cap and refuse a scene that sets per_vcsel_power: no
-    evaluation reads it, and it is kept only so that dump_scene writes back
-    every key load_scene read.
+    emitting array_n^2 times one VCSEL's power, so no element spacing enters
+    any evaluation and none is held. Sweeps transmit every VCSEL at its
+    eye-safe cap and refuse a scene that sets per_vcsel_power: no evaluation
+    reads it, and it is kept only so that dump_scene writes back every key
+    load_scene read.
     """
 
     position: tuple[float, float, float]
     beam: BeamSpec
     lens: LensSpec | None = None
     array_n: int = 5
-    pitch: float = 10e-6
     per_vcsel_power: float | None = None
 
     def __post_init__(self):
@@ -72,7 +72,6 @@ class AccessPoint:
             raise ConfigError(f"access point position must be (x, y, z), got {self.position!r}")
         if self.array_n < 1:
             raise ConfigError(f"array_n must be >= 1, got {self.array_n!r}")
-        require_positive(ConfigError, self, "pitch")
         if self.per_vcsel_power is not None:
             require_positive(ConfigError, self, "per_vcsel_power")
 
@@ -117,9 +116,8 @@ class ElectricalSpec:
     preamp_noise_density    input-referred preamp noise, A^2/Hz
     temperature             K
     bias_current            per-VCSEL bias, A
-    drive_voltage           per-VCSEL drive amplitude, V
-    per_vcsel_consumption   optional wall-plug override, W per VCSEL; when
-                            unset, consumption is bias_current * drive_voltage
+    drive_voltage           per-VCSEL drive amplitude, V; a VCSEL consumes
+                            bias_current * drive_voltage
     fec_limit               BER threshold for the hard-decision rate model
     """
 
@@ -131,7 +129,6 @@ class ElectricalSpec:
     temperature: float = 300.0
     bias_current: float = 9e-3
     drive_voltage: float = 0.9
-    per_vcsel_consumption: float | None = None
     fec_limit: float = 1e-3
 
     def __post_init__(self):
@@ -141,8 +138,6 @@ class ElectricalSpec:
             raise ConfigError(
                 f"rin_db_per_hz must be negative and finite, got {self.rin_db_per_hz!r}"
             )
-        if self.per_vcsel_consumption is not None:
-            require_positive(ConfigError, self, "per_vcsel_consumption")
         if not 0.0 < self.fec_limit < 1.0:
             raise ConfigError(f"fec_limit must lie in (0, 1), got {self.fec_limit!r}")
 
@@ -207,8 +202,9 @@ class Scene:
 
 
 def _check_seed(seed) -> None:
-    """ConfigError unless seed is a non-negative integer."""
-    if not (isinstance(seed, numbers.Integral) and seed >= 0):
+    """ConfigError unless seed is a non-negative integer: a bool is refused,
+    although Python counts it as one."""
+    if not (isinstance(seed, numbers.Integral) and not isinstance(seed, bool) and seed >= 0):
         raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
 
 
@@ -250,8 +246,8 @@ def _placement(raw: str) -> str:
     return raw
 
 
-def _positions(*arity: int):
-    """Parser of "(a, b); (c, d)" position lists with the given tuple sizes."""
+def _positions(arity: int):
+    """Parser of "(a, b); (c, d)" position lists of arity-number tuples."""
 
     def parse(text: str) -> tuple[tuple[float, ...], ...]:
         out = []
@@ -260,10 +256,8 @@ def _positions(*arity: int):
             if not chunk:
                 continue
             parts = [s for s in (p.strip() for p in chunk.split(",")) if s]
-            if len(parts) not in arity:
-                raise ValueError(
-                    f"expected tuples of {'/'.join(map(str, arity))} numbers, got {chunk!r}"
-                )
+            if len(parts) != arity:
+                raise ValueError(f"expected tuples of {arity} numbers, got {chunk!r}")
             out.append(tuple(float(s) for s in parts))
         return tuple(out)
 
@@ -302,9 +296,9 @@ def _format_positions(positions) -> str:
 class _Key(NamedTuple):
     """One config key: where it lives in the file and in the Scene.
 
-    owner names the objects that hold the field (see dump_scene). parse turns
-    the raw text into the field value; format turns the field value back into
-    text, or None to omit the key. A key whose format is None is read only.
+    owner names the objects that hold the field (see dump_scene); no two keys
+    set one owner's field. parse turns the raw text into the field value;
+    format turns the field value back into text, or None to omit the key.
     """
 
     section: str
@@ -312,13 +306,11 @@ class _Key(NamedTuple):
     owner: str
     field: str
     parse: Callable[[str], Any]
-    format: Callable[[Any], str | None] | None
+    format: Callable[[Any], str | None]
 
 
-# Every config key, in file order. Unset keys leave their field at the
-# dataclass default (or _DEFAULT_BEAM / _DEFAULT_LENS). Where two keys set one
-# field, the earlier one wins, so the exact unit dump_scene writes (_rad,
-# _a2_per_hz) overrides the human-friendly alternative.
+# Every config key, in file order, one per field. Unset keys leave their field
+# at the dataclass default (or _DEFAULT_BEAM / _DEFAULT_LENS).
 _KEYS = (
     _Key("room", "width_m", "room", "width", _number, _repr),
     _Key("room", "length_m", "room", "length", _number, _repr),
@@ -326,7 +318,6 @@ _KEYS = (
     _Key("room", "rx_plane_height_m", "room", "rx_plane_height", _number, _repr),
     _Key("vcsel", "beam_waist_m", "beam", "w0", _number, _repr),
     _Key("vcsel", "wavelength_m", "beam", "wavelength", _number, _repr),
-    _Key("vcsel", "pitch_m", "ap", "pitch", _number, _repr),
     _Key("vcsel", "vcsels_per_transmitter", "ap", "array_n", _array_side, lambda n: str(n * n)),
     _Key("vcsel", "mode_powers", "beam", "modes", _modes, _format_modes),
     _Key("vcsel", "per_vcsel_power_w", "ap", "per_vcsel_power", _number, _repr),
@@ -338,21 +329,15 @@ _KEYS = (
     _Key("receiver", "detector_area_m2", "user", "detector_area", _number, _repr),
     _Key("receiver", "responsivity_a_per_w", "user", "responsivity", _number, _repr),
     _Key("receiver", "fov_half_angle_rad", "user", "fov_half_angle", _number, _repr),
-    _Key("receiver", "fov_half_angle_deg", "user", "fov_half_angle",
-         lambda raw: math.radians(_number(raw)), None),
     _Key("electrical", "rx_bandwidth_hz", "electrical", "rx_bandwidth", _number, _repr),
     _Key("electrical", "load_resistance_ohm", "electrical", "load_resistance", _number, _repr),
     _Key("electrical", "tia_noise_figure_db", "electrical", "noise_figure_db", _number, _repr),
     _Key("electrical", "rin_db_per_hz", "electrical", "rin_db_per_hz", _number, _repr),
     _Key("electrical", "preamp_noise_a2_per_hz", "electrical", "preamp_noise_density",
          _number, _repr),
-    _Key("electrical", "preamp_noise_a_per_sqrt_hz", "electrical", "preamp_noise_density",
-         lambda raw: _number(raw) ** 2, None),
     _Key("electrical", "temperature_k", "electrical", "temperature", _number, _repr),
     _Key("electrical", "bias_current_a", "electrical", "bias_current", _number, _repr),
     _Key("electrical", "drive_voltage_v", "electrical", "drive_voltage", _number, _repr),
-    _Key("electrical", "per_vcsel_consumption_w", "electrical", "per_vcsel_consumption",
-         _number, _repr),
     _Key("electrical", "fec_limit", "electrical", "fec_limit", _number, _repr),
     _Key("safety", "mpe_w_per_m2", "safety", "mpe", _number, _repr),
     _Key("safety", "pupil_radius_m", "safety", "pupil_radius", _number, _repr),
@@ -362,21 +347,21 @@ _KEYS = (
     # as the number placed.
     _Key("users", "count", "placed", "users", _integer, lambda users: str(len(users))),
     _Key("users", "seed", "scene", "seed", _integer, _repr),
-    _Key("users", "positions_m", "explicit", "position", _positions(2, 3), _format_positions),
+    _Key("users", "positions_m", "explicit", "position", _positions(2), _format_positions),
     _Key("users", "placement", "placed", "placement", _placement, str),
 )
 _KNOWN_KEYS = frozenset((k.section, k.key) for k in _KEYS)
 
 
-def _spec(default, owner: str, values: dict[str, Any], parser: configparser.ConfigParser):
+def _spec(default, owner: str, values: dict[str, Any]):
     """default with the configured values, its error reported as a
-    ConfigError that names the key: the first of the owner's keys set in
-    parser whose value fails on the defaults by itself."""
+    ConfigError that names the key: the first of the owner's set keys whose
+    value fails on the defaults by itself."""
     try:
         return replace(default, **values)
     except (ConfigError, DomainError) as exc:
         for k in _KEYS:
-            if k.owner == owner and k.field in values and parser.get(k.section, k.key, fallback=""):
+            if k.owner == owner and k.field in values:
                 try:
                     replace(default, **{k.field: values[k.field]})
                 except (ConfigError, DomainError) as alone:
@@ -407,28 +392,28 @@ def load_scene(text: str) -> Scene:
     fields: dict[str, dict[str, Any]] = defaultdict(dict)
     for k in _KEYS:
         raw = parser.get(k.section, k.key, fallback="").strip()
-        if raw and k.field not in fields[k.owner]:
+        if raw:
             try:
                 fields[k.owner][k.field] = k.parse(raw)
             except ValueError as exc:
                 raise ConfigError(f"{k.section}.{k.key}: {exc}") from exc
 
-    room = _spec(Room(), "room", fields["room"], parser)
-    beam = _spec(_DEFAULT_BEAM, "beam", fields["beam"], parser)
-    lens_design = _spec(_DEFAULT_LENS, "lens", fields["lens"], parser)
+    room = _spec(Room(), "room", fields["room"])
+    beam = _spec(_DEFAULT_BEAM, "beam", fields["beam"])
+    lens_design = _spec(_DEFAULT_LENS, "lens", fields["lens"])
     ap_fields = fields["ap"]
     lens = lens_design if ap_fields.pop("lens", True) else None
     ap_positions = ap_fields.pop("position", _DEFAULT_AP_POSITIONS)
-    template = _spec(AccessPoint(_DEFAULT_AP_POSITIONS[0], beam, lens), "ap", ap_fields, parser)
+    template = _spec(AccessPoint(_DEFAULT_AP_POSITIONS[0], beam, lens), "ap", ap_fields)
     aps = tuple(replace(template, position=pos) for pos in ap_positions)
-    electrical = _spec(ElectricalSpec(), "electrical", fields["electrical"], parser)
-    safety = _spec(SafetySpec(), "safety", fields["safety"], parser)
+    electrical = _spec(ElectricalSpec(), "electrical", fields["electrical"])
+    safety = _spec(SafetySpec(), "safety", fields["safety"])
 
     # The one user is the receiver all users share; placement positions them.
     scene = Scene(
         room=room,
         aps=aps,
-        users=(_spec(UserTerminal((0.0, 0.0)), "user", fields["user"], parser),),
+        users=(_spec(UserTerminal((0.0, 0.0)), "user", fields["user"]),),
         electrical=electrical,
         safety=safety,
         lens_design=lens_design,
@@ -445,13 +430,7 @@ def load_scene(text: str) -> Scene:
             f"users.count: {placing['users']} disagrees with the "
             f"{len(positions)} positions in users.positions_m"
         )
-    for pos in positions:
-        if len(pos) == 3 and pos[2] != room.rx_plane_height:
-            raise ConfigError(
-                f"users.positions_m: user height {pos[2]!r} differs from the receive "
-                f"plane at {room.rx_plane_height!r}"
-            )
-    return replace(scene, users=tuple(replace(scene.users[0], position=pos[:2])
+    return replace(scene, users=tuple(replace(scene.users[0], position=pos)
                                       for pos in positions))
 
 
@@ -527,7 +506,7 @@ def dump_scene(scene: Scene) -> str:
     sections: dict[str, list[str]] = {}
     for k in _KEYS:
         values = [getattr(owner, k.field) for owner in owners[k.owner]]
-        if k.format is None or not values:
+        if not values:
             continue
         if k.field == "position":  # one entry per AP or user
             text = k.format(values)

@@ -23,7 +23,7 @@ from .errors import ConfigError, DomainError, SweepPointError, VcselNetError
 from .eye_safety import max_safe_power
 from .link_budget import LinkReport, link_report
 from .precoding import Precoder, zf_precoder
-from .scene import Scene, place_users
+from .scene import Scene, _check_seed, place_users
 
 SCHEMA_VERSION = "v1"
 
@@ -47,7 +47,8 @@ class SweepSpec:
     waist_start / waist_end   inclusive waist range, m; finite
     steps                     number of grid points (linear spacing)
     lens_modes                subset of ("off", "on")
-    seeds                     replicate seeds of a randomly placed scene;
+    seeds                     replicate seeds of a randomly placed scene,
+                              each a non-negative integer and not a bool;
                               None means the scene's own seed
     """
 
@@ -75,8 +76,7 @@ class SweepSpec:
         if self.seeds is not None and not self.seeds:
             raise ConfigError("at least one seed is required")
         for seed in self.seeds or ():
-            if seed < 0:
-                raise ConfigError(f"seeds must be non-negative, got {seed!r}")
+            _check_seed(seed)
 
 
 @dataclass(frozen=True)

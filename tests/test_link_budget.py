@@ -178,16 +178,6 @@ class TestConsumptionAndEfficiency:
         # 4 APs x 25 VCSELs x 9 mA x 0.9 V = 0.81 W.
         assert consumed_power(default_scene()) == pytest.approx(0.81, rel=1e-12)
 
-    def test_override_consumption(self):
-        scene = default_scene()
-        scene = dataclasses.replace(
-            scene,
-            electrical=dataclasses.replace(
-                scene.electrical, per_vcsel_consumption=2e-3
-            ),
-        )
-        assert consumed_power(scene) == pytest.approx(0.2, rel=1e-12)
-
     def test_energy_efficiency_frozen(self):
         # OOK over four 0.4 A interference-free links: every user gets the
         # full B_e, so EE = 4 x 1.75e9 bit/s / 0.81 W.
@@ -197,9 +187,10 @@ class TestConsumptionAndEfficiency:
 
     def test_energy_efficiency_sums_rates(self):
         scene = default_scene()
+        # 4 APs x 25 VCSELs x 4 mA x 0.5 V = 0.2 W.
         scene = dataclasses.replace(
             scene,
-            electrical=dataclasses.replace(scene.electrical, per_vcsel_consumption=2e-3),
+            electrical=dataclasses.replace(scene.electrical, bias_current=4e-3, drive_voltage=0.5),
         )
         report = link_report(scene, *identity_link())
         assert report.energy_efficiency == pytest.approx(

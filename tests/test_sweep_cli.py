@@ -118,6 +118,19 @@ class TestSweepSpec:
         with pytest.raises(ConfigError):
             SweepSpec(**kwargs)
 
+    @pytest.mark.parametrize("seed", [1.5, True, -1])
+    def test_a_seed_follows_the_scene_rule(self, seed):
+        # One rule for SweepSpec, placement and Scene: a non-negative integer,
+        # and a bool is not one.
+        message = re.escape(f"seed must be a non-negative integer, got {seed!r}")
+        with pytest.raises(ConfigError, match=message):
+            SweepSpec(seeds=(0, seed))
+        scene = load_scene(COMPACT_CONFIG)
+        with pytest.raises(ConfigError, match=message):
+            place_users(scene, 3, seed)
+        with pytest.raises(ConfigError, match=message):
+            dataclasses.replace(scene, seed=seed)
+
     @pytest.mark.parametrize("kwargs", [dict(waist_end=math.inf), dict(waist_start=math.nan),
                                         dict(waist_end=math.nan), dict(waist_start=-math.inf)])
     def test_rejects_non_finite_waists(self, kwargs):
@@ -484,11 +497,11 @@ def sweep_cases(draw):
     APs draw from four beams: 850 and 940 nm, a 3 um beam that differs
     from the first only in w0 (one source at every point), and a TEM00
     beam. Their own lens states differ, so a sweep's batch plan can be finer
-    than a point's sources. Array sizes and pitches differ per AP, so a
-    point that reset either would not match its rebuilt scene. Scene pins
-    every AP to the ceiling, so AP heights vary between scenes. Users are explicit, with mixed apertures
-    and FOVs, or one or two randomly placed users replicated over up to three
-    seeds.
+    than a point's sources. Array sizes differ per AP, so a point that reset
+    them would not match its rebuilt scene. Scene pins every AP to the
+    ceiling, so AP heights vary between scenes. Users are explicit, with mixed
+    apertures and FOVs, or one or two randomly placed users replicated over up
+    to three seeds.
     """
     base = load_scene(COMPACT_CONFIG)
     height = draw(st.sampled_from([2.5, 3.0]))
@@ -502,8 +515,7 @@ def sweep_cases(draw):
     aps = tuple(
         AccessPoint(position=(x, y, height), beam=draw(st.sampled_from(beams)),
                     lens=draw(st.sampled_from([None, base.lens_design])),
-                    array_n=draw(st.sampled_from([1, 2, 5])),
-                    pitch=draw(st.sampled_from([10e-6, 20e-6])))
+                    array_n=draw(st.sampled_from([1, 2, 5])))
         for x, y in draw(spots)
     )
     users = tuple(
@@ -1215,6 +1227,31 @@ class TestCli:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[vcsel]\npitch_m = 1e-5\n", "unknown config key vcsel.pitch_m"),
+            ("[receiver]\nfov_half_angle_deg = 60\n",
+             "unknown config key receiver.fov_half_angle_deg"),
+            ("[electrical]\npreamp_noise_a_per_sqrt_hz = 4.47e-12\n",
+             "unknown config key electrical.preamp_noise_a_per_sqrt_hz"),
+            ("[electrical]\nper_vcsel_consumption_w = 8.1e-3\n",
+             "unknown config key electrical.per_vcsel_consumption_w"),
+            # (x, y, z): a user's z could only repeat the receive plane's height.
+            ("[users]\npositions_m = (3.0, 3.0, 1.0); (1.0, 1.0, 1.0)\n",
+             "users.positions_m: expected tuples of 2 numbers"),
+        ],
+        ids=["pitch", "fov-deg", "preamp-sqrt", "consumption", "user-xyz"],
+    )
+    def test_a_removed_config_input_exits_3_naming_the_key(self, tmp_path, capsys, text,
+                                                             message):
+        config = tmp_path / "removed.ini"
+        config.write_text(CONFIG_TEXT + text, encoding="utf-8")
+        code, out = self.run_cli(tmp_path, config)
+        assert code == 3
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "section, key, value",
         [
             ("electrical", "rx_bandwidth_hz", "inf"),
@@ -1223,7 +1260,7 @@ class TestCli:
             ("safety", "mpe_w_per_m2", "inf"),
             ("receiver", "detector_area_m2", "inf"),
             ("room", "width_m", "nan"),
-            ("vcsel", "pitch_m", "inf"),
+            ("vcsel", "wavelength_m", "nan"),
         ],
     )
     def test_non_finite_config_number_exits_3_naming_the_key(self, tmp_path, capsys, section,
